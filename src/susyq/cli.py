@@ -7,7 +7,8 @@ as CSV/JSON files under an output directory.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 pole on a grid node, 4 state-family domain rejection.  Data files are
 byte-identical across runs of the same configuration; stdout lists the
-files written, stderr carries diagnostics.
+files written, stderr carries diagnostics.  Any other exception is reported
+as an internal error with exit 2, after its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import csv
 import json
 import math
 import os
+import re
 import sys
+import traceback
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,6 +61,7 @@ _EXIT_POLE = 3
 _EXIT_DOMAIN = 4
 
 _R_VALUES_DEFAULT = (2.0, 1.0, 0.5, -0.5, -1.0, -2.0)
+_TOLERANCE_NAMES = ("state",)  # the named tolerances some command reads
 
 
 class ConfigError(ValueError):
@@ -149,10 +154,21 @@ def _merge_config(args) -> RunConfig:
         name, value = _parse_bind_token(token)
         bind[name] = value
 
-    tolerances = dict(file_cfg.get("tolerances", {}))
+    tolerances = file_cfg.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("config key 'tolerances' must be an object")
+    tolerances = dict(tolerances)
     for token in getattr(args, "tol", None) or []:
         name, value = _parse_bind_token(token)
-        tolerances[name] = float(value)
+        tolerances[name] = value
+    unknown = sorted(set(tolerances) - set(_TOLERANCE_NAMES))
+    if unknown:
+        raise ConfigError(f"unknown tolerance name(s) {', '.join(unknown)} "
+                          f"(known: {', '.join(_TOLERANCE_NAMES)})")
+    try:
+        tolerances = {name: float(v) for name, v in tolerances.items()}
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad tolerance value: {e}") from e
 
     r_values = pick("r_values", "r_values", None)
     if r_values is None:
@@ -256,30 +272,78 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if v is None:
-        return ""
-    return str(v)
+_BLOCK_ROWS = 8192  # rows formatted at once; bounds the memory a table needs
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _emit_table(cfg: RunConfig, stem: str, header, rows) -> str:
+def _csv_text(s: str) -> str:
+    """A string cell quoted only when it holds a comma, quote or line break."""
+    if _CSV_SPECIAL.search(s):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _csv_cells(col) -> list:
+    if isinstance(col, np.ndarray):
+        return list(map("{:.17g}".format, col.tolist()))
+    return [("true" if v else "false") if isinstance(v, bool) else _csv_text(v)
+            for v in col]
+
+
+def _json_cells(col) -> list:
+    if isinstance(col, np.ndarray):
+        cells = list(map(float.__repr__, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            cells[i] = f'"{cells[i]}"'  # inf, -inf and nan as strings
+        return cells
+    return [("true" if v else "false") if isinstance(v, bool)
+            else encode_basestring_ascii(v) for v in col]
+
+
+def _json_row_template(header) -> str:
+    """One row object with sorted keys and a {} slot per value, laid out as
+    json.dump(..., indent=2, sort_keys=True) lays out a list element."""
+    keys = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
+            for k in sorted(header))
+    return "  {{\n" + ",\n".join(f"    {k}: {{}}" for k in keys) + "\n  }}"
+
+
+def _blocks(columns):
+    """The table in slices of _BLOCK_ROWS rows, each a list of column slices."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [col[start:start + _BLOCK_ROWS] for col in columns]
+
+
+def _write_csv_table(fh, header, columns) -> None:
+    fh.write(",".join(map(_csv_text, header)) + "\n")
+    for block in _blocks(columns):
+        fh.write("\n".join(map(",".join, zip(*map(_csv_cells, block)))) + "\n")
+
+
+def _write_json_table(fh, header, columns) -> None:
+    if not len(columns[0]):
+        fh.write("[]\n")
+        return
+    order = sorted(range(len(header)), key=header.__getitem__)
+    row = _json_row_template(header).format
+    sep = "[\n"
+    for block in _blocks(columns):
+        fh.write(sep + ",\n".join(map(row, *(_json_cells(block[j]) for j in order))))
+        sep = ",\n"
+    fh.write("\n]\n")
+
+
+def _emit_table(cfg: RunConfig, stem: str, header, columns) -> str:
     """One table as CSV, or as a JSON list of row objects under --format json.
 
-    Rows carry native values; CSV formatting happens here so the JSON view
-    keeps numbers as numbers.
+    ``columns`` holds one entry per header name: a 1-D float array for a
+    numeric column, a list of str or bool otherwise.  Columns are formatted
+    whole, a block of rows at a time, and then joined into rows.
     """
-    if cfg.fmt == "csv":
-        path = os.path.join(cfg.out, f"{stem}.csv")
-        _write_csv(path, header, [[_cell(v) for v in row] for row in rows])
-    else:
-        path = os.path.join(cfg.out, f"{stem}.json")
-        _write_json(path, [dict(zip(header, row)) for row in rows])
+    path = os.path.join(cfg.out, f"{stem}.{cfg.fmt}")
+    write = _write_csv_table if cfg.fmt == "csv" else _write_json_table
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write(fh, header, columns)
     return path
 
 
@@ -308,28 +372,21 @@ def _cmd_potentials(cfg: RunConfig) -> list:
         meta_model, meta_params = None, dict(cfg.bind)
 
     s = pair.samples(grid)  # raises PoleOnGridError if a node hits a pole
-    columns = [("q1", s["q1"]), ("v1", s["v1"]), ("v2", s["v2"]),
-               ("v1_dual", s["v1_dual"]), ("v2_dual", s["v2_dual"])]
-    complex_valued = any(np.any(col.imag != 0.0) for _, col in columns)
-    ann = _annotations(grid, pair.singular_points)
+    names = ("q1", "v1", "v2", "v1_dual", "v2_dual")
+    complex_valued = any(np.any(s[name].imag != 0.0) for name in names)
 
-    header = ["x"]
-    for name, _ in columns:
-        header.extend([f"{name}_re", f"{name}_im"] if complex_valued else [name])
+    header, columns = ["x"], [grid.x]
+    for name in names:
+        if complex_valued:
+            header.extend([f"{name}_re", f"{name}_im"])
+            columns.extend([s[name].real, s[name].imag])
+        else:
+            header.append(name)
+            columns.append(s[name].real)
     header.append("annotation")
+    columns.append(_annotations(grid, pair.singular_points))
 
-    rows = []
-    for i in range(grid.n_points):
-        row = [float(grid.x[i])]
-        for _, col in columns:
-            if complex_valued:
-                row.extend([float(col[i].real), float(col[i].imag)])
-            else:
-                row.append(float(col[i].real))
-        row.append(ann[i])
-        rows.append(row)
-
-    paths = [_emit_table(cfg, "potentials", header, rows)]
+    paths = [_emit_table(cfg, "potentials", header, columns)]
     meta = {
         "model": meta_model,
         "params": meta_params,
@@ -361,21 +418,13 @@ def _cmd_vacua(cfg: RunConfig) -> list:
         v = pair_vacua(pair, grid, cfg.normalization)
         meta_model, meta_params = None, dict(cfg.bind)
 
-    header = ["x"]
-    series = []
+    header, columns = ["x"], [grid.x]
     for rec in v.records():
         f = as_scaled(rec.function)
-        series.append((rec.label, f.log_magnitude(), np.angle(f.values)))
         header.extend([f"{rec.label}_logabs", f"{rec.label}_phase"])
+        columns.extend([f.log_magnitude(), np.angle(f.values)])
 
-    rows = []
-    for i in range(grid.n_points):
-        row = [float(grid.x[i])]
-        for _, logabs, phase in series:
-            row.extend([float(logabs[i]), float(phase[i])])
-        rows.append(row)
-
-    paths = [_emit_table(cfg, "vacua", header, rows)]
+    paths = [_emit_table(cfg, "vacua", header, columns)]
     report = {
         "model": meta_model,
         "params": meta_params,
@@ -474,7 +523,7 @@ def _cmd_gk(cfg: RunConfig) -> list:
             "a family exceeds double range on this grid, so its norm growth "
             f"cannot be certified: {e}") from e
 
-    tol = float(cfg.tolerances.get("state", 1e-8))
+    tol = cfg.tolerances.get("state", 1e-8)
     phi_state = build_state(phis, s, "phi", j=cfg.j, gamma=cfg.gamma,
                             tol=tol, domain=domain)
     psi_state = build_state(psis, s, "psi", j=cfg.j, gamma=cfg.gamma,
@@ -583,12 +632,14 @@ def _cmd_bs_classify(cfg: RunConfig) -> list:
     rows = []
     for r in cfg.r_values:
         row_obj = bs_classification(r)
-        row = [float(r), *row_obj.flags()]
+        row = list(row_obj.flags())
         if cfg.numeric:
             m = get_model("black-scholes", r=r, v0=float(cfg.bind.get("v0", 1.0)))
             row.append(bs_numeric_flags(m, grid).flags() == row_obj.flags())
         rows.append(row)
-    return [_emit_table(cfg, "bs-classification", header, rows)]
+    columns = [np.array(cfg.r_values, dtype=float)]
+    columns.extend([row[k] for row in rows] for k in range(len(header) - 1))
+    return [_emit_table(cfg, "bs-classification", header, columns)]
 
 
 def _cmd_models_list(cfg: RunConfig) -> list:
@@ -691,5 +742,6 @@ def main(argv=None) -> int:
         print(f"susyq: {e}", file=sys.stderr)
         return _EXIT_CONFIG
     except Exception as e:  # keep exit 1 reserved for verification failures
+        traceback.print_exc(file=sys.stderr)
         print(f"susyq: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -103,6 +103,42 @@ def test_config_errors_exit_two(tmp_path):
                    "--out", out).returncode == 2
 
 
+def test_unknown_tolerance_names_exit_two(tmp_path):
+    out = str(tmp_path / "o")
+    r = run_cli("potentials", "--model", "harmonic", "--tol", "stat=1e-9", "--out", out)
+    assert r.returncode == 2
+    assert "unknown tolerance name(s) stat" in r.stderr
+    r = run_cli("potentials", "--model", "harmonic", "--tol", "state=tight", "--out", out)
+    assert r.returncode == 2
+    assert "bad tolerance value" in r.stderr
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"state": 1e-9, "residual": 1e-6}}))
+    r = run_cli("potentials", "--model", "harmonic", "--config", str(cfg), "--out", out)
+    assert r.returncode == 2
+    assert "unknown tolerance name(s) residual" in r.stderr
+
+    cfg.write_text(json.dumps({"tolerances": {"state": 1e-9}}))
+    r = run_cli("potentials", "--model", "harmonic", "--grid-n", "65",
+                "--config", str(cfg), "--tol", "state=1e-10", "--out", out)
+    assert r.returncode == 0
+
+
+def test_internal_error_prints_its_traceback(monkeypatch, capsys):
+    from susyq import cli
+
+    def broken(cfg):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "models-list", broken)
+    assert cli.main(["models-list"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("Traceback (most recent call last):")
+    assert 'raise RuntimeError("forced failure")' in err
+    assert err.endswith("susyq: internal error: RuntimeError: forced failure\n")
+    assert out == ""
+
+
 def test_verify_model_passes_and_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("verify", "--model", "harmonic", "--out", str(out1))
