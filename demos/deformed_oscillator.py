@@ -12,7 +12,6 @@ import numpy as np
 from susyq import (
     DEFAULT_DEFORMATION_Q,
     Grid,
-    GridFunction,
     apply_H1,
     build_deformation,
     get_model,
@@ -42,7 +41,7 @@ print("           max ||psi_n|| =", max(norm(f) for f in psis),
 
 for n in (1, 4, 8):
     image = apply_H1(m.pair, phis[n])
-    diff = GridFunction(grid, image.values - 2.0 * n * phis[n].values)
+    diff = image - 2.0 * n * phis[n]
     print(f"H phi_{n} vs {2 * n} phi_{n}:", relative_residual(diff, image))
 
 pairs1 = [(2.0 * n, phis[n]) for n in range(9)]

@@ -10,7 +10,6 @@ import numpy as np
 
 from susyq import (
     Grid,
-    GridFunction,
     apply_A,
     apply_B,
     apply_H1,
@@ -34,10 +33,10 @@ print("V2 - V1 = wA' + wB' residual:", potential_identity_residual(pair, grid))
 
 # composition route: push a probe through B(A(.)) and compare with H1 directly
 probe = probe_function(grid)
-probe = GridFunction(grid, probe.values * (1.0 + 0.5 * np.sin(2.0 * grid.x)))
+probe = probe * (1.0 + 0.5 * np.sin(2.0 * grid.x))
 composed = apply_B(pair, apply_A(pair, probe))
 direct = apply_H1(pair, probe)
-diff = GridFunction(grid, composed.values - direct.values)
+diff = composed - direct
 print("B(A f) vs H1 f residual:", relative_residual(diff, direct))
 
 # the four vacua: phi from the kernels of A and B, psi from the adjoints

@@ -48,7 +48,7 @@ from .models import (
     get_model,
     models_list,
 )
-from .numerics import Grid, PoleOnGridError, RepresentationError, as_scaled, norm
+from .numerics import Grid, PoleOnGridError, RepresentationError, norm
 from .suites import verify_model, verify_pair
 from .susy import build_pair, vacua as pair_vacua
 
@@ -420,7 +420,7 @@ def _cmd_vacua(cfg: RunConfig) -> list:
 
     header, columns = ["x"], [grid.x]
     for rec in v.records():
-        f = as_scaled(rec.function)
+        f = rec.function
         header.extend([f"{rec.label}_logabs", f"{rec.label}_phase"])
         columns.extend([f.log_magnitude(), np.angle(f.values)])
 

@@ -220,7 +220,7 @@ def deformed_eigencheck(d: Deformation, base_eigpairs, tol: float = 1e-5, grid: 
         worst = 0.0
         for n, (f, e_n) in enumerate(zip(fns, evs)):
             hf = op(pair, f)
-            res = relative_residual(GridFunction(grid, hf.values - e_n * f.values), f)
+            res = relative_residual(hf - e_n * f, f)
             records.append(EigenResidual(family=family, level=n, energy=e_n, residual=res))
             worst = max(worst, res)
         checks.append(CheckResult.from_residual(f"{family}: eigen-residuals", worst, tol))
@@ -241,7 +241,7 @@ def sandwich_residual(d: Deformation, f, grid: Grid | None = None) -> float:
     left = apply_H1(pair, f)
     inner_f = GridFunction(grid, f.values / t_vals)
     right = GridFunction(grid, t_vals * apply_H1(base_pair, inner_f).values)
-    return relative_residual(GridFunction(grid, left.values - right.values), left)
+    return relative_residual(left - right, left)
 
 
 # ---------------------------------------------------------------------------

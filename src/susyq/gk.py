@@ -20,8 +20,8 @@ import numpy as np
 
 from .numerics import (
     GridFunction,
-    ScaledGridFunction,
     _panel_simpson,
+    _same_scale,
     inner,
     integrate_halfline,
     norm,
@@ -317,7 +317,7 @@ class GKState:
     k: float
     coefficients: np.ndarray
     tail: float
-    function: GridFunction | ScaledGridFunction
+    function: GridFunction
     spectrum: Spectrum = field(repr=False)
     basis: tuple = field(repr=False)
     domain: GKDomain = field(repr=False)
@@ -359,18 +359,10 @@ def _coefficient_vector(s: Spectrum, family: str, j: float, gamma: float,
 
 
 def _combine(basis, coefficients):
-    """Sum c_n v_n; scaled carriers must share one log_scale array."""
+    """Sum c_n v_n; the basis must share one log_scale array, or have none."""
     first = basis[0]
-    if all(isinstance(b, GridFunction) for b in basis):
-        acc = np.zeros(first.grid.n_points, dtype=np.complex128)
-        for c, b in zip(coefficients, basis):
-            acc += c * b.values
-        return GridFunction(first.grid, acc)
-    if not all(isinstance(b, ScaledGridFunction) for b in basis):
-        raise GKError("basis mixes plain and scaled carriers; rescale to one form")
-    for b in basis[1:]:
-        if not np.array_equal(b.log_scale, first.log_scale):
-            raise GKError("scaled basis functions must share their log_scale")
+    if not all(_same_scale(b, first) for b in basis[1:]):
+        raise GKError("basis functions must share one log_scale; rescale to one form")
     acc = np.zeros(first.grid.n_points, dtype=np.complex128)
     for c, b in zip(coefficients, basis):
         acc += c * b.values
@@ -855,16 +847,6 @@ class SpecialMapsReport:
         return all(c.passed for c in self.checks)
 
 
-def _difference(a, b):
-    if isinstance(a, GridFunction) and isinstance(b, GridFunction):
-        return a - b
-    if isinstance(a, ScaledGridFunction) and isinstance(b, ScaledGridFunction):
-        if not np.array_equal(a.log_scale, b.log_scale):
-            raise GKError("cannot compare scaled functions with different scales")
-        return a.with_values(a.values - b.values)
-    raise GKError("cannot compare a plain function with a scaled one")
-
-
 def _map_check(name: str, lhs, rhs, tol: float, ref_scale: float, notes: list):
     # a side that is exactly zero in theory still carries the derivative
     # stencil's noise, so the degenerate cutoff sits above that floor
@@ -874,7 +856,7 @@ def _map_check(name: str, lhs, rhs, tol: float, ref_scale: float, notes: list):
         notes.append(f"{name}: both sides vanish at this label; check degenerate")
         return CheckResult(name, 0.0, tol, True)
     return CheckResult.from_residual(
-        name, relative_residual(_difference(lhs, rhs), rhs), tol
+        name, relative_residual(lhs - rhs, rhs), tol
     )
 
 
@@ -962,7 +944,7 @@ def pb_special_maps(phi1_state: GKState, phi2_state: GKState, pair,
         peers = max(norm(b) for b in basis2[1:])
         if ground_norm <= 1e-9 * peers:
             c0 = phi1_state.coefficients[0]
-            rhs_b = _difference(rhs_b, _combine([basis1[0]], np.array([c0])))
+            rhs_b = rhs_b - _combine([basis1[0]], np.array([c0]))
             notes.append(
                 "sector-2 expansion has no slot at the ground energy; the B "
                 "image reproduces the sector-1 state minus its ground term"

@@ -37,7 +37,6 @@ from .expr import Const, Exp, LogAbs, Var, differentiate, parse
 from .numerics import (
     Grid,
     GridFunction,
-    ScaledGridFunction,
     default_grid,
     derivative,
     fitted_decay_exponents,
@@ -309,7 +308,7 @@ def _bs_scaled_exponential(grid, log_expr):
     g = sample(log_expr, grid).values.real
     dg = sample(differentiate(log_expr), grid).values.real
     d2g = sample(differentiate(differentiate(log_expr)), grid).values.real
-    return ScaledGridFunction(grid, np.ones(grid.n_points, dtype=np.complex128), g, dg, d2g)
+    return GridFunction(grid, np.ones(grid.n_points, dtype=np.complex128), g, dg, d2g)
 
 
 def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
@@ -463,7 +462,7 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
 
     def phi1(n, grid):
         xs = grid.x
-        return ScaledGridFunction(
+        return GridFunction(
             grid,
             poly_values(n, xs).astype(np.complex128),
             -k * xs - np.exp(xs),
@@ -473,7 +472,7 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
 
     def psi1(n, grid):
         xs = grid.x
-        return ScaledGridFunction(
+        return GridFunction(
             grid,
             n_psi * poly_values(n, xs).astype(np.complex128),
             np.exp(xs) - xs**2 / 2.0,
@@ -601,7 +600,7 @@ def pb_identities(k: float = -1.0, n_max: int = 12, grid: Grid | None = None) ->
     model = pseudo_bosonic_model(k=k, n_max=max(6, n_max))
     phi = [model.phi1(n, grid) for n in range(6)]
     psi = [model.psi1(n, grid) for n in range(6)]
-    f = phi[1].with_values(phi[1].values + 2.0 * phi[3].values)
+    f = phi[1] + 2.0 * phi[3]
     g = phi[3]
     direct = inner(f, g)
     summed = 0.0 + 0.0j

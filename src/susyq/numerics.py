@@ -1,16 +1,14 @@
-"""Uniform grids, finite differences, quadrature, and series summation.
+"""Uniform grids, finite differences, and quadrature.
 
-Everything in the package runs on a fixed symmetric grid [-L, L].  Two value
-carriers exist:
-
-* ``GridFunction`` holds plain finite complex samples.
-* ``ScaledGridFunction`` holds ``values * exp(log_scale)`` with a finite
-  complex ``values`` array and a real ``log_scale`` array.  Families that grow
-  like exp(exp(x)) are not representable as doubles on a wide grid, but their
-  pairings with decaying partners are perfectly finite; the scaled carrier
-  keeps the exponent symbolic until the inner product combines them, so those
-  pairings (and shift-invariant relative residuals) are computed without
-  overflow.
+Everything in the package runs on a fixed symmetric grid [-L, L].  One value
+carrier, ``GridFunction``, holds finite complex ``values`` and an optional
+real ``log_scale`` array; with a scale the function is
+``values * exp(log_scale)``.  Families that grow like exp(exp(x)) are not
+representable as doubles on a wide grid, but their pairings with decaying
+partners are perfectly finite; the scale keeps the exponent symbolic until
+the inner product combines them, so those pairings (and shift-invariant
+relative residuals) are computed without overflow.  Without a scale every
+operation runs the plain formulas.
 
 Derivatives are 4th-order central differences in the interior with one-sided
 stencils of matching order at the edges.  Inner products use composite Simpson
@@ -20,8 +18,6 @@ outermost 5 points per edge, where one-sided stencils live.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,15 +42,11 @@ __all__ = [
     "norm",
     "integrate_halfline",
     "gamma_average",
-    "sum_series",
     "cumulative_antiderivative",
-    "max_rel_difference",
     "relative_residual",
     "interior_slice",
     "interior_norm",
     "fitted_decay_exponents",
-    "gridfunction_to_csv",
-    "gridfunction_from_csv",
 ]
 
 EDGE_PAD = 5  # points per edge excluded from residual checks
@@ -150,9 +142,20 @@ def _check_same_grid(f, g):
 
 
 class GridFunction:
-    """Finite complex samples on a grid."""
+    """Complex samples on a grid, optionally carried as ``values * exp(log_scale)``.
 
-    def __init__(self, grid: Grid, values):
+    With ``log_scale`` None the function is ``values`` itself.  With a real
+    ``log_scale`` array it is ``values * exp(log_scale)``, which keeps
+    families that grow like exp(exp(x)) representable; ``dlog``/``d2log``
+    optionally carry exact derivatives of ``log_scale`` (available whenever
+    the scale came from a known superpotential), and finite differences fill
+    in when absent.  ``+`` and ``-`` need operands with the same scale.
+    """
+
+    # numpy operands defer to __rmul__ instead of broadcasting over the carrier
+    __array_ufunc__ = None
+
+    def __init__(self, grid: Grid, values, log_scale=None, dlog=None, d2log=None):
         values = np.asarray(values, dtype=np.complex128)
         if values.shape != (grid.n_points,):
             raise ValueError(f"expected {grid.n_points} values, got shape {values.shape}")
@@ -160,66 +163,50 @@ class GridFunction:
         if bad.any():
             j = int(np.flatnonzero(bad)[0])
             raise PoleOnGridError(float(grid.x[j]), j, int(bad.sum()))
-        self.grid = grid
-        self.values = values
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        if isinstance(c, GridFunction):
-            _check_same_grid(self, c)
-            return GridFunction(self.grid, self.values * c.values)
-        return GridFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "GridFunction":
-        return GridFunction(self.grid, np.conjugate(self.values))
-
-
-class ScaledGridFunction:
-    """values * exp(log_scale) with finite ``values`` and real ``log_scale``.
-
-    ``dlog``/``d2log`` optionally carry exact derivatives of ``log_scale``
-    (available whenever the scale came from a known superpotential); finite
-    differences fill in when absent.
-    """
-
-    def __init__(self, grid: Grid, values, log_scale, dlog=None, d2log=None):
-        values = np.asarray(values, dtype=np.complex128)
-        log_scale = np.asarray(log_scale, dtype=float)
-        if values.shape != (grid.n_points,) or log_scale.shape != (grid.n_points,):
-            raise ValueError("values and log_scale must match the grid length")
-        if not np.isfinite(values).all():
-            raise ValueError("scaled values must be finite")
-        if not np.isfinite(log_scale).all():
-            raise ValueError("log_scale must be finite")
+        if log_scale is not None:
+            log_scale = np.asarray(log_scale, dtype=float)
+            if log_scale.shape != (grid.n_points,):
+                raise ValueError("log_scale must match the grid length")
+            if not np.isfinite(log_scale).all():
+                raise ValueError("log_scale must be finite")
         self.grid = grid
         self.values = values
         self.log_scale = log_scale
         self.dlog = None if dlog is None else np.asarray(dlog, dtype=float)
         self.d2log = None if d2log is None else np.asarray(d2log, dtype=float)
 
-    def with_values(self, values) -> "ScaledGridFunction":
-        """Same scale (and scale derivatives), new prefactor values."""
-        return ScaledGridFunction(self.grid, values, self.log_scale, self.dlog, self.d2log)
+    def with_values(self, values) -> "GridFunction":
+        """Same grid and scale (with its derivatives), new prefactor values."""
+        return GridFunction(self.grid, values, self.log_scale, self.dlog, self.d2log)
+
+    def __add__(self, other):
+        _check_same_carrier(self, other)
+        return self.with_values(self.values + other.values)
+
+    def __sub__(self, other):
+        _check_same_carrier(self, other)
+        return self.with_values(self.values - other.values)
+
+    def __mul__(self, c):
+        return self.with_values(self.values * c)
+
+    def __rmul__(self, c):
+        return self.with_values(c * self.values)
 
     def log_magnitude(self) -> np.ndarray:
         """log|f| pointwise; -inf where the prefactor vanishes."""
         with np.errstate(divide="ignore"):
-            return self.log_scale + np.log(np.abs(self.values))
+            log_abs = np.log(np.abs(self.values))
+        return log_abs if self.log_scale is None else self.log_scale + log_abs
 
     def representable(self) -> bool:
         mag = self.log_magnitude()
         return bool(np.max(mag[np.isfinite(mag)], initial=-np.inf) < _LOG_HUGE)
 
-    def materialize(self) -> GridFunction:
+    def materialize(self) -> "GridFunction":
+        """The plain samples; the function itself when it has no scale."""
+        if self.log_scale is None:
+            return self
         if not self.representable():
             j = int(np.argmax(self.log_magnitude()))
             raise RepresentationError(
@@ -228,16 +215,35 @@ class ScaledGridFunction:
             )
         return GridFunction(self.grid, self.values * np.exp(self.log_scale))
 
-    def scale_shifted_values(self):
-        """(values * exp(log_scale - s0), s0) with s0 = max log_scale."""
-        s0 = float(np.max(self.log_scale))
-        return self.values * np.exp(self.log_scale - s0), s0
+
+class ScaledGridFunction(GridFunction):
+    """The carrier under its older name for scaled functions."""
+
+    # a class-level entry of its own, so wrapping either class's __init__
+    # records one call per construction
+    __init__ = GridFunction.__init__
 
 
-def as_scaled(f) -> ScaledGridFunction:
-    if isinstance(f, ScaledGridFunction):
-        return f
-    return ScaledGridFunction(f.grid, f.values, np.zeros(f.grid.n_points))
+def _same_scale(f, g) -> bool:
+    """True when both carriers have no scale or equal scale arrays."""
+    a, b = f.log_scale, g.log_scale
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _check_same_carrier(f, g):
+    _check_same_grid(f, g)
+    if not _same_scale(f, g):
+        raise ValueError("carriers differ in log_scale")
+
+
+def _log_scale(f) -> np.ndarray:
+    """The scale array, zeros for an unscaled carrier."""
+    return f.log_scale if f.log_scale is not None else np.zeros(f.grid.n_points)
+
+
+def as_scaled(f) -> GridFunction:
+    """``f`` with an explicit scale array: zeros when it has none."""
+    return f if f.log_scale is not None else GridFunction(f.grid, f.values, _log_scale(f))
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +299,17 @@ def _fd(values: np.ndarray, h: float, order: int) -> np.ndarray:
 
 
 def derivative(f, order: int = 1):
-    """4th-order finite-difference derivative; same carrier type out as in."""
-    if isinstance(f, GridFunction):
-        return GridFunction(f.grid, _fd(f.values, f.grid.spacing, order))
-    if isinstance(f, ScaledGridFunction):
-        h = f.grid.spacing
-        s1 = f.dlog if f.dlog is not None else _fd(f.log_scale, h, 1).real
-        v1 = _fd(f.values, h, 1)
-        if order == 1:
-            return f.with_values(v1 + s1 * f.values)
-        s2 = f.d2log if f.d2log is not None else _fd(f.log_scale, h, 2).real
-        v2 = _fd(f.values, h, 2)
-        return f.with_values(v2 + 2 * s1 * v1 + (s2 + s1 * s1) * f.values)
-    raise TypeError(f"cannot differentiate {type(f).__name__}")
+    """4th-order finite-difference derivative, on the same scale as ``f``."""
+    h = f.grid.spacing
+    if f.log_scale is None:
+        return f.with_values(_fd(f.values, h, order))
+    s1 = f.dlog if f.dlog is not None else _fd(f.log_scale, h, 1).real
+    v1 = _fd(f.values, h, 1)
+    if order == 1:
+        return f.with_values(v1 + s1 * f.values)
+    v2 = _fd(f.values, h, order)  # raises unless order is 2
+    s2 = f.d2log if f.d2log is not None else _fd(f.log_scale, h, 2).real
+    return f.with_values(v2 + 2 * s1 * v1 + (s2 + s1 * s1) * f.values)
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +320,15 @@ def inner(f, g) -> complex:
 
     Scaled carriers combine in log space: the pairing of a hugely growing
     function with a hugely decaying one is finite whenever the combined
-    exponent is, and that is the condition checked.
+    exponent is, and that is the condition checked.  An unscaled partner
+    counts as scale zero.
     """
     _check_same_grid(f, g)
     w = f.grid.simpson_weights
-    if isinstance(f, GridFunction) and isinstance(g, GridFunction):
+    if f.log_scale is None and g.log_scale is None:
         return complex(np.sum(w * np.conjugate(f.values) * g.values))
-    fs, gs = as_scaled(f), as_scaled(g)
-    s = fs.log_scale + gs.log_scale
-    p = np.conjugate(fs.values) * gs.values
+    s = _log_scale(f) + _log_scale(g)
+    p = np.conjugate(f.values) * g.values
     mag = np.abs(p)
     with np.errstate(divide="ignore"):
         log_mag = s + np.log(mag)
@@ -341,7 +345,7 @@ def inner(f, g) -> complex:
 
 def norm(f) -> float:
     """L2 norm; for scaled carriers it may overflow; prefer residual ratios."""
-    if isinstance(f, GridFunction):
+    if f.log_scale is None:
         return float(np.sqrt(np.sum(f.grid.simpson_weights * np.abs(f.values) ** 2)))
     return float(np.sqrt(abs(inner(f, f))))
 
@@ -352,11 +356,9 @@ def interior_slice(n_points: int, pad: int = EDGE_PAD) -> slice:
 
 def interior_norm(f, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
     """L2 norm over the interior, skipping edge points and marked poles."""
-    if isinstance(f, ScaledGridFunction):
-        raise TypeError("interior_norm takes a plain GridFunction; materialize first")
     mask = _interior_mask(f.grid, pad, exclude)
     w = f.grid.simpson_weights * mask
-    return float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
+    return float(np.sqrt(np.sum(w * np.abs(f.materialize().values) ** 2)))
 
 
 def _interior_mask(grid: Grid, pad: int, exclude: list | None) -> np.ndarray:
@@ -372,39 +374,27 @@ def _interior_mask(grid: Grid, pad: int, exclude: list | None) -> np.ndarray:
 def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
     """||num|| / ||den|| over the interior, shift-invariant for scaled input.
 
-    ``num`` and ``den`` must share a carrier type; scaled carriers must share
-    their scale array (which is how operator residuals are produced).
+    ``num`` and ``den`` must share their scale array, an unscaled carrier
+    counting as scale zero (operator residuals are produced that way).
     """
     _check_same_grid(num, den)
     grid = num.grid
     mask = _interior_mask(grid, pad, exclude)
     w = grid.simpson_weights * mask
-    if isinstance(num, GridFunction) and isinstance(den, GridFunction):
+    if num.log_scale is None and den.log_scale is None:
         a = np.sqrt(np.sum(w * np.abs(num.values) ** 2))
         b = np.sqrt(np.sum(w * np.abs(den.values) ** 2))
     else:
-        ns, ds = as_scaled(num), as_scaled(den)
-        if not np.array_equal(ns.log_scale, ds.log_scale):
+        scale = _log_scale(num)
+        if not np.array_equal(scale, _log_scale(den)):
             raise ValueError("scaled residual requires a shared log_scale")
-        shifted = ns.log_scale - np.max(ns.log_scale[mask], initial=0.0)
+        shifted = scale - np.max(scale[mask], initial=0.0)
         e2 = np.exp(2 * np.clip(shifted, -_LOG_HUGE, 0.0))
-        a = np.sqrt(np.sum(w * np.abs(ns.values) ** 2 * e2))
-        b = np.sqrt(np.sum(w * np.abs(ds.values) ** 2 * e2))
+        a = np.sqrt(np.sum(w * np.abs(num.values) ** 2 * e2))
+        b = np.sqrt(np.sum(w * np.abs(den.values) ** 2 * e2))
     if b == 0.0:
         return 0.0 if a == 0.0 else np.inf
     return float(a / b)
-
-
-def max_rel_difference(a: np.ndarray, b: np.ndarray, mask=None) -> float:
-    """max|a - b| / max(scale of a, b) over an optional boolean mask."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if mask is not None:
-        a, b = a[mask], b[mask]
-    scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(a - b)) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +416,10 @@ class DecayFit:
 
 def fitted_decay_exponents(f, fraction: float = DECAY_FIT_FRACTION) -> DecayFit:
     """Least-squares slope of log|f| vs outward distance on each tail."""
-    fs = as_scaled(f)
-    log_mag = fs.log_magnitude()
-    n = fs.grid.n_points
+    log_mag = f.log_magnitude()
+    n = f.grid.n_points
     k = max(8, int(round(fraction * n)))
-    x = fs.grid.x
+    x = f.grid.x
 
     def slope(xs, ys):
         keep = np.isfinite(ys)
@@ -544,91 +533,3 @@ def gamma_average(f, big_gamma: float, rel_tol: float = 1e-10, max_refine: int =
         prev = val
         m *= 2
     return complex(prev)
-
-
-# ---------------------------------------------------------------------------
-# series with tail control
-
-@dataclass
-class SeriesValue:
-    value: complex
-    terms: int
-    tail_estimate: float
-
-
-def sum_series(term, tail_bound, tol: float = 1e-12, n_max: int = 100000) -> SeriesValue:
-    """Sum term(0) + term(1) + ... until tail_bound(n) < tol.
-
-    ``tail_bound(n)`` estimates everything beyond index n.  Raises when the
-    bound never drops below tolerance within n_max terms.
-    """
-    total = 0.0 + 0.0j
-    best = np.inf
-    for n in range(n_max):
-        total += term(n)
-        tb = float(tail_bound(n))
-        best = min(best, tb)
-        if tb < tol:
-            return SeriesValue(complex(total), n + 1, tb)
-    raise NonConvergenceError(
-        f"series tail bound not below {tol} after {n_max} terms (best {best})"
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-
-def _write_csv(buf, grid: Grid, columns: dict, metadata: dict):
-    meta = {"L": grid.half_width, "N": grid.n_points}
-    meta.update(metadata)
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    names = ["x"] + list(columns)
-    buf.write(",".join(names) + "\n")
-    arrays = [grid.x] + [np.asarray(c, dtype=float) for c in columns.values()]
-    for row in zip(*arrays):
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def gridfunction_to_csv(f, path):
-    """Write x, re, im rows with a JSON metadata header.
-
-    A scaled carrier is written shifted by its peak exponent, recorded as
-    ``log_offset`` in the metadata, so the file stays finite.
-    """
-    if isinstance(f, ScaledGridFunction):
-        shifted, s0 = f.scale_shifted_values()
-        columns = {"re": shifted.real, "im": shifted.imag}
-        metadata = {"log_offset": s0}
-        grid = f.grid
-    else:
-        columns = {"re": f.values.real, "im": f.values.imag}
-        metadata = {}
-        grid = f.grid
-    if hasattr(path, "write"):
-        _write_csv(path, grid, columns, metadata)
-    else:
-        with open(path, "w") as fh:
-            _write_csv(fh, grid, columns, metadata)
-
-
-def gridfunction_from_csv(path):
-    """Inverse of :func:`gridfunction_to_csv`.
-
-    Files carrying a ``log_offset`` come back as a constant-scale
-    ``ScaledGridFunction``; plain files come back as a ``GridFunction``.
-    """
-    if hasattr(path, "read"):
-        text = path.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing JSON metadata header")
-    meta = json.loads(lines[0][2:])
-    grid = Grid(meta["L"], meta["N"])
-    data = np.loadtxt(io.StringIO("\n".join(lines[2:])), delimiter=",")
-    values = data[:, 1] + 1j * data[:, 2]
-    if "log_offset" in meta:
-        return ScaledGridFunction(grid, values, np.full(grid.n_points, float(meta["log_offset"])))
-    return GridFunction(grid, values)

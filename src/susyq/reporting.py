@@ -7,11 +7,10 @@ be serialized, diffed, and gated on without re-running anything.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-__all__ = ["CheckResult", "all_pass", "report_to_json", "worst"]
+__all__ = ["CheckResult", "all_pass", "worst"]
 
 
 @dataclass(frozen=True)
@@ -27,14 +26,6 @@ class CheckResult:
         ok = math.isfinite(residual) and residual < tolerance
         return CheckResult(check, residual, float(tolerance), ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-
 
 def all_pass(report) -> bool:
     return all(r.passed for r in report)
@@ -46,9 +37,3 @@ def worst(report):
         return None
     return max(report, key=lambda r: r.residual / r.tolerance if r.tolerance else 0.0)
 
-
-def report_to_json(report, **metadata) -> str:
-    doc = dict(metadata)
-    doc["checks"] = [r.to_dict() for r in report]
-    doc["all_pass"] = all_pass(report)
-    return json.dumps(doc, indent=2, sort_keys=True)

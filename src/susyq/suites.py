@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import deformed_basis_report, deformed_eigencheck
+from .deform import DeformationError, deformed_basis_report, deformed_eigencheck
 from .expr import differentiate, evaluate, parse, to_source
 from .gk import (
     action_identity,
@@ -36,7 +36,7 @@ from .models import (
     get_model,
     pb_identities,
 )
-from .numerics import Grid, ScaledGridFunction, inner, norm, relative_residual
+from .numerics import Grid, NonConvergenceError, RepresentationError, inner, norm, relative_residual
 from .reporting import CheckResult
 from .susy import (
     apply_H1,
@@ -97,7 +97,7 @@ def _core_section(pair, grid):
     probe = probe_function(grid, pair.singular_points)
     # modulate so the probe cannot sit in the kernel of a first-order factor
     # (the bare Gaussian is exactly the oscillator vacuum)
-    probe = type(probe)(grid, probe.values * (1.0 + 0.5 * np.sin(2.0 * grid.x)))
+    probe = probe * (1.0 + 0.5 * np.sin(2.0 * grid.x))
     return [
         CheckResult.from_residual(
             "partner potentials differ by the derivative of the superpotential sum",
@@ -134,20 +134,13 @@ def _vacua_section(record, pair, grid):
     return checks, v
 
 
-def _difference(image, energy, fn):
-    if isinstance(image, ScaledGridFunction):
-        # H preserves the carrier scale, so the shift subtracts prefactors
-        return image.with_values(image.values - energy * fn.values)
-    return image - fn * energy
-
-
 def _eigen_section(pair, levels, tol=1e-5):
     checks = []
     for n, (energy, fn) in enumerate(levels):
         image = apply_H1(pair, fn)
         checks.append(CheckResult.from_residual(
             f"level {n} eigen-residual",
-            relative_residual(_difference(image, energy, fn), fn,
+            relative_residual(image - energy * fn, fn,
                               exclude=list(pair.singular_points)),
             tol,
         ))
@@ -268,14 +261,13 @@ def _suite_swanson(grid, params):
         image = apply_h(phis[n])
         ham.append(CheckResult.from_residual(
             f"level {n} rotated-oscillator residual",
-            relative_residual(_difference(image, m.energy(n), phis[n]), phis[n]),
+            relative_residual(image - m.energy(n) * phis[n], phis[n]),
             1e-4,
         ))
         image = apply_h_dual(psis[n])
         ham.append(CheckResult.from_residual(
             f"level {n} adjoint-family residual",
-            relative_residual(
-                _difference(image, np.conjugate(m.energy(n)), psis[n]), psis[n]),
+            relative_residual(image - np.conjugate(m.energy(n)) * psis[n], psis[n]),
             1e-4,
         ))
 
@@ -473,6 +465,10 @@ def verify_model(name: str, grid: Grid | None = None, perturb_wb: str | None = N
     superpotential before the checks run.  The eigenfamilies and pairing
     targets stay those of the unperturbed model, which is the point: the
     suite must notice that the operators no longer belong to them.
+
+    A deformation, convergence or representation failure while the suite
+    builds is reported as one failing check in a ``suite`` section, with
+    the error in the notes.
     """
     if name not in _SUITES:
         raise KeyError(f"no verification suite for {name!r}; have {suite_names()}")
@@ -486,7 +482,16 @@ def verify_model(name: str, grid: Grid | None = None, perturb_wb: str | None = N
         wb_src = f"({to_source(m.pair.w_b)}) + ({perturb_wb})"
         params = dict(params)
         params["_pair_override"] = build_pair(m.pair.w_a, parse(wb_src))
-    suite = _SUITES[name](grid, params)
+    try:
+        suite = _SUITES[name](grid, params)
+    except (DeformationError, NonConvergenceError, RepresentationError) as e:
+        suite = VerifySuite(
+            model=name,
+            params={k: v for k, v in params.items() if not k.startswith("_")},
+            sections={"suite": [CheckResult.from_residual(
+                "suite runs to a verdict on this grid", math.inf, 1.0)]},
+            notes=(f"{type(e).__name__}: {e}",),
+        )
     if perturb_wb is not None:
         suite.notes = suite.notes + (
             f"second superpotential perturbed by {perturb_wb}",

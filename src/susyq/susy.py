@@ -29,7 +29,6 @@ from .numerics import (
     Grid,
     GridFunction,
     RepresentationError,
-    ScaledGridFunction,
     cumulative_antiderivative,
     default_grid,
     derivative,
@@ -168,18 +167,12 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
 # ---------------------------------------------------------------------------
 # operator application
 
-def _with_values(f, values):
-    if isinstance(f, ScaledGridFunction):
-        return f.with_values(values)
-    return GridFunction(f.grid, values)
-
-
 def _first_order(p, f, w_name, deriv_sign, conj_w):
     w = p.samples(f.grid)[w_name]
     if conj_w:
         w = np.conjugate(w)
     d1 = derivative(f, 1)
-    return _with_values(f, deriv_sign * d1.values + w * f.values)
+    return f.with_values(deriv_sign * d1.values + w * f.values)
 
 
 def apply_A(p: SuperpotentialPair, f):
@@ -205,7 +198,7 @@ def apply_B_dag(p: SuperpotentialPair, f):
 def _second_order(f, drift, potential):
     d1 = derivative(f, 1)
     d2 = derivative(f, 2)
-    return _with_values(f, -d2.values + drift * d1.values + potential * f.values)
+    return f.with_values(-d2.values + drift * d1.values + potential * f.values)
 
 
 def apply_H1(p: SuperpotentialPair, f):
@@ -260,8 +253,7 @@ def factorization_residual(p: SuperpotentialPair, f, sector: int = 1) -> float:
         direct = apply_H2(p, f)
     else:
         raise ValueError("sector must be 1 or 2")
-    diff = _with_values(f, composed.values - direct.values)
-    return relative_residual(diff, direct, exclude=list(p.singular_points))
+    return relative_residual(composed - direct, direct, exclude=list(p.singular_points))
 
 
 def commutator_defect_residual(p: SuperpotentialPair, f) -> float:
@@ -270,7 +262,7 @@ def commutator_defect_residual(p: SuperpotentialPair, f) -> float:
     comm = apply_A(p, apply_B(p, f)).values - apply_B(p, apply_A(p, f)).values
     want = (s["dw_a"] + s["dw_b"]) * f.values
     return relative_residual(
-        _with_values(f, comm - want), f, exclude=list(p.singular_points)
+        f.with_values(comm - want), f, exclude=list(p.singular_points)
     )
 
 
@@ -299,7 +291,7 @@ class VacuumRecord:
     """One factor vacuum with its decay fit and integrability flags."""
 
     label: str
-    function: ScaledGridFunction
+    function: GridFunction
     decay: DecayFit
     in_l2: bool
     in_l1loc_on_grid: bool
@@ -336,11 +328,11 @@ class Vacua:
         return [self.phi0_1, self.phi0_2, self.psi0_1, self.psi0_2]
 
 
-def _exp_vacuum(grid: Grid, w_vals, dw_vals, sign: float) -> ScaledGridFunction:
+def _exp_vacuum(grid: Grid, w_vals, dw_vals, sign: float) -> GridFunction:
     """exp(sign * W) with W an antiderivative of w, W = 0 near x = 0."""
     w_anti = cumulative_antiderivative(w_vals, grid, dvalues=dw_vals)
     z = sign * w_anti
-    return ScaledGridFunction(
+    return GridFunction(
         grid,
         np.exp(1j * z.imag),
         z.real,
@@ -482,17 +474,11 @@ class IntertwineRecord:
     dual_residual_a: float | None = None
 
 
-def _as_plain(f) -> GridFunction:
-    if isinstance(f, ScaledGridFunction):
-        return f.materialize()
-    return f
-
-
 def _projection(target, image, tol_floor=1e-13):
     """coefficient c with image ~ c * target, plus the relative defect."""
     den = inner(target, target)
     c = inner(target, image) / den
-    residual_num = norm(GridFunction(image.grid, image.values - c * target.values))
+    residual_num = norm(image - c * target)
     scale = norm(image)
     if scale < tol_floor * np.sqrt(abs(den)):
         return c, 0.0
@@ -517,7 +503,7 @@ def intertwine_check(
     """
     out = []
     for n, (energy, phi1) in enumerate(eigpairs1):
-        phi1 = _as_plain(phi1)
+        phi1 = phi1.materialize()
         partner = eigpairs2[n] if n < len(eigpairs2) else None
         a_image = apply_A(p, phi1)
         if partner is None:
@@ -536,7 +522,7 @@ def intertwine_check(
                 )
             )
             continue
-        phi2 = _as_plain(partner[1])
+        phi2 = partner[1].materialize()
         alpha, residual_a = _projection(phi2, a_image)
         beta, residual_b = _projection(phi1, apply_B(p, phi2))
         if n == 0 and abs(energy) < 1e-12:
@@ -557,14 +543,14 @@ def intertwine_check(
             passed=passed,
         )
         if psi1 is not None and psi2 is not None and psi2[n] is not None:
-            pn1 = _as_plain(psi1[n])
-            pn2 = _as_plain(psi2[n])
+            pn1 = psi1[n].materialize()
+            pn2 = psi2[n].materialize()
             # adjoint relations carry the conjugated coefficients
             b_img = apply_B_dag(p, pn1)
-            diff_b = GridFunction(b_img.grid, b_img.values - np.conjugate(beta) * pn2.values)
+            diff_b = b_img - np.conjugate(beta) * pn2
             rec.dual_residual_b = float(norm(diff_b) / max(norm(b_img), 1e-300))
             a_img = apply_A_dag(p, pn2)
-            diff_a = GridFunction(a_img.grid, a_img.values - np.conjugate(alpha) * pn1.values)
+            diff_a = a_img - np.conjugate(alpha) * pn1
             rec.dual_residual_a = float(norm(diff_a) / max(norm(a_img), 1e-300))
             rec.passed = rec.passed and rec.dual_residual_b < tol and rec.dual_residual_a < tol
         out.append(rec)
@@ -580,17 +566,17 @@ def _zero_like(grid: Grid) -> GridFunction:
 
 def _q_a(p, v):
     f, _ = v
-    return (_zero_like(f.grid), apply_A(p, _as_plain(f)))
+    return (_zero_like(f.grid), apply_A(p, f.materialize()))
 
 
 def _q_b(p, v):
     _, g = v
-    return (apply_B(p, _as_plain(g)), _zero_like(g.grid))
+    return (apply_B(p, g.materialize()), _zero_like(g.grid))
 
 
 def _h_diag(p, v):
     f, g = v
-    return (apply_H1(p, _as_plain(f)), apply_H2(p, _as_plain(g)))
+    return (apply_H1(p, f.materialize()), apply_H2(p, g.materialize()))
 
 
 def _vector_norm(p, v) -> float:
@@ -600,9 +586,7 @@ def _vector_norm(p, v) -> float:
 
 def _pair_residual(p, got, want, scale: float) -> float:
     """||got - want|| / scale with the two-component interior norm."""
-    diff = tuple(
-        GridFunction(g.grid, g.values - w.values) for g, w in zip(got, want)
-    )
+    diff = tuple(g - w for g, w in zip(got, want))
     return _vector_norm(p, diff) / max(scale, 1e-300)
 
 
@@ -617,7 +601,7 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
     """
     report = []
     for i, v in enumerate(test_vectors):
-        v = (_as_plain(v[0]), _as_plain(v[1]))
+        v = (v[0].materialize(), v[1].materialize())
         tag = f"vector {i}"
 
         qa_qa = _q_a(p, _q_a(p, v))
@@ -630,10 +614,7 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
 
         hv = _h_diag(p, v)
         scale = max(_vector_norm(p, hv), _vector_norm(p, v))
-        anti = tuple(
-            GridFunction(a.grid, a.values + b.values)
-            for a, b in zip(_q_a(p, _q_b(p, v)), _q_b(p, _q_a(p, v)))
-        )
+        anti = tuple(a + b for a, b in zip(_q_a(p, _q_b(p, v)), _q_b(p, _q_a(p, v))))
         r = _pair_residual(p, anti, hv, scale)
         report.append(CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})", r, tol))
 
@@ -644,17 +625,17 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
         report.append(CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})", r, tol))
 
     for n, energy, phi1, phi2, alpha, beta in doublets or []:
-        phi1, phi2 = _as_plain(phi1), _as_plain(phi2)
+        phi1, phi2 = phi1.materialize(), phi2.materialize()
         up = (phi1, _zero_like(phi1.grid))
         down = (_zero_like(phi1.grid), phi2)
 
         image = _q_a(p, up)[1]
-        diff = GridFunction(image.grid, image.values - alpha * phi2.values)
+        diff = image - alpha * phi2
         r = relative_residual(diff, image, exclude=list(p.singular_points)) if norm(image) > 0 else 0.0
         report.append(CheckResult.from_residual(f"charge maps sector 1 -> 2 with alpha (n={n})", r, tol))
 
         image = _q_b(p, down)[0]
-        diff = GridFunction(image.grid, image.values - beta * phi1.values)
+        diff = image - beta * phi1
         r = relative_residual(diff, image, exclude=list(p.singular_points)) if norm(image) > 0 else 0.0
         report.append(CheckResult.from_residual(f"charge maps sector 2 -> 1 with beta (n={n})", r, tol))
 

@@ -162,6 +162,20 @@ def test_verify_perturbed_pair_exits_one(tmp_path):
     assert any(not c["passed"] for c in rep["sections"]["intertwining"])
 
 
+def test_verify_suite_that_cannot_build_exits_one(tmp_path):
+    # the deformed basis fails its orthonormality guard on this coarse grid
+    out = tmp_path / "o"
+    r = run_cli("verify", "--model", "deformed-harmonic", "--grid-n", "1025",
+                "--out", str(out))
+    assert r.returncode == 1, r.stderr
+    assert "internal error" not in r.stderr
+    rep = read_json(out / "verify.json")
+    assert rep["all_pass"] is False
+    [check] = rep["sections"]["suite"]
+    assert check["passed"] is False and check["residual"] is None
+    assert rep["notes"][0].startswith("DeformationError: ")
+
+
 def test_verify_user_pair(tmp_path):
     out = tmp_path / "o"
     r = run_cli("verify", "--wA", "tanh(x) + 0.2", "--wB", "x / (1 + x^2)",

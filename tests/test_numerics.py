@@ -1,6 +1,5 @@
-"""Grid, quadrature, derivative, and series checks against closed forms."""
+"""Grid, quadrature, derivative, and carrier checks against closed forms."""
 
-import io
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyq.expr import parse
+from susyq.gk import GKError, _combine
 from susyq.numerics import (
     DecayFit,
     Grid,
@@ -21,15 +21,11 @@ from susyq.numerics import (
     derivative,
     fitted_decay_exponents,
     gamma_average,
-    gridfunction_from_csv,
-    gridfunction_to_csv,
     inner,
     integrate_halfline,
-    max_rel_difference,
     norm,
     relative_residual,
     sample,
-    sum_series,
 )
 
 
@@ -137,6 +133,66 @@ def test_scaled_materialize_round_trip():
     assert np.allclose(plain.values, np.exp(1j * g.x - 0.5 * g.x**2), rtol=1e-14)
 
 
+def _plain_and_zero_scaled():
+    """One function as a plain carrier and as a carrier with log_scale = 0."""
+    g = Grid(6.0, 257)
+    v = np.exp(-g.x**2 / 2) * (1 + 0.3j * g.x)
+    return GridFunction(g, v), GridFunction(g, v, np.zeros(g.n_points))
+
+
+def test_zero_log_scale_agrees_with_the_plain_carrier():
+    plain, scaled = _plain_and_zero_scaled()
+    for order in (1, 2):
+        assert np.array_equal(derivative(scaled, order).values, derivative(plain, order).values)
+    for f in (plain, scaled):
+        with pytest.raises(ValueError):
+            derivative(f, 3)
+    assert abs(inner(scaled, scaled) - inner(plain, plain)) < 1e-14
+    assert abs(inner(plain, scaled) - inner(plain, plain)) < 1e-14
+    assert abs(norm(scaled) - norm(plain)) < 1e-14
+    num_s, num_p = scaled - 0.9 * scaled, plain - 0.9 * plain
+    assert relative_residual(num_s, scaled) == relative_residual(num_p, plain)
+    assert relative_residual(num_p, scaled) == relative_residual(num_p, plain)
+
+
+def test_mismatched_scales_are_rejected():
+    plain, scaled = _plain_and_zero_scaled()
+    shifted = GridFunction(plain.grid, plain.values, np.ones(plain.grid.n_points))
+    for a, b in ((plain, scaled), (scaled, shifted), (shifted, plain)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+    with pytest.raises(ValueError):
+        relative_residual(shifted, scaled)
+    with pytest.raises(ValueError):
+        relative_residual(plain, shifted)
+    with pytest.raises(GKError):
+        _combine([plain, scaled], np.array([1.0, 1.0]))
+    assert _combine([scaled, scaled], np.array([1.0, 2.0])).log_scale is scaled.log_scale
+
+
+def test_scalar_products_keep_the_operand_order():
+    # complex products are not bitwise commutative in every numpy build
+    c = 0.7 + 0.3j
+    for f in _plain_and_zero_scaled():
+        assert (c * f).values.tobytes() == (c * f.values).tobytes()
+        assert (f * c).values.tobytes() == (f.values * c).tobytes()
+        assert (np.complex128(c) * f).values.tobytes() == (np.complex128(c) * f.values).tobytes()
+        assert (c * f).log_scale is f.log_scale
+
+
+def test_non_finite_values_are_poles_with_or_without_a_scale():
+    g = Grid(2.0, 17)
+    bad = np.ones(g.n_points)
+    bad[3] = np.inf
+    for scale in (None, np.zeros(g.n_points)):
+        with pytest.raises(PoleOnGridError):
+            GridFunction(g, bad, scale)
+    with pytest.raises(ValueError):
+        GridFunction(g, np.ones(g.n_points), np.full(g.n_points, np.nan))
+
+
 def test_relative_residual_invariant_under_scale_shift():
     g = Grid(5.0, 257)
     rng = np.random.default_rng(7)
@@ -209,50 +265,6 @@ def test_gamma_average_of_constant_is_constant():
     assert abs(gamma_average(lambda t: np.ones_like(t) * (3 - 4j), 7.0) - (3 - 4j)) < 1e-12
 
 
-def test_series_sum_reaches_exponential():
-    # sum 2^n / n! = e^2, tail after n bounded by next term times 2
-    out = sum_series(
-        lambda n: 2.0**n / math.factorial(n),
-        lambda n: 2.0 * 2.0 ** (n + 1) / math.factorial(n + 1),
-        tol=1e-13,
-    )
-    assert abs(out.value - math.e**2) < 1e-12
-    assert out.tail_estimate < 1e-13
-
-
-def test_series_raises_when_tail_bound_stalls():
-    with pytest.raises(NonConvergenceError):
-        sum_series(lambda n: 0.0, lambda n: 1.0, tol=1e-12, n_max=50)
-
-
-def test_csv_round_trip_and_determinism(tmp_path):
-    g = Grid(4.0, 33)
-    f = sample(parse("exp(0 - x^2) * (1 + 1i * x)"), g)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    gridfunction_to_csv(f, buf1)
-    gridfunction_to_csv(f, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-
-    p = tmp_path / "f.csv"
-    gridfunction_to_csv(f, p)
-    back = gridfunction_from_csv(p)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
-def test_csv_keeps_scaled_functions_finite(tmp_path):
-    g = Grid(2.0, 17)
-    f = ScaledGridFunction(g, np.ones(g.n_points), 900.0 + g.x)
-    p = tmp_path / "big.csv"
-    gridfunction_to_csv(f, p)
-    back = gridfunction_from_csv(p)
-    assert isinstance(back, ScaledGridFunction)
-    got = back.log_magnitude()
-    want = f.log_magnitude()
-    # constant offset representation loses the per-point split, not the product
-    assert np.max(np.abs(got - want)) < 1e-9
-
-
 def test_decay_fit_classifies_gaussian_and_growth():
     g = Grid(12.0, 1025)
     gauss = fitted_decay_exponents(sample(parse("exp(0 - x^2 / 2)"), g))
@@ -273,13 +285,6 @@ def test_decay_fit_flags_marginal_rates_as_not_decaying():
     assert not fit.square_integrable
     assert DecayFit(-0.04, -3.0).square_integrable is False
     assert DecayFit(-0.06, -0.06).square_integrable is True
-
-
-def test_max_rel_difference_uses_joint_scale():
-    a = np.array([0.0, 10.0])
-    b = np.array([1.0, 10.0])
-    assert abs(max_rel_difference(a, b) - 0.1) < 1e-15
-    assert max_rel_difference(a, a) == 0.0
 
 
 coeffs = st.lists(
