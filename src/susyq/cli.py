@@ -14,7 +14,6 @@ as an internal error with exit 2, after its traceback on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -224,10 +223,6 @@ def _require_source(cfg: RunConfig):
             raise ConfigError("need --model, or both --wA and --wB")
 
 
-def _model_params(cfg: RunConfig) -> dict:
-    return dict(cfg.bind)
-
-
 def _build_user_pair(cfg: RunConfig):
     return build_pair(parse(cfg.w_a, cfg.bind), parse(cfg.w_b, cfg.bind))
 
@@ -263,13 +258,6 @@ def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 _BLOCK_ROWS = 8192  # rows formatted at once; bounds the memory a table needs
@@ -333,18 +321,22 @@ def _write_json_table(fh, header, columns) -> None:
     fh.write("\n]\n")
 
 
-def _emit_table(cfg: RunConfig, stem: str, header, columns) -> str:
-    """One table as CSV, or as a JSON list of row objects under --format json.
+def _write_table(path: str, header, columns) -> str:
+    """One table as CSV, or as a JSON list of row objects for a .json path.
 
     ``columns`` holds one entry per header name: a 1-D float array for a
     numeric column, a list of str or bool otherwise.  Columns are formatted
     whole, a block of rows at a time, and then joined into rows.
     """
-    path = os.path.join(cfg.out, f"{stem}.{cfg.fmt}")
-    write = _write_csv_table if cfg.fmt == "csv" else _write_json_table
+    write = _write_json_table if path.endswith(".json") else _write_csv_table
     with open(path, "w", encoding="utf-8", newline="") as fh:
         write(fh, header, columns)
     return path
+
+
+def _emit_table(cfg: RunConfig, stem: str, header, columns) -> str:
+    """The table ``stem`` in the output directory, in the --format chosen."""
+    return _write_table(os.path.join(cfg.out, f"{stem}.{cfg.fmt}"), header, columns)
 
 
 def _annotations(grid: Grid, singular_points) -> list:
@@ -363,7 +355,7 @@ def _cmd_potentials(cfg: RunConfig) -> list:
     _require_source(cfg)
     grid = cfg.grid()
     if cfg.model is not None:
-        m = get_model(cfg.model, **_model_params(cfg))
+        m = get_model(cfg.model, **cfg.bind)
         if m.pair is None:
             raise ConfigError(f"model {cfg.model!r} has no factorized pair")
         pair, meta_model, meta_params = m.pair, m.name, m.params
@@ -410,7 +402,7 @@ def _cmd_vacua(cfg: RunConfig) -> list:
         raise ConfigError(
             f"unknown normalization {cfg.normalization!r} (raw, unit, or paired)")
     if cfg.model is not None:
-        m = get_model(cfg.model, **_model_params(cfg))
+        m = get_model(cfg.model, **cfg.bind)
         v = m.vacua(grid, cfg.normalization)
         meta_model, meta_params = m.name, m.params
     else:
@@ -447,7 +439,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     if cfg.model is not None:
         try:
             suite = verify_model(cfg.model, grid=grid,
-                                 perturb_wb=cfg.perturb_wb, **_model_params(cfg))
+                                 perturb_wb=cfg.perturb_wb, **cfg.bind)
         except KeyError as e:
             raise ConfigError(str(e)) from e
     else:
@@ -457,13 +449,17 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     path = os.path.join(cfg.out, "verify.json")
     _write_json(path, suite.payload())
     n_checks = sum(1 for _ in suite.checks())
-    n_failed = sum(1 for c in suite.checks() if not c.passed)
-    print(f"verify: {n_checks - n_failed}/{n_checks} checks passed", file=sys.stderr)
+    failed = [(name, c) for name, section in suite.sections.items()
+              for c in section if not c.passed]
+    print(f"verify: {n_checks - len(failed)}/{n_checks} checks passed", file=sys.stderr)
+    for name, c in failed:
+        print(f"verify: FAILED {name}: {c.check}: residual {c.residual:.3e}, "
+              f"tolerance {c.tolerance:g}", file=sys.stderr)
     return [path], suite.all_pass()
 
 
 def _spectral_basis(cfg: RunConfig, grid: Grid):
-    m = get_model(cfg.model, **_model_params(cfg))
+    m = get_model(cfg.model, **cfg.bind)
     if m.phi1 is None or m.psi1 is None or m.energy is None:
         raise ConfigError(
             f"model {cfg.model!r} does not provide both eigenfamilies and a spectrum")
@@ -550,35 +546,35 @@ def _cmd_gk(cfg: RunConfig) -> list:
     if j_upper is None:
         j_upper = domain.j_min if math.isfinite(domain.j_min) else 10.0
         j_upper = min(j_upper, 10.0)
-    curve_rows, curve_note = [], None
+    curve, curve_note = [], None
     for jv in np.linspace(0.0, j_upper, 101):
         try:
-            curve_rows.append([_fmt(jv), _fmt(normalization_K(curve_s, jv))])
+            curve.append((jv, normalization_K(curve_s, jv)))
         except GKError as e:
             curve_note = f"curve stops at J={jv:.6g}: {e}"
             break
-    curve_path = os.path.join(cfg.out, "gk-kcurve.csv")
-    _write_csv(curve_path, ["J", "K"], curve_rows)
+    curve_path = _write_table(os.path.join(cfg.out, "gk-kcurve.csv"), ["J", "K"],
+                              list(np.array(curve, dtype=float).reshape(-1, 2).T))
 
     md = moment_density(s)
     res_header = ["stage", "gamma_limit", "j_max", "n_trunc",
                   "value_re", "value_im", "abs_error", "rel_error"]
-    res_rows, res_note = [], None
+    stages, points, res_note = [], [], None
     if md.solved:
         rep = resolution_estimate(phis[0], phis[0], phis, psis, s, md)
-        for stage, points in (("gamma", rep.gamma_trace), ("j", rep.j_trace),
-                              ("n", rep.n_trace)):
-            for p in points:
-                res_rows.append([
-                    stage, _fmt(p.gamma_limit), _fmt(p.j_max), str(p.n_trunc),
-                    _fmt(p.value.real), _fmt(p.value.imag), _fmt(p.abs_error),
-                    "" if p.rel_error is None else _fmt(p.rel_error),
-                ])
+        for stage, trace in (("gamma", rep.gamma_trace), ("j", rep.j_trace),
+                             ("n", rep.n_trace)):
+            stages.extend([stage] * len(trace))
+            points.extend(trace)
     else:
         res_note = ("no closed-form action density for this spectrum; "
                     "the overcompleteness trace is skipped")
-    res_path = os.path.join(cfg.out, "gk-resolution.csv")
-    _write_csv(res_path, res_header, res_rows)
+    nums = np.array([(p.gamma_limit, p.j_max, p.value.real, p.value.imag, p.abs_error)
+                     for p in points], dtype=float).reshape(-1, 5).T
+    res_path = _write_table(os.path.join(cfg.out, "gk-resolution.csv"), res_header, [
+        stages, nums[0], nums[1], [str(p.n_trunc) for p in points], *nums[2:],
+        ["" if p.rel_error is None else _fmt(p.rel_error) for p in points],
+    ])
 
     report = {
         "model": m.name,

@@ -30,6 +30,7 @@ from .numerics import (
     EDGE_PAD,
     Grid,
     GridFunction,
+    biorthogonality_defect,
     default_grid,
     inner,
     norm,
@@ -141,7 +142,8 @@ def deformed_basis(d: Deformation, base_eigfns, grid: Grid | None = None, on_tol
             want = 1.0 if i == j else 0.0
             if abs(got - want) > on_tol:
                 raise DeformationError(
-                    f"base family is not orthonormal: <e_{i}, e_{j}> = {got:.3e}"
+                    f"base family is not orthonormal: "
+                    f"|<e_{i}, e_{j}> - {want:g}| = {abs(got - want):.3e}"
                 )
     t_vals = d.multiplier_values(grid)
     t_dual = d.inverse_dual_values(grid)
@@ -157,23 +159,14 @@ def deformed_basis_report(d: Deformation, phis, psis, slack: float = 1e-10):
     applied to unit vectors; quadrature can overshoot them only at rounding
     level, which the slack absorbs.
     """
-    checks = []
-    worst = 0.0
-    for a, psi in enumerate(psis):
-        for b, phi in enumerate(phis):
-            got = inner(psi, phi)
-            worst = max(worst, abs(got - (1.0 if a == b else 0.0)))
-    checks.append(CheckResult.from_residual("biorthogonal pairing matrix is the identity", worst, 1e-8))
-
+    pairing = biorthogonality_defect(psis, phis)
     phi_excess = max((norm(phi) - math.exp(d.M)) for phi in phis)
     psi_excess = max((norm(psi) - math.exp(-d.m)) for psi in psis)
-    checks.append(
-        CheckResult.from_residual("deformed norms stay under e^M", max(phi_excess, 0.0), slack)
-    )
-    checks.append(
-        CheckResult.from_residual("dual norms stay under e^-m", max(psi_excess, 0.0), slack)
-    )
-    return checks
+    return [
+        CheckResult.from_residual("biorthogonal pairing matrix is the identity", pairing, 1e-8),
+        CheckResult.from_residual("deformed norms stay under e^M", max(phi_excess, 0.0), slack),
+        CheckResult.from_residual("dual norms stay under e^-m", max(psi_excess, 0.0), slack),
+    ]
 
 
 @dataclass(frozen=True)
@@ -278,7 +271,6 @@ def _deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q):
         psi1=psi1,
         psi2=psi2,
         constants={"m": d.m, "M": d.M},
-        validity={"q": "Re q positive and bounded on the grid"},
         notes=list(d.notes),
         extras={"deformation": d, "base_eigenfunction": base},
     )

@@ -542,12 +542,7 @@ def action_identity(phi_state: GKState, psi_state: GKState, h_apply=None,
         if h_apply is None:
             raise GKError("the grid route needs an operator applier")
         return inner(psi_state.function, h_apply(phi_state.function))
-    if route == "both":
-        return {
-            "coefficients": action_identity(phi_state, psi_state, route="coefficients"),
-            "grid": action_identity(phi_state, psi_state, h_apply, route="grid"),
-        }
-    raise GKError("route must be 'coefficients', 'grid', or 'both'")
+    raise GKError("route must be 'coefficients' or 'grid'")
 
 
 # ---------------------------------------------------------------------------

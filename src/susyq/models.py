@@ -137,7 +137,6 @@ class ModelRecord:
     psi1: object = None
     psi2: object = None
     constants: dict = field(default_factory=dict)
-    validity: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     vacua_fn: object = None
@@ -201,9 +200,6 @@ def harmonic_model() -> ModelRecord:
         phi2=phi2,
         psi1=phi1,
         psi2=phi2,
-        constants={},
-        validity={},
-        notes=[],
     )
 
 
@@ -264,7 +260,6 @@ def swanson_model(theta: float = math.pi / 8) -> ModelRecord:
             "n1_bar_times_n2": n1.conjugate() * n2,
             "pairing_target": cmath.exp(-1j * theta) / math.sqrt(math.pi),
         },
-        validity={"theta": "(-pi/4, pi/4) excluding 0"},
         notes=[
             "biorthogonality degrades as theta approaches pi/4 (reported, not asserted)",
             "second-sector states require an explicitly shifted spectrum",
@@ -393,18 +388,10 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
         params={"r": r, "v0": v0},
         pair=pair,
         energy=None,
-        constants={"drift": 1.0 - r, "flat_potential": r},
-        validity={"v0": "positive", "r": "any real; r = -1 switches the v-function branch"},
         notes=(
             ["partner potential has a second-order pole at x0"] if x0 is not None else []
         ),
-        extras={
-            "x0": x0,
-            "v_expr": v_expr,
-            "v2_closed_form": v2_closed,
-            "vacuum_logs": vacuum_logs,
-            "classification": bs_classification(r),
-        },
+        extras={"x0": x0, "v2_closed_form": v2_closed},
         vacua_fn=vacua_fn,
     )
 
@@ -495,17 +482,10 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
         phi2=phi2,
         psi1=psi1,
         psi2=psi2,
-        constants={
-            "n_phi": 1.0,
-            "n_psi": n_psi,
-            "pair_constant": 1.0 / math.sqrt(2.0 * math.pi * math.exp(k * k)),
-        },
-        validity={"k": "any real; square-integrable first sector needs k < 0"},
         notes=[
             "second-sector eigenvalues are the first sector's shifted by one; "
             "coherent-state constructions on sector 2 must pass the shifted spectrum"
         ],
-        extras={"polynomials": polys, "n_max": n_max},
     )
 
 

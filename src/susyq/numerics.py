@@ -39,6 +39,7 @@ __all__ = [
     "sample",
     "derivative",
     "inner",
+    "biorthogonality_defect",
     "norm",
     "integrate_halfline",
     "gamma_average",
@@ -341,6 +342,15 @@ def inner(f, g) -> complex:
     nz = mag > 0
     out[nz] = (p[nz] / mag[nz]) * np.exp(log_mag[nz])
     return complex(np.sum(w * out))
+
+
+def biorthogonality_defect(left, right) -> float:
+    """max |<l_a, r_b> - delta_ab| over every pair of the two families."""
+    worst = 0.0
+    for a, l_a in enumerate(left):
+        for b, r_b in enumerate(right):
+            worst = max(worst, abs(inner(l_a, r_b) - (1.0 if a == b else 0.0)))
+    return worst
 
 
 def norm(f) -> float:

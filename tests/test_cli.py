@@ -162,6 +162,25 @@ def test_verify_perturbed_pair_exits_one(tmp_path):
     assert any(not c["passed"] for c in rep["sections"]["intertwining"])
 
 
+def test_verify_lists_each_failing_check_on_stderr(tmp_path):
+    out = tmp_path / "o"
+    r = run_cli("verify", "--model", "pseudo-bosonic",
+                "--perturb-wb", "0.05 * x", "--out", str(out))
+    assert r.returncode == 1
+    rep = read_json(out / "verify.json")
+    failed = [(name, c) for name, section in rep["sections"].items()
+              for c in section if not c["passed"]]
+    n_checks = sum(len(section) for section in rep["sections"].values())
+    lines = r.stderr.splitlines()
+    assert lines[0] == f"verify: {n_checks - len(failed)}/{n_checks} checks passed"
+    assert lines[1:] == [
+        f"verify: FAILED {name}: {c['check']}: residual {c['residual']:.3e}, "
+        f"tolerance {c['tolerance']:g}"
+        for name, c in failed
+    ]
+    assert r.stdout == f"{out / 'verify.json'}\n"
+
+
 def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     # the deformed basis fails its orthonormality guard on this coarse grid
     out = tmp_path / "o"

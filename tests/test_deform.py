@@ -97,7 +97,8 @@ def test_basis_weight_cancels_exactly(d, base, grid):
 def test_basis_rejects_non_orthonormal_input(d, base, grid):
     bad = list(base)
     bad[1] = GridFunction(grid, 1.3 * base[1].values)
-    with pytest.raises(DeformationError):
+    # the message names the first offending entry and how far off it is
+    with pytest.raises(DeformationError, match=r"\|<e_1, e_1> - 1\| = 6\.900e-01$"):
         deformed_basis(d, bad, grid)
 
 

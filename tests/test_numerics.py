@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from susyq.expr import parse
 from susyq.gk import GKError, _combine
+from susyq.models import get_model
 from susyq.numerics import (
     DecayFit,
     Grid,
@@ -17,6 +18,7 @@ from susyq.numerics import (
     PoleOnGridError,
     RepresentationError,
     ScaledGridFunction,
+    biorthogonality_defect,
     cumulative_antiderivative,
     derivative,
     fitted_decay_exponents,
@@ -250,6 +252,39 @@ def test_halfline_integral_gaussian():
 def test_halfline_integral_raises_without_decay():
     with pytest.raises(NonConvergenceError):
         integrate_halfline(lambda t: 1.0 / (1.0 + t), max_doublings=12)
+
+
+def test_biorthogonality_defect_is_the_hand_loop_bit_for_bit():
+    g = Grid(12.0, 4097)
+    m = get_model("swanson")
+    phis = [m.phi1(n, g) for n in range(7)]
+    psis = [m.psi1(n, g) for n in range(7)]
+    worst = 0.0
+    for a in range(7):
+        for b in range(7):
+            worst = max(worst, abs(inner(psis[a], phis[b]) - (1.0 if a == b else 0.0)))
+    assert biorthogonality_defect(psis, phis) == worst
+
+
+def _unit_spikes(n):
+    # h = 0.75 puts Simpson weight exactly 1 on the odd nodes, so unit spikes
+    # there are orthonormal with no rounding at all
+    g = Grid(12.0, 33)
+    assert g.simpson_weights[1] == 1.0
+    return [GridFunction(g, np.eye(g.n_points)[2 * k + 1]) for k in range(n)]
+
+
+def test_biorthogonality_defect_of_an_exactly_orthonormal_set_is_zero():
+    e = _unit_spikes(5)
+    assert biorthogonality_defect(e, e) == 0.0
+
+
+def test_biorthogonality_defect_reports_a_planted_off_diagonal_entry():
+    e = _unit_spikes(5)
+    right = list(e)
+    right[3] = e[3] + 0.25j * e[1]  # <e_1, r_3> = 0.25j, every other entry exact
+    assert biorthogonality_defect(e, right) == 0.25
+    assert biorthogonality_defect(right, e) == 0.25
 
 
 def test_gamma_average_matches_sinc():

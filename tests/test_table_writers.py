@@ -28,14 +28,25 @@ CASES = {
                              "--normalization", "unit"],
     "vacua-user-pole": ["vacua", "--wA", "x + 1/x", "--wB", "x", "--grid-n", "4096"],
     "bs-classify-numeric": ["bs-classify", "--numeric", "--r-values=-0.5,0.3,1.5"],
+    # gk writes its CSVs whatever --format says; the swanson resolution
+    # table is empty and the harmonic curve to J=50 stops early
+    "gk-harmonic": ["gk", "--model", "harmonic"],
+    "gk-harmonic-short-curve": ["gk", "--model", "harmonic", "--j-max", "50"],
+    "gk-swanson": ["gk", "--model", "swanson"],
+    **{f"verify-{m}": ["verify", "--model", m]
+       for m in ("black-scholes", "deformed-harmonic", "harmonic", "pseudo-bosonic",
+                 "swanson")},
 }
 
 # Cases whose values come from + - * / on a linspace grid (or are booleans)
 # and so hash the same on every host.
 HOST_INDEPENDENT = {"potentials-harmonic", "potentials-user-pole", "bs-classify-numeric"}
 
-# sha256 of every file each case writes, recorded with the row-at-a-time
-# writers that the column-wise ones replaced.  Transcendental ufuncs may
+# sha256 of every file each case writes: the potentials, vacua and
+# bs-classify cases recorded with the row-at-a-time writers that the
+# column-wise ones replaced, the gk and verify cases with the csv-module
+# writer and hand-written pairing loops that the shared table writer and
+# biorthogonality_defect replaced.  Transcendental ufuncs may
 # differ in the last bit between numpy builds and SIMD targets, so the
 # digests of the other cases hold only where they were made.
 DIGEST_ENV = {"numpy": "2.4.6",
@@ -48,6 +59,94 @@ DIGESTS = {
     "bs-classify-numeric/json": {
         "bs-classification.json":
             "7c35a6d2e5192780cd623c2db4b1f54739510f1bc0dbf297712f1cf733c4b8a2",
+    },
+    "gk-harmonic-short-curve/csv": {
+        "gk-kcurve.csv":
+            "491f4af2a82caa9b50282503cdae7eacf26494bc0f12d15ddd21d1805a300eb7",
+        "gk-resolution.csv":
+            "630c75a4c7ce6f6227f412579f76895ddc35cbdedc1cec9ec95bcb484f7af628",
+        "gk-state.json":
+            "59ee04990923c568c84923f2455214f12f01ff4787ee00dd09ca52c7ec508286",
+    },
+    "gk-harmonic-short-curve/json": {
+        "gk-kcurve.csv":
+            "491f4af2a82caa9b50282503cdae7eacf26494bc0f12d15ddd21d1805a300eb7",
+        "gk-resolution.csv":
+            "630c75a4c7ce6f6227f412579f76895ddc35cbdedc1cec9ec95bcb484f7af628",
+        "gk-state.json":
+            "59ee04990923c568c84923f2455214f12f01ff4787ee00dd09ca52c7ec508286",
+    },
+    "gk-harmonic/csv": {
+        "gk-kcurve.csv":
+            "f4eddfb747fe22a91765ed3dfc226105bcbceb723872690a325d6df56954a7bc",
+        "gk-resolution.csv":
+            "630c75a4c7ce6f6227f412579f76895ddc35cbdedc1cec9ec95bcb484f7af628",
+        "gk-state.json":
+            "2141efd74aff337fa500558b202b00878794ac59ed4868b9e0778adb866a8d42",
+    },
+    "gk-harmonic/json": {
+        "gk-kcurve.csv":
+            "f4eddfb747fe22a91765ed3dfc226105bcbceb723872690a325d6df56954a7bc",
+        "gk-resolution.csv":
+            "630c75a4c7ce6f6227f412579f76895ddc35cbdedc1cec9ec95bcb484f7af628",
+        "gk-state.json":
+            "2141efd74aff337fa500558b202b00878794ac59ed4868b9e0778adb866a8d42",
+    },
+    "gk-swanson/csv": {
+        "gk-kcurve.csv":
+            "94e8b9e7ee3bb1dcf0499d9c45232cde4d92bbfa99d0a8fd4532bb5e01e0dd1e",
+        "gk-resolution.csv":
+            "8f37efdc6226a6db06c5c68f7c6e5e65c6d7090751b195fb3ed873ae0abb4eeb",
+        "gk-state.json":
+            "52cdf729e38e54fba748d73433693514bf877db97ed93a8a8f44053024d1ebaf",
+    },
+    "gk-swanson/json": {
+        "gk-kcurve.csv":
+            "94e8b9e7ee3bb1dcf0499d9c45232cde4d92bbfa99d0a8fd4532bb5e01e0dd1e",
+        "gk-resolution.csv":
+            "8f37efdc6226a6db06c5c68f7c6e5e65c6d7090751b195fb3ed873ae0abb4eeb",
+        "gk-state.json":
+            "52cdf729e38e54fba748d73433693514bf877db97ed93a8a8f44053024d1ebaf",
+    },
+    "verify-black-scholes/csv": {
+        "verify.json":
+            "fdfcd6f8e02ff2702948627a589ace266de51dfe91aa47b84a331d7d3c47244e",
+    },
+    "verify-black-scholes/json": {
+        "verify.json":
+            "fdfcd6f8e02ff2702948627a589ace266de51dfe91aa47b84a331d7d3c47244e",
+    },
+    "verify-deformed-harmonic/csv": {
+        "verify.json":
+            "f3c7a123869d41a4dd731921369a4914221ef5a2bb4c3639b0c506d41a9eb682",
+    },
+    "verify-deformed-harmonic/json": {
+        "verify.json":
+            "f3c7a123869d41a4dd731921369a4914221ef5a2bb4c3639b0c506d41a9eb682",
+    },
+    "verify-harmonic/csv": {
+        "verify.json":
+            "a2b5e4919527c07bd6f153212257d7eca0de9ef162124356ed92e60e53904d13",
+    },
+    "verify-harmonic/json": {
+        "verify.json":
+            "a2b5e4919527c07bd6f153212257d7eca0de9ef162124356ed92e60e53904d13",
+    },
+    "verify-pseudo-bosonic/csv": {
+        "verify.json":
+            "3c7ce63122eca99a3e09c589925422857c2c47b97ce7990bc06d013253040306",
+    },
+    "verify-pseudo-bosonic/json": {
+        "verify.json":
+            "3c7ce63122eca99a3e09c589925422857c2c47b97ce7990bc06d013253040306",
+    },
+    "verify-swanson/csv": {
+        "verify.json":
+            "90ab1e5bca14cbd303700cd7c3d7a1a8b73327c000ceb12808a2abc74db1fa59",
+    },
+    "verify-swanson/json": {
+        "verify.json":
+            "90ab1e5bca14cbd303700cd7c3d7a1a8b73327c000ceb12808a2abc74db1fa59",
     },
     "potentials-black-scholes/csv": {
         "potentials-meta.json":
