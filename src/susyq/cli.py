@@ -507,10 +507,12 @@ def _cmd_gk(cfg: RunConfig) -> list:
         file_energies = _load_spectrum_file(cfg.spectrum_file)
         cfg.n_terms = len(file_energies)
     m, phis, psis = _spectral_basis(cfg, grid)
+    energy, name, params, notes = m.energy, m.name, m.params, list(m.notes)
+    del m  # the generators' per-grid buffers are not needed past this point
     if file_energies is not None:
         s = build_spectrum(file_energies)
     else:
-        s = spectrum_from_formula(m.energy, cfg.n_terms)
+        s = spectrum_from_formula(energy, cfg.n_terms)
 
     try:
         domain = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
@@ -538,7 +540,7 @@ def _cmd_gk(cfg: RunConfig) -> list:
     # when a level formula is available; a file spectrum is all there is
     if file_energies is None:
         n_curve = max(cfg.n_terms, 60)
-        curve_s = spectrum_from_formula(m.energy, n_curve)
+        curve_s = spectrum_from_formula(energy, n_curve)
     else:
         n_curve = cfg.n_terms
         curve_s = s
@@ -577,8 +579,8 @@ def _cmd_gk(cfg: RunConfig) -> list:
     ])
 
     report = {
-        "model": m.name,
-        "params": m.params,
+        "model": name,
+        "params": params,
         "grid": {"L": grid.half_width, "N": grid.n_points},
         "state": state.payload(),
         "partner": partner.payload(),
@@ -613,7 +615,7 @@ def _cmd_gk(cfg: RunConfig) -> list:
                     "note": curve_note},
         "resolution": {"file": os.path.basename(res_path), "solved": md.solved,
                        "density": md.label, "note": res_note},
-        "notes": list(m.notes),
+        "notes": notes,
     }
     state_path = os.path.join(cfg.out, "gk-state.json")
     _write_json(state_path, report)

@@ -83,14 +83,28 @@ class Deformation:
     M: float
     grid: Grid
     notes: list = field(default_factory=list)
+    # (grid, array) of the last grid each multiplier was sampled on
+    _multiplier: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _inverse_dual: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def multiplier_values(self, grid: Grid | None = None) -> np.ndarray:
+        """e^q on the grid; read-only, computed once per grid."""
         g = grid or self.grid
-        return np.exp(sample(self.q, g).values)
+        if self._multiplier[0] != g:
+            self._multiplier = (g, _read_only(np.exp(sample(self.q, g).values)))
+        return self._multiplier[1]
 
     def inverse_dual_values(self, grid: Grid | None = None) -> np.ndarray:
+        """e^{-conj q} on the grid; read-only, computed once per grid."""
         g = grid or self.grid
-        return np.exp(-np.conjugate(sample(self.q, g).values))
+        if self._inverse_dual[0] != g:
+            self._inverse_dual = (g, _read_only(np.exp(-np.conjugate(sample(self.q, g).values))))
+        return self._inverse_dual[1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_deformation(q, w=None, grid: Grid | None = None) -> Deformation:
@@ -193,30 +207,35 @@ def deformed_eigencheck(d: Deformation, base_eigpairs, tol: float = 1e-5, grid: 
 
     energies = [float(e) for e, _ in base_eigpairs]
     base1 = [f for _, f in base_eigpairs]
-    base2 = []
-    for n in range(len(base1) - 1):
-        lowered = apply_A(base_pair, base1[n + 1])
-        base2.append(GridFunction(grid, lowered.values / math.sqrt(energies[n + 1])))
-
-    phis1, psis1 = deformed_basis(d, base1, grid)
-    phis2, psis2 = deformed_basis(d, base2, grid)
-
-    plans = [
-        ("h1 on phi1", apply_H1, phis1, energies),
-        ("h1 adjoint on psi1", apply_H1_dag, psis1, energies),
-        ("h2 on phi2", apply_H2, phis2, energies[1:]),
-        ("h2 adjoint on psi2", apply_H2_dag, psis2, energies[1:]),
-    ]
     records = []
-    checks = []
-    for family, op, fns, evs in plans:
+
+    def family_check(family, op, fns, evs):
         worst = 0.0
         for n, (f, e_n) in enumerate(zip(fns, evs)):
             hf = op(pair, f)
             res = relative_residual(hf - e_n * f, f)
             records.append(EigenResidual(family=family, level=n, energy=e_n, residual=res))
             worst = max(worst, res)
-        checks.append(CheckResult.from_residual(f"{family}: eigen-residuals", worst, tol))
+        return CheckResult.from_residual(f"{family}: eigen-residuals", worst, tol)
+
+    # one sector's deformed families at a time: the two never share the peak
+    phis, psis = deformed_basis(d, base1, grid)
+    checks = [
+        family_check("h1 on phi1", apply_H1, phis, energies),
+        family_check("h1 adjoint on psi1", apply_H1_dag, psis, energies),
+    ]
+    del phis, psis
+
+    base2 = []
+    for n in range(len(base1) - 1):
+        lowered = apply_A(base_pair, base1[n + 1])
+        base2.append(GridFunction(grid, lowered.values / math.sqrt(energies[n + 1])))
+    phis, psis = deformed_basis(d, base2, grid)
+    del base2
+    checks += [
+        family_check("h2 on phi2", apply_H2, phis, energies[1:]),
+        family_check("h2 adjoint on psi2", apply_H2_dag, psis, energies[1:]),
+    ]
     return checks, records
 
 
@@ -241,19 +260,20 @@ def sandwich_residual(d: Deformation, f, grid: Grid | None = None) -> float:
 # registry hookup
 
 def _deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q):
-    from .models import ModelRecord, hermite_function
+    from .models import ModelRecord, _hermite_functions
 
     d = build_deformation(q)
     pair = deformed_pair(d)
+    hermite_fn = _hermite_functions()
 
     def base(n, grid):
-        return GridFunction(grid, hermite_function(n, grid.x))
+        return GridFunction(grid, hermite_fn(n, grid))
 
     def phi1(n, grid):
-        return GridFunction(grid, d.multiplier_values(grid) * hermite_function(n, grid.x))
+        return GridFunction(grid, d.multiplier_values(grid) * hermite_fn(n, grid))
 
     def psi1(n, grid):
-        return GridFunction(grid, d.inverse_dual_values(grid) * hermite_function(n, grid.x))
+        return GridFunction(grid, d.inverse_dual_values(grid) * hermite_fn(n, grid))
 
     def phi2(n, grid):
         return None if n == 0 else phi1(n - 1, grid)

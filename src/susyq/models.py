@@ -110,8 +110,66 @@ def hermite(n: int, x):
 
 def hermite_function(n: int, x):
     """Orthonormal oscillator eigenfunction H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))."""
+    return _hermite_function_scaled(n, hermite(n, x), x)
+
+
+def _hermite_function_scaled(n: int, h_n, x):
     scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    return hermite(n, x) * np.exp(-np.asarray(x) ** 2 / 2) / scale
+    return h_n * np.exp(-np.asarray(x) ** 2 / 2) / scale
+
+
+class _HermiteLadder:
+    """H_n(c x) on a grid (c None: H_n(x)), resuming :func:`hermite`'s recurrence.
+
+    Eigenfamily generators ask for levels 0, 1, 2, ... on one grid; each
+    level then costs one recurrence step instead of n.  The state is the
+    last two levels for one grid and one c; a lower level, another grid or
+    another c starts again from level 0.  Each step does the operations of
+    ``hermite`` with the same operands in the same order.  Each call returns
+    a new array with the bits of ``hermite(n, z)``.  It must be new: numpy
+    evaluates ``c * new_array`` in the new array's buffer as
+    ``new_array * c``, and complex products in numpy are not bitwise
+    commutative, so ``c`` times a shared array would differ from
+    ``c * hermite(n, z)`` in the last bit.
+    """
+
+    def __init__(self):
+        self._key = None
+
+    def __call__(self, n: int, grid: Grid, c=None) -> np.ndarray:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if (grid, c) != self._key or n < self._level:
+            z = _ladder_argument(grid, c)
+            self._key, self._level = (grid, c), 0
+            self._h, self._h_prev = np.ones_like(z), np.empty_like(z)
+        while self._level < n:
+            m, h, h_prev = self._level, self._h, self._h_prev
+            z = _ladder_argument(grid, c)
+            if m == 0:
+                np.multiply(2, z, out=h_prev)
+            else:
+                # 2 * z * h - 2 * m * h_prev, the result written over h_prev
+                t = 2 * z
+                t *= h
+                np.multiply(2 * m, h_prev, out=h_prev)
+                np.subtract(t, h_prev, out=h_prev)
+            self._level, self._h, self._h_prev = m + 1, h_prev, h
+        return self._h.copy()
+
+
+def _ladder_argument(grid: Grid, c) -> np.ndarray:
+    return grid.x if c is None else c * grid.x
+
+
+def _hermite_functions():
+    """Orthonormal oscillator eigenfunctions as a generator (n, grid)."""
+    ladder = _HermiteLadder()
+
+    def fn(n, grid):
+        return _hermite_function_scaled(n, ladder(n, grid), grid.x)
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +241,14 @@ def models_list() -> list:
 def harmonic_model() -> ModelRecord:
     """wA = wB = x: eigenvalues 2n on Hermite functions, fully self-adjoint."""
     pair = build_pair(parse("x"), parse("x"))
+    hermite_fn = _hermite_functions()
 
     def phi1(n, grid):
-        return GridFunction(grid, hermite_function(n, grid.x))
+        return GridFunction(grid, hermite_fn(n, grid))
 
     def phi2(n, grid):
         # partner potential x^2 + 1 has eigenvalue 2m + 2 on level m
-        return None if n == 0 else GridFunction(grid, hermite_function(n - 1, grid.x))
+        return None if n == 0 else GridFunction(grid, hermite_fn(n - 1, grid))
 
     return ModelRecord(
         name="harmonic",
@@ -233,14 +292,14 @@ def swanson_model(theta: float = math.pi / 8) -> ModelRecord:
     n1 = cmath.exp(1j * theta / 2) / math.pi**0.25
     n2 = cmath.exp(-1j * theta / 2) / math.pi**0.25
     rot = cmath.exp(1j * theta)
+    ladder = _HermiteLadder()  # shared: one family's levels at a time
 
     def family(norm_const, rotation):
         def gen(n, grid):
-            z = rotation * grid.x
             values = (
                 norm_const
                 / math.sqrt(2.0**n * math.factorial(n))
-                * hermite(n, z)
+                * ladder(n, grid, rotation)
                 * np.exp(-0.5 * rotation**2 * grid.x**2)
             )
             return GridFunction(grid, values)

@@ -603,9 +603,10 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
     for i, v in enumerate(test_vectors):
         v = (v[0].materialize(), v[1].materialize())
         tag = f"vector {i}"
+        qa_v, qb_v = _q_a(p, v), _q_b(p, v)
 
-        qa_qa = _q_a(p, _q_a(p, v))
-        qb_qb = _q_b(p, _q_b(p, v))
+        qa_qa = _q_a(p, qa_v)
+        qb_qb = _q_b(p, qb_v)
         nil = max(
             np.max(np.abs(qa_qa[0].values)) + np.max(np.abs(qa_qa[1].values)),
             np.max(np.abs(qb_qb[0].values)) + np.max(np.abs(qb_qb[1].values)),
@@ -614,14 +615,14 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
 
         hv = _h_diag(p, v)
         scale = max(_vector_norm(p, hv), _vector_norm(p, v))
-        anti = tuple(a + b for a, b in zip(_q_a(p, _q_b(p, v)), _q_b(p, _q_a(p, v))))
+        anti = tuple(a + b for a, b in zip(_q_a(p, qb_v), _q_b(p, qa_v)))
         r = _pair_residual(p, anti, hv, scale)
         report.append(CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})", r, tol))
 
-        r = _pair_residual(p, _h_diag(p, _q_a(p, v)), _q_a(p, hv), scale)
+        r = _pair_residual(p, _h_diag(p, qa_v), _q_a(p, hv), scale)
         report.append(CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})", r, tol))
 
-        r = _pair_residual(p, _h_diag(p, _q_b(p, v)), _q_b(p, hv), scale)
+        r = _pair_residual(p, _h_diag(p, qb_v), _q_b(p, hv), scale)
         report.append(CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})", r, tol))
 
     for n, energy, phi1, phi2, alpha, beta in doublets or []:

@@ -150,3 +150,23 @@ def test_registered_model(grid):
     assert res < 1e-5
     assert m.phi2(0, grid) is None
     assert m.constants["m"] == pytest.approx(0.1, abs=1e-4)
+
+
+def test_multipliers_are_sampled_once_per_grid_and_read_only():
+    d = build_deformation(DEFAULT_DEFORMATION_Q)
+    small, large = Grid(12.0, 1025), Grid(12.0, 2049)
+    for method, want in (
+        (d.multiplier_values, lambda g: np.exp(sample(d.q, g).values)),
+        (d.inverse_dual_values, lambda g: np.exp(-np.conjugate(sample(d.q, g).values))),
+    ):
+        first = method(large)
+        assert method(Grid(12.0, 2049)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert np.array_equal(first.view(np.uint64), want(large).view(np.uint64))
+        other = method(small)
+        assert other.shape == (small.n_points,)
+        assert method(large) is not first  # only the last grid is kept
+        assert np.array_equal(method(large).view(np.uint64), first.view(np.uint64))
+        assert np.array_equal(method().view(np.uint64), want(d.grid).view(np.uint64))

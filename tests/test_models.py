@@ -1,5 +1,6 @@
 """Worked-example models against closed-form oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -62,6 +63,103 @@ def test_hermite_function_orthonormal(grid):
     w = grid.simpson_weights
     assert np.sum(w * f2 * f2) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.sum(w * f2 * f3)) < 1e-12
+
+
+# The eigenfamily generators resume the Hermite recurrence.  Each level must
+# carry the bits of the generator written with hermite(n, z), whatever order
+# the levels and grids come in.  N=16385 is the smallest grid size whose
+# complex arrays reach the 256 KiB at which numpy computes products in place.
+LADDER_ORDERS = {
+    "rising": [0, 1, 2, 3, 4, 5, 6, 7],
+    "falling": [7, 6, 5, 4, 3, 2, 1, 0],
+    "repeated": [3, 3, 4, 4, 0, 0, 2, 2],
+    "mixed": [0, 4, 2, 6, 1, 5],
+}
+
+
+def _ladder_requests(order):
+    small, large = Grid(12.0, 4097), Grid(12.0, 16385)
+    requests = [(n, large) for n in LADDER_ORDERS[order]]
+    if order == "mixed":
+        requests = [(n, small if k % 2 else large) for k, (n, _) in enumerate(requests)]
+        requests += [(5, large), (6, large), (5, small), (7, large)]
+    return requests
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _oscillator(n, grid):
+    return GridFunction(grid, hermite_function(n, grid.x))
+
+
+def _swanson_family(norm_const, rotation):
+    def gen(n, grid):
+        z = rotation * grid.x
+        return GridFunction(grid, norm_const / math.sqrt(2.0**n * math.factorial(n))
+                            * hermite(n, z) * np.exp(-0.5 * rotation**2 * grid.x**2))
+    return gen
+
+
+def _ladder_cases():
+    theta = 0.2298
+    rot = cmath.exp(1j * theta)
+    swanson = get_model("swanson", theta=theta)
+    harmonic = get_model("harmonic")
+    deformed = get_model("deformed-harmonic")
+    d = deformed.extras["deformation"]
+    return {
+        "harmonic phi1": (harmonic.phi1, _oscillator),
+        "harmonic phi2": (harmonic.phi2, lambda n, g: None if n == 0 else _oscillator(n - 1, g)),
+        "swanson phi1": (swanson.phi1, _swanson_family(cmath.exp(1j * theta / 2) / math.pi**0.25, rot)),
+        "swanson psi1": (swanson.psi1, _swanson_family(cmath.exp(-1j * theta / 2) / math.pi**0.25, 1 / rot)),
+        "deformed base": (deformed.extras["base_eigenfunction"], _oscillator),
+        "deformed phi1": (deformed.phi1, lambda n, g: GridFunction(
+            g, np.exp(sample(d.q, g).values) * hermite_function(n, g.x))),
+        "deformed psi1": (deformed.psi1, lambda n, g: GridFunction(
+            g, np.exp(-np.conjugate(sample(d.q, g).values)) * hermite_function(n, g.x))),
+    }
+
+
+@pytest.mark.parametrize("order", sorted(LADDER_ORDERS))
+def test_eigenfamilies_resume_the_hermite_recurrence_bit_for_bit(order):
+    requests = _ladder_requests(order)
+    for case, (gen, oracle) in _ladder_cases().items():
+        for n, g in requests:
+            got, want = gen(n, g), oracle(n, g)
+            if want is None:
+                assert got is None, case
+                continue
+            assert _same_bits(got.values, want.values), (case, n, g)
+
+
+def test_swanson_families_share_one_ladder_bit_for_bit():
+    # phi1 and psi1 take turns, so the shared ladder restarts on every call
+    cases = _ladder_cases()
+    (phi, phi_oracle), (psi, psi_oracle) = cases["swanson phi1"], cases["swanson psi1"]
+    g = Grid(12.0, 16385)
+    for n in [0, 1, 2, 2, 5, 3]:
+        assert _same_bits(phi(n, g).values, phi_oracle(n, g).values), n
+        assert _same_bits(psi(n, g).values, psi_oracle(n, g).values), n
+
+
+def test_ladder_levels_are_fresh_arrays_on_the_last_grid_only():
+    from susyq.models import _HermiteLadder
+
+    rot = cmath.exp(0.3j)
+    ladder = _HermiteLadder()
+    small, large = Grid(12.0, 33), Grid(12.0, 65)
+    first = ladder(4, large, rot)
+    assert _same_bits(first, hermite(4, rot * large.x))
+    first[:] = 0.0  # the caller owns what it got; the ladder's levels are untouched
+    assert _same_bits(ladder(5, large, rot), hermite(5, rot * large.x))
+    assert _same_bits(ladder(3, large), hermite(3, large.x))
+    assert _same_bits(ladder(2, small, rot), hermite(2, rot * small.x))
+    held = [a for a in vars(ladder).values() if isinstance(a, np.ndarray)]
+    assert len(held) == 2 and all(a.shape == (small.n_points,) for a in held)
+    with pytest.raises(ValueError):
+        ladder(-1, small)
 
 
 # ---------------------------------------------------------------------------

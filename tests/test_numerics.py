@@ -29,6 +29,7 @@ from susyq.numerics import (
     relative_residual,
     sample,
 )
+from susyq.numerics import _fd
 
 
 def test_grid_spacing_and_endpoints():
@@ -195,6 +196,24 @@ def test_non_finite_values_are_poles_with_or_without_a_scale():
         GridFunction(g, np.ones(g.n_points), np.full(g.n_points, np.nan))
 
 
+def test_finite_values_whose_sum_overflows_are_accepted():
+    g = Grid(2.0, 17)
+    f = GridFunction(g, [1e308] * g.n_points)
+    assert np.all(f.values == 1e308)
+
+
+@pytest.mark.parametrize("bad_at", [[5], [0, 11]])
+def test_a_nan_imaginary_part_is_reported_with_index_and_count(bad_at):
+    g = Grid(2.0, 17)
+    values = np.full(g.n_points, 1e308, dtype=np.complex128)
+    values[bad_at] = complex(1.0, np.nan)
+    with pytest.raises(PoleOnGridError) as err:
+        GridFunction(g, values)
+    assert err.value.index == bad_at[0]
+    assert err.value.count == len(bad_at)
+    assert err.value.x == float(g.x[bad_at[0]])
+
+
 def test_relative_residual_invariant_under_scale_shift():
     g = Grid(5.0, 257)
     rng = np.random.default_rng(7)
@@ -252,6 +271,94 @@ def test_halfline_integral_gaussian():
 def test_halfline_integral_raises_without_decay():
     with pytest.raises(NonConvergenceError):
         integrate_halfline(lambda t: 1.0 / (1.0 + t), max_doublings=12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _fd_interior_oracle(v, h, order):
+    """The interior stencil as the complex array expressions it replaced."""
+    if order == 1:
+        return (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    return (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
+
+
+def _stencil_inputs(n):
+    rng = np.random.default_rng(n)
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.25])
+
+    def cplx(re, im):
+        z = np.empty(len(re), dtype=np.complex128)
+        z.real, z.imag = re, im
+        return z
+
+    normal = cplx(rng.standard_normal(n), rng.standard_normal(n))
+    sparse_zero = normal.copy()
+    sparse_zero[n // 3] = complex(-0.0, 1.0)
+    sparse_zero[n // 2] = complex(1.0, -0.0)
+    return {
+        "complex": normal,
+        "complex signed zeros": cplx(rng.choice(signed, n), rng.choice(signed, n)),
+        "complex with two -0.0": sparse_zero,
+        "real-valued complex": cplx(rng.standard_normal(n), np.zeros(n)),
+        "float64": rng.standard_normal(n),
+        "float64 signed zeros": rng.choice(signed, n),
+        "subnormal": cplx(rng.standard_normal(n) * 1e-310, rng.standard_normal(n) * 1e-312),
+        "about 1e300": cplx(rng.standard_normal(n) * 1e300, rng.standard_normal(n) * 1e300),
+        "overflowing": cplx(rng.choice([1e307, -1e307, 1.0], n), rng.standard_normal(n)),
+        "non-contiguous": cplx(rng.standard_normal(2 * n), rng.standard_normal(2 * n))[::2],
+    }
+
+
+# 8197 complex points make the float64 view span two 16384-double blocks
+@pytest.mark.parametrize("n", [16, 17, 4096, 4097, 8197])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_interior_is_the_complex_expression_bit_for_bit(n, order):
+    for h in (24.0 / (n - 1), 0.3):
+        for case, v in _stencil_inputs(n).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _fd(v, h, order)[2:-2]
+                want = _fd_interior_oracle(v, h, order)
+            assert got.dtype == v.dtype, case
+            assert np.array_equal(_bits(got), _bits(want)), case
+
+
+def _masked_inner(f, g):
+    """The scaled pairing with the zero-product mask applied everywhere."""
+    s = f.log_scale + g.log_scale
+    p = np.conjugate(f.values) * g.values
+    mag = np.abs(p)
+    with np.errstate(divide="ignore"):
+        log_mag = s + np.log(mag)
+    out = np.zeros_like(p)
+    nz = mag > 0
+    out[nz] = (p[nz] / mag[nz]) * np.exp(log_mag[nz])
+    return complex(np.sum(f.grid.simpson_weights * out))
+
+
+@pytest.mark.parametrize("n_points", [4097, 16385])
+def test_scaled_inner_is_the_masked_formula_bit_for_bit(n_points):
+    g = Grid(12.0, n_points)
+    m = get_model("pseudo-bosonic")
+    phis = [m.phi1(n, g) for n in range(11)]
+    psis = [m.psi1(n, g) for n in range(11)]
+    for f in phis:
+        for h in psis:
+            assert _bits(np.array([inner(f, h)])).tolist() == _bits(
+                np.array([_masked_inner(f, h)])).tolist()
+            assert _bits(np.array([inner(h, f)])).tolist() == _bits(
+                np.array([_masked_inner(h, f)])).tolist()
+
+
+def test_scaled_inner_with_exactly_zero_products():
+    g = Grid(12.0, 4097)
+    m = get_model("pseudo-bosonic")
+    phi, psi = m.phi1(3, g), m.psi1(2, g)
+    holes = psi.with_values(np.where(np.arange(g.n_points) % 5 == 0, 0.0, psi.values))
+    got = inner(phi, holes)
+    assert got == _masked_inner(phi, holes)
+    assert got != inner(phi, psi)
 
 
 def test_biorthogonality_defect_is_the_hand_loop_bit_for_bit():

@@ -276,6 +276,100 @@ def test_superalgebra_reports_broken_anticommutator():
     assert defect > 1e-3
 
 
+def _superalgebra_recomputing_charges(p, test_vectors, doublets):
+    """The superalgebra check as it was before Q_A v and Q_B v were shared:
+    each charge image is recomputed wherever it is used."""
+    from susyq.reporting import CheckResult
+    from susyq.susy import _h_diag, _pair_residual, _q_a, _q_b, _vector_norm, _zero_like
+    from susyq.numerics import relative_residual
+
+    tol = 1e-5
+    report = []
+    for i, v in enumerate(test_vectors):
+        v = (v[0].materialize(), v[1].materialize())
+        tag = f"vector {i}"
+        qa_qa = _q_a(p, _q_a(p, v))
+        qb_qb = _q_b(p, _q_b(p, v))
+        nil = max(
+            np.max(np.abs(qa_qa[0].values)) + np.max(np.abs(qa_qa[1].values)),
+            np.max(np.abs(qb_qb[0].values)) + np.max(np.abs(qb_qb[1].values)),
+        )
+        report.append(CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", nil, 1e-300))
+        hv = _h_diag(p, v)
+        scale = max(_vector_norm(p, hv), _vector_norm(p, v))
+        anti = tuple(a + b for a, b in zip(_q_a(p, _q_b(p, v)), _q_b(p, _q_a(p, v))))
+        r = _pair_residual(p, anti, hv, scale)
+        report.append(CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})", r, tol))
+        r = _pair_residual(p, _h_diag(p, _q_a(p, v)), _q_a(p, hv), scale)
+        report.append(CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})", r, tol))
+        r = _pair_residual(p, _h_diag(p, _q_b(p, v)), _q_b(p, hv), scale)
+        report.append(CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})", r, tol))
+    for n, energy, phi1, phi2, alpha, beta in doublets:
+        phi1, phi2 = phi1.materialize(), phi2.materialize()
+        up = (phi1, _zero_like(phi1.grid))
+        down = (_zero_like(phi1.grid), phi2)
+        image = _q_a(p, up)[1]
+        r = relative_residual(image - alpha * phi2, image) if norm(image) > 0 else 0.0
+        report.append(CheckResult.from_residual(f"charge maps sector 1 -> 2 with alpha (n={n})", r, tol))
+        image = _q_b(p, down)[0]
+        r = relative_residual(image - beta * phi1, image) if norm(image) > 0 else 0.0
+        report.append(CheckResult.from_residual(f"charge maps sector 2 -> 1 with beta (n={n})", r, tol))
+        dead_a = _q_a(p, down)
+        dead_b = _q_b(p, up)
+        z = max(
+            np.max(np.abs(dead_a[0].values)) + np.max(np.abs(dead_a[1].values)),
+            np.max(np.abs(dead_b[0].values)) + np.max(np.abs(dead_b[1].values)),
+        )
+        report.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", z, 1e-300))
+    return report
+
+
+def _deformed_superalgebra_input():
+    from susyq.models import get_model
+
+    g = Grid(12.0, 1025)
+    m = get_model("deformed-harmonic")
+    phis = [m.phi1(n, g) for n in range(4)]
+    vectors = [(phis[n], phis[n - 1]) for n in range(1, 4)]
+    doublets = [(n, 2.0 * n, phis[n], phis[n - 1], complex(math.sqrt(2.0 * n), 0.1), math.sqrt(2.0 * n))
+                for n in range(1, 3)]
+    return m.pair, vectors, doublets
+
+
+def test_superalgebra_shares_the_charge_images_bit_for_bit():
+    p, vectors, doublets = _deformed_superalgebra_input()
+    got = superalgebra_check(p, vectors, doublets=doublets)
+    want = _superalgebra_recomputing_charges(p, vectors, doublets)
+    assert [r.check for r in got] == [r.check for r in want]
+    assert [r.passed for r in got] == [r.passed for r in want]
+    residuals = np.array([[r.residual for r in got], [r.residual for r in want]])
+    assert np.array_equal(residuals[0].view(np.uint64), residuals[1].view(np.uint64))
+
+
+def test_superalgebra_applies_each_charge_once_per_vector(monkeypatch):
+    import susyq.numerics
+    import susyq.susy
+
+    p, vectors, doublets = _deformed_superalgebra_input()
+    counts = {"apply": 0, "derivative": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("apply_A", "apply_B", "apply_H1", "apply_H2"):
+        monkeypatch.setattr(susyq.susy, name, counting(getattr(susyq.susy, name), "apply"))
+    monkeypatch.setattr(susyq.susy, "derivative", counting(susyq.numerics.derivative, "derivative"))
+    superalgebra_check(p, vectors, doublets=doublets)
+    # per vector: Q_A v, Q_B v, Q_A Q_A v, Q_B Q_B v, H v (2), the
+    # anticommutator (2), H Q_A v (2), Q_A H v, H Q_B v (2), Q_B H v; per
+    # doublet: two mapping images and two annihilations
+    assert counts["apply"] == 14 * len(vectors) + 4 * len(doublets)
+    assert counts["derivative"] == 20 * len(vectors) + 4 * len(doublets)
+
+
 bounded = st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3)
 
 
