@@ -437,11 +437,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     _require_source(cfg)
     grid = cfg.grid()
     if cfg.model is not None:
-        try:
-            suite = verify_model(cfg.model, grid=grid,
-                                 perturb_wb=cfg.perturb_wb, **cfg.bind)
-        except KeyError as e:
-            raise ConfigError(str(e)) from e
+        suite = verify_model(cfg.model, grid=grid, perturb_wb=cfg.perturb_wb, **cfg.bind)
     else:
         if cfg.perturb_wb is not None:
             raise ConfigError("--perturb-wb applies to --model runs only")

@@ -62,7 +62,6 @@ __all__ = [
     "ModelError",
     "BSRow",
     "hermite",
-    "hermite_function",
     "pb_polynomials",
     "harmonic_model",
     "swanson_model",
@@ -106,16 +105,6 @@ def hermite(n: int, x):
     if np.ndim(x) == 0:
         return out.item()
     return out
-
-
-def hermite_function(n: int, x):
-    """Orthonormal oscillator eigenfunction H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))."""
-    return _hermite_function_scaled(n, hermite(n, x), x)
-
-
-def _hermite_function_scaled(n: int, h_n, x):
-    scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-    return h_n * np.exp(-np.asarray(x) ** 2 / 2) / scale
 
 
 class _HermiteLadder:
@@ -163,11 +152,13 @@ def _ladder_argument(grid: Grid, c) -> np.ndarray:
 
 
 def _hermite_functions():
-    """Orthonormal oscillator eigenfunctions as a generator (n, grid)."""
+    """Orthonormal oscillator eigenfunctions as a generator (n, grid):
+    H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) on the grid."""
     ladder = _HermiteLadder()
 
     def fn(n, grid):
-        return _hermite_function_scaled(n, ladder(n, grid), grid.x)
+        scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        return ladder(n, grid) * np.exp(-grid.x ** 2 / 2) / scale
 
     return fn
 

@@ -1,11 +1,12 @@
 """Model-by-model verification suites.
 
-Each suite aggregates every check that applies to a model into named
-sections of CheckResults: the factorization core shared by all pairs,
-vacuum annihilation, eigen-residuals, intertwining, and the extras a
-particular family brings (biorthogonality, polynomial identities,
-classification tables, state-family identities).  The verify command
-renders these reports and turns them into exit codes.
+One runner, :func:`verify_model`, builds every suite from the model record.
+A record with a superpotential pair gets the factorization core and the
+vacuum annihilation checks; a per-model function then adds the model's own
+sections (eigen-residuals, intertwining, biorthogonality, polynomial
+identities, classification tables, state-family identities) and notes.  A
+user pair runs the same runner with no sections of its own.  The verify
+command renders these reports and turns them into exit codes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .gk import (
     spectrum_from_formula,
 )
 from .models import (
+    ModelError,
+    ModelRecord,
     bs_classification,
     bs_numeric_flags,
     get_model,
@@ -95,50 +98,26 @@ class VerifySuite:
         }
 
 
-def _core_section(pair, grid):
+def _pair_sections(m, pair, grid):
+    """Factorization core and vacuum annihilation of ``pair``, with the
+    record's own vacua when it is the record's pair."""
+    v = m.vacua(grid) if pair is m.pair else vacua(pair, grid)
     probe = probe_function(grid, pair.singular_points)
     # modulate so the probe cannot sit in the kernel of a first-order factor
     # (the bare Gaussian is exactly the oscillator vacuum)
     probe = probe * (1.0 + 0.5 * np.sin(2.0 * grid.x))
-    return [
-        CheckResult.from_residual(
-            "partner potentials differ by the derivative of the superpotential sum",
-            potential_identity_residual(pair, grid),
-            1e-5,
-        ),
-        CheckResult.from_residual(
-            "B after A reproduces the first Hamiltonian",
-            factorization_residual(pair, probe, sector=1),
-            1e-5,
-        ),
-        CheckResult.from_residual(
-            "A after B reproduces the second Hamiltonian",
-            factorization_residual(pair, probe, sector=2),
-            1e-5,
-        ),
+    core = [
+        ("partner potentials differ by the derivative of the superpotential sum",
+         potential_identity_residual(pair, grid)),
+        ("B after A reproduces the first Hamiltonian", factorization_residual(pair, probe, sector=1)),
+        ("A after B reproduces the second Hamiltonian", factorization_residual(pair, probe, sector=2)),
     ]
-
-
-def _vacua_section(v):
-    return [
-        CheckResult.from_residual(
-            f"{rec.label} is annihilated by its factor", rec.annihilation_residual, 1e-6,
-        )
-        for rec in (v.phi0_1, v.phi0_2, v.psi0_1, v.psi0_2)
-    ]
-
-
-def _eigen_section(pair, levels, tol=1e-5):
-    checks = []
-    for n, (energy, fn) in enumerate(levels):
-        image = apply_H1(pair, fn)
-        checks.append(CheckResult.from_residual(
-            f"level {n} eigen-residual",
-            relative_residual(image - energy * fn, fn,
-                              exclude=list(pair.singular_points)),
-            tol,
-        ))
-    return checks
+    return {
+        "factorization": [CheckResult.from_residual(c, r, 1e-5) for c, r in core],
+        "vacua": [CheckResult.from_residual(f"{rec.label} is annihilated by its factor",
+                                            rec.annihilation_residual, 1e-6)
+                  for rec in v.records()],
+    }
 
 
 def _intertwine_section(pair, pairs1, pairs2, tol=1e-5):
@@ -160,39 +139,37 @@ def _intertwine_section(pair, pairs1, pairs2, tol=1e-5):
     return checks, recs
 
 
-def _levels(m, grid, count):
-    pairs1 = [(m.energy(n), m.phi1(n, grid)) for n in range(count)]
+def _ladder_sections(m, pair, grid):
+    """Eigen-residuals and intertwining over the model's first nine levels."""
+    pairs1 = [(m.energy(n), m.phi1(n, grid)) for n in range(9)]
     pairs2 = []
-    for n in range(count):
+    for n in range(9):
         partner = m.phi2(n, grid)
         pairs2.append(None if partner is None else (m.energy(n), partner))
-    return pairs1, pairs2
+    eigen = [
+        CheckResult.from_residual(
+            f"level {n} eigen-residual",
+            relative_residual(apply_H1(pair, fn) - energy * fn, fn,
+                              exclude=list(pair.singular_points)),
+            1e-5,
+        )
+        for n, (energy, fn) in enumerate(pairs1)
+    ]
+    return {
+        "eigenfunctions": eigen,
+        "intertwining": _intertwine_section(pair, pairs1, pairs2)[0],
+    }
 
 
-def _suite_harmonic(grid, params):
-    m = get_model("harmonic")
-    pairs1, pairs2 = _levels(m, grid, 9)
-    inter_checks, _ = _intertwine_section(m.pair, pairs1, pairs2)
-    return VerifySuite(
-        model="harmonic",
-        params={},
-        sections={
-            "factorization": _core_section(m.pair, grid),
-            "vacua": _vacua_section(m.vacua(grid)),
-            "eigenfunctions": _eigen_section(m.pair, pairs1),
-            "intertwining": inter_checks,
-        },
-        notes=tuple(m.notes),
-    )
+# Each model's own sections: (record, pair, grid) -> (sections, notes).  The
+# pair is the record's, or its perturbed copy; the eigenfamilies, pairing
+# targets and closed forms always come from the record.
+
+def _harmonic_sections(m, pair, grid):
+    return _ladder_sections(m, pair, grid), ()
 
 
-def _suite_pseudo_bosonic(grid, params, perturbed=None):
-    """A ``perturbed`` pair replaces the model's own in every operator and
-    vacuum check; the eigenfamilies stay the model's."""
-    k = float(params.get("k", -1.0))
-    m = get_model("pseudo-bosonic", k=k)
-    pair = perturbed or m.pair
-
+def _pseudo_bosonic_sections(m, pair, grid):
     n_pairing = 11
     phis = [m.phi1(n, grid) for n in range(n_pairing)]
     psis = [m.psi1(n, grid) for n in range(n_pairing)]
@@ -200,30 +177,15 @@ def _suite_pseudo_bosonic(grid, params, perturbed=None):
         "pairing matrix is the identity up to level 10",
         biorthogonality_defect(phis, psis), 1e-7,
     )]
-
-    pairs1, pairs2 = _levels(m, grid, 9)
-    inter_checks, _ = _intertwine_section(pair, pairs1, pairs2)
-    identity_report = pb_identities(k=k, n_max=12)
-    v = m.vacua(grid) if perturbed is None else vacua(perturbed, grid)
-    return VerifySuite(
-        model="pseudo-bosonic",
-        params={"k": k},
-        sections={
-            "factorization": _core_section(pair, grid),
-            "vacua": _vacua_section(v),
-            "biorthogonality": bio,
-            "eigenfunctions": _eigen_section(pair, pairs1),
-            "intertwining": inter_checks,
-            "identities": list(identity_report.checks),
-        },
-        notes=tuple(m.notes) + tuple(identity_report.notes),
-    )
+    identity_report = pb_identities(k=m.params["k"], n_max=12)
+    return {
+        "biorthogonality": bio,
+        **_ladder_sections(m, pair, grid),
+        "identities": list(identity_report.checks),
+    }, tuple(identity_report.notes)
 
 
-def _suite_swanson(grid, params):
-    theta = float(params.get("theta", math.pi / 8))
-    m = get_model("swanson", theta=theta)
-
+def _swanson_sections(m, pair, grid):
     n_pairing = 7
     phis = [m.phi1(n, grid) for n in range(n_pairing)]
     psis = [m.psi1(n, grid) for n in range(n_pairing)]
@@ -256,32 +218,23 @@ def _suite_swanson(grid, params):
             1e-4,
         ))
 
-    return VerifySuite(
-        model="swanson",
-        params={"theta": theta},
-        sections={
-            "biorthogonality": bio,
-            "normalization": normalization,
-            "hamiltonian": ham,
-        },
-        notes=tuple(m.notes) + (
-            "no factorized pair is registered for this family; the checks act "
-            "on the rotated oscillator directly",
-        ),
-    )
+    return {
+        "biorthogonality": bio,
+        "normalization": normalization,
+        "hamiltonian": ham,
+    }, ("no factorized pair is registered for this family; the checks act "
+        "on the rotated oscillator directly",)
 
 
-def _suite_black_scholes(grid, params):
-    r = float(params.get("r", 1.0))
-    v0 = float(params.get("v0", 1.0))
-    m = get_model("black-scholes", r=r, v0=v0)
+def _black_scholes_sections(m, pair, grid):
+    r = m.params["r"]
     x0 = m.extras["x0"]
 
     points = [x for x in np.linspace(-6.0, 6.0, 61)
               if x0 is None or abs(x - x0) > 0.25]
     # the pair holds the reduced forms; re-derive the raw assemblies so the
     # checks compare two independent routes instead of an expression to itself
-    w_a, w_b = m.pair.w_a, m.pair.w_b
+    w_a, w_b = pair.w_a, pair.w_b
     q1_raw = w_b - w_a
     v1_raw = w_a * w_b - differentiate(w_a)
     v2_raw = w_a * w_b + differentiate(w_b)
@@ -289,7 +242,7 @@ def _suite_black_scholes(grid, params):
     assembly = [
         CheckResult.from_residual(
             "reduced drift is the exact constant",
-            max(abs(evaluate(m.pair.q1, x) - (1.0 - r)) for x in points),
+            max(abs(evaluate(pair.q1, x) - (1.0 - r)) for x in points),
             1e-300,
         ),
         CheckResult.from_residual(
@@ -320,22 +273,10 @@ def _suite_black_scholes(grid, params):
         agree,
     )]
 
-    return VerifySuite(
-        model="black-scholes",
-        params={"r": r, "v0": v0},
-        sections={
-            "factorization": _core_section(m.pair, grid),
-            "vacua": _vacua_section(m.vacua(grid)),
-            "assembly": assembly,
-            "classification": classification,
-        },
-        notes=tuple(m.notes),
-    )
+    return {"assembly": assembly, "classification": classification}, ()
 
 
-def _suite_deformed_harmonic(grid, params):
-    q = params.get("q")
-    m = get_model("deformed-harmonic", **({"q": q} if q else {}))
+def _deformed_harmonic_sections(m, pair, grid):
     d = m.extras["deformation"]
     base = m.extras["base_eigenfunction"]
 
@@ -350,14 +291,14 @@ def _suite_deformed_harmonic(grid, params):
 
     pairs1 = [(m.energy(n), phis[n]) for n in range(11)]
     pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 11)]
-    inter_checks, inter_recs = _intertwine_section(m.pair, pairs1, pairs2)
+    inter_checks, inter_recs = _intertwine_section(pair, pairs1, pairs2)
 
     doublets = [
         (rec.n, rec.energy, phis[rec.n], phis[rec.n - 1], rec.alpha, rec.beta)
         for rec in inter_recs if rec.alpha is not None
     ]
     vectors = [(phis[n], phis[n - 1]) for n in range(1, 11)]
-    algebra = list(superalgebra_check(m.pair, vectors, doublets=doublets, tol=1e-5))
+    algebra = superalgebra_check(pair, vectors, doublets=doublets, tol=1e-5)
 
     # state family over the model's own ladder
     s = spectrum_from_formula(m.energy, n_basis)
@@ -411,65 +352,63 @@ def _suite_deformed_harmonic(grid, params):
         0.05,
     ))
 
-    return VerifySuite(
-        model="deformed-harmonic",
-        params={"q": m.params["q"]},
-        sections={
-            "factorization": _core_section(m.pair, grid),
-            "vacua": _vacua_section(m.vacua(grid)),
-            "deformation": list(basis_checks),
-            "eigenfunctions": list(eig_checks),
-            "intertwining": inter_checks,
-            "superalgebra": algebra,
-            "states": states,
-        },
-        notes=tuple(m.notes),
-    )
+    return {
+        "deformation": basis_checks,
+        "eigenfunctions": eig_checks,
+        "intertwining": inter_checks,
+        "superalgebra": algebra,
+        "states": states,
+    }, ()
 
 
-_SUITES = {
-    "harmonic": _suite_harmonic,
-    "pseudo-bosonic": _suite_pseudo_bosonic,
-    "swanson": _suite_swanson,
-    "black-scholes": _suite_black_scholes,
-    "deformed-harmonic": _suite_deformed_harmonic,
+_MODEL_SECTIONS = {
+    "harmonic": _harmonic_sections,
+    "pseudo-bosonic": _pseudo_bosonic_sections,
+    "swanson": _swanson_sections,
+    "black-scholes": _black_scholes_sections,
+    "deformed-harmonic": _deformed_harmonic_sections,
 }
 
 
 def suite_names():
-    return sorted(_SUITES)
+    return sorted(_MODEL_SECTIONS)
+
+
+def _suite(m: ModelRecord, pair, grid: Grid) -> VerifySuite:
+    """The record's suite, its operators taken from ``pair``."""
+    sections = {} if pair is None else _pair_sections(m, pair, grid)
+    own, notes = _MODEL_SECTIONS.get(m.name, lambda *_: ({}, ()))(m, pair, grid)
+    return VerifySuite(model=m.name, params=m.params, sections={**sections, **own},
+                       notes=tuple(m.notes) + notes)
 
 
 def verify_model(name: str, grid: Grid | None = None, perturb_wb: str | None = None,
                  **params) -> VerifySuite:
     """Run the named model's suite; a wB perturbation makes it a negative test.
 
-    The perturbation is an expression added to the model's second
-    superpotential before the checks run.  The eigenfamilies and pairing
-    targets stay those of the unperturbed model, which is the point: the
-    suite must notice that the operators no longer belong to them.
+    Unknown model names and parameters raise :class:`ModelError`, as
+    :func:`get_model` does.  The perturbation is an expression added to the
+    second superpotential of any model with a pair (a model without one
+    raises :class:`ModelError`); the perturbed pair keeps the record's
+    singular points.  It replaces the model's pair in every operator and
+    vacuum check, while the eigenfamilies, pairing targets and closed forms
+    stay those of the unperturbed model, which is the point: the suite must
+    notice that the operators no longer belong to them.
 
     A deformation, convergence or representation failure while the suite
     builds is reported as one failing check in a ``suite`` section, with
-    the error in the notes.
+    the error in the notes and the parameters as given.
     """
-    if name not in _SUITES:
-        raise KeyError(f"no verification suite for {name!r}; have {suite_names()}")
     grid = grid or Grid()
-    perturbed = None
-    if perturb_wb is not None:
-        if name != "pseudo-bosonic":
-            raise KeyError(
-                "superpotential perturbation is wired into the pseudo-bosonic suite"
-            )
-        m = get_model(name, **params)
-        wb_src = f"({to_source(m.pair.w_b)}) + ({perturb_wb})"
-        perturbed = build_pair(m.pair.w_a, parse(wb_src))
     try:
-        if perturbed is None:
-            suite = _SUITES[name](grid, params)
-        else:
-            suite = _suite_pseudo_bosonic(grid, params, perturbed)
+        m = get_model(name, **params)
+        pair = m.pair
+        if perturb_wb is not None:
+            if pair is None:
+                raise ModelError(f"model {name!r} has no superpotential pair to perturb")
+            w_b = parse(f"({to_source(pair.w_b)}) + ({perturb_wb})")
+            pair = build_pair(pair.w_a, w_b, singular_points=pair.singular_points)
+        suite = _suite(m, pair, grid)
     except (DeformationError, NonConvergenceError, RepresentationError) as e:
         suite = VerifySuite(
             model=name,
@@ -488,15 +427,8 @@ def verify_model(name: str, grid: Grid | None = None, perturb_wb: str | None = N
 def verify_pair(wa_src: str, wb_src: str, bindings: dict | None = None,
                 grid: Grid | None = None) -> VerifySuite:
     """Factorization core and vacuum checks for a user-supplied pair."""
-    grid = grid or Grid()
+    params = {"wA": wa_src, "wB": wb_src,
+              **{k: float(v) for k, v in (bindings or {}).items()}}
     pair = build_pair(parse(wa_src, bindings), parse(wb_src, bindings))
-    return VerifySuite(
-        model="user-pair",
-        params={"wA": wa_src, "wB": wb_src,
-                **{k: float(v) for k, v in (bindings or {}).items()}},
-        sections={
-            "factorization": _core_section(pair, grid),
-            "vacua": _vacua_section(vacua(pair, grid)),
-        },
-        notes=(),
-    )
+    return _suite(ModelRecord(name="user-pair", params=params, pair=pair, energy=None),
+                  pair, grid or Grid())

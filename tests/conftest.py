@@ -1,0 +1,33 @@
+"""Oracles shared by more than one test module."""
+
+import numpy as np
+import pytest
+
+
+def _gamma_average(f, big_gamma, rel_tol=1e-10, max_refine=18):
+    """(1/2G) * integral of f over [-G, G] by refined composite Simpson.
+
+    For f = exp(i*w*gamma) the result is sin(w*G)/(w*G): bounded by
+    2/(G*|w|), which is the decay the resolution estimator sweeps on.
+    """
+    if big_gamma <= 0:
+        raise ValueError("big_gamma must be positive")
+    m = 128
+    prev = None
+    for _ in range(max_refine):
+        xs = np.linspace(-big_gamma, big_gamma, m + 1)
+        ys = np.asarray(f(xs), dtype=np.complex128)
+        h = 2 * big_gamma / m
+        val = h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
+        val /= 2 * big_gamma
+        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
+            return complex(val)
+        prev = val
+        m *= 2
+    return complex(prev)
+
+
+@pytest.fixture
+def gamma_average():
+    """The angle average by quadrature: the oracle for gk's closed form."""
+    return _gamma_average

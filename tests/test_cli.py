@@ -181,6 +181,14 @@ def test_verify_lists_each_failing_check_on_stderr(tmp_path):
     assert r.stdout == f"{out / 'verify.json'}\n"
 
 
+def test_verify_rejects_an_unknown_binding(tmp_path):
+    r = run_cli("verify", "--model", "pseudo-bosonic", "--bind", "kk=3",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "kk" in r.stderr
+    assert not (tmp_path / "o" / "verify.json").exists()
+
+
 def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     # the deformed basis fails its orthonormality guard on this coarse grid
     out = tmp_path / "o"

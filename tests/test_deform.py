@@ -16,7 +16,7 @@ from susyq.deform import (
     sandwich_residual,
 )
 from susyq.expr import evaluate, parse
-from susyq.models import get_model, hermite_function
+from susyq.models import get_model
 from susyq.numerics import Grid, GridFunction, inner, norm, relative_residual, sample
 from susyq.susy import apply_H1, intertwine_check
 
@@ -33,7 +33,8 @@ def d(grid):
 
 @pytest.fixture(scope="module")
 def base(grid):
-    return [GridFunction(grid, hermite_function(n, grid.x)) for n in range(9)]
+    oscillator = get_model("harmonic")
+    return [oscillator.phi1(n, grid) for n in range(9)]
 
 
 def test_bound_scan(d):

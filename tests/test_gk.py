@@ -26,7 +26,7 @@ from susyq.gk import (
 )
 from susyq.gk import _sinc  # noqa: F401
 from susyq.models import get_model
-from susyq.numerics import Grid, GridFunction, gamma_average, inner, norm
+from susyq.numerics import Grid, GridFunction, inner, norm
 from susyq.susy import apply_A, apply_H1
 
 
@@ -349,7 +349,7 @@ def test_unsolved_spectra_are_reported_not_guessed():
 # ---------------------------------------------------------------------------
 # resolving the identity
 
-def test_angle_average_closed_form_matches_quadrature():
+def test_angle_average_closed_form_matches_quadrature(gamma_average):
     for w, big_gamma in ((1.7, 50.0), (-2.3, 25.0), (0.4, 200.0)):
         averaged = gamma_average(lambda g: np.exp(1j * w * g), big_gamma)
         assert abs(averaged - _sinc(np.array([w * big_gamma]))[0]) <= 1e-9

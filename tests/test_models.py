@@ -14,7 +14,6 @@ from susyq.models import (
     bs_numeric_flags,
     get_model,
     hermite,
-    hermite_function,
     models_list,
     pb_identities,
     pb_polynomials,
@@ -37,6 +36,12 @@ def grid():
 
 # ---------------------------------------------------------------------------
 # hermite oracle
+
+def hermite_function(n, x):
+    """Orthonormal oscillator eigenfunction H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi))."""
+    scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return hermite(n, x) * np.exp(-np.asarray(x) ** 2 / 2) / scale
+
 
 def test_hermite_matches_numpy_hermval():
     xs = np.linspace(-3, 3, 11)

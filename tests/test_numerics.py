@@ -22,7 +22,6 @@ from susyq.numerics import (
     cumulative_antiderivative,
     derivative,
     fitted_decay_exponents,
-    gamma_average,
     inner,
     integrate_halfline,
     norm,
@@ -394,7 +393,7 @@ def test_biorthogonality_defect_reports_a_planted_off_diagonal_entry():
     assert biorthogonality_defect(right, e) == 0.25
 
 
-def test_gamma_average_matches_sinc():
+def test_gamma_average_matches_sinc(gamma_average):
     big = 50.0
     for w in (1.0, 2.0, 5.5):
         got = gamma_average(lambda t, w=w: np.exp(1j * w * t), big)
@@ -403,7 +402,7 @@ def test_gamma_average_matches_sinc():
         assert abs(got) <= 2.0 / (big * w)
 
 
-def test_gamma_average_of_constant_is_constant():
+def test_gamma_average_of_constant_is_constant(gamma_average):
     assert abs(gamma_average(lambda t: np.ones_like(t) * (3 - 4j), 7.0) - (3 - 4j)) < 1e-12
 
 

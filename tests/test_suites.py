@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from susyq.models import ModelError
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
 
@@ -63,7 +64,7 @@ def test_payload_is_json_stable(grid):
 
 
 def test_unknown_model_lists_the_known_suites():
-    with pytest.raises(KeyError, match="deformed-harmonic"):
+    with pytest.raises(ModelError, match="deformed-harmonic"):
         verify_model("no-such-model")
 
 
@@ -78,9 +79,19 @@ def test_perturbed_second_superpotential_is_detected(grid):
     assert any("perturbed" in n for n in s.notes)
 
 
-def test_perturbation_is_rejected_for_other_models(grid):
-    with pytest.raises(KeyError, match="pseudo-bosonic"):
-        verify_model("harmonic", grid=grid, perturb_wb="0.05 * x")
+def test_every_pair_model_notices_a_perturbed_second_superpotential(grid):
+    for name in ("black-scholes", "deformed-harmonic", "harmonic", "pseudo-bosonic"):
+        s = verify_model(name, grid=grid, perturb_wb="0.05 * x")
+        assert not s.all_pass(), name
+        # the perturbed pair keeps the model's singular points, so it still
+        # factorizes its own Hamiltonians, black-scholes' pole included
+        assert all(c.passed for c in s.sections["factorization"]), name
+        assert s.notes[-1] == "second superpotential perturbed by 0.05 * x"
+
+
+def test_perturbation_needs_a_pair(grid):
+    with pytest.raises(ModelError, match="swanson"):
+        verify_model("swanson", grid=grid, perturb_wb="0.05 * x")
 
 
 def test_user_pair_suite_runs_core_and_vacua(grid):

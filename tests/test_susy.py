@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
 from susyq.expr import parse
-from susyq.numerics import Grid, GridFunction, default_grid, inner, norm, sample
+from susyq.numerics import Grid, GridFunction, default_grid, inner, interior_norm, norm, sample
 from susyq.reporting import all_pass
 from susyq.susy import (
     apply_A,
@@ -261,8 +261,6 @@ def test_superalgebra_reports_broken_anticommutator():
     f = sample(parse("exp(0 - x^2 / 2) * (1 + x)"), g)
     h = sample(parse("exp(0 - x^2 / 2) * x"), g)
     # apply the charges of one pair against the Hamiltonian of another
-    from susyq.susy import _h_diag, _q_a, _q_b
-
     v = (f, h)
     anti = tuple(
         GridFunction(a.grid, a.values + b.values)
@@ -276,11 +274,43 @@ def test_superalgebra_reports_broken_anticommutator():
     assert defect > 1e-3
 
 
-def _superalgebra_recomputing_charges(p, test_vectors, doublets):
-    """The superalgebra check as it was before Q_A v and Q_B v were shared:
-    each charge image is recomputed wherever it is used."""
+# The 2x2 block form of the superalgebra, every operator applied to both
+# components of a two-component vector, zero blocks included: the oracle the
+# sector-by-sector check must reproduce.
+
+def _zero_like(grid):
+    return GridFunction(grid, np.zeros(grid.n_points, dtype=np.complex128))
+
+
+def _q_a(p, v):
+    f, _ = v
+    return (_zero_like(f.grid), apply_A(p, f.materialize()))
+
+
+def _q_b(p, v):
+    _, g = v
+    return (apply_B(p, g.materialize()), _zero_like(g.grid))
+
+
+def _h_diag(p, v):
+    f, g = v
+    return (apply_H1(p, f.materialize()), apply_H2(p, g.materialize()))
+
+
+def _vector_norm(p, v):
+    ex = list(p.singular_points)
+    return float(np.hypot(interior_norm(v[0], exclude=ex), interior_norm(v[1], exclude=ex)))
+
+
+def _pair_residual(p, got, want, scale):
+    diff = tuple(g - w for g, w in zip(got, want))
+    return _vector_norm(p, diff) / max(scale, 1e-300)
+
+
+def _superalgebra_in_blocks(p, test_vectors, doublets):
+    """The superalgebra check with each charge and Hamiltonian applied as a
+    2x2 block operator, each charge image recomputed wherever it is used."""
     from susyq.reporting import CheckResult
-    from susyq.susy import _h_diag, _pair_residual, _q_a, _q_b, _vector_norm, _zero_like
     from susyq.numerics import relative_residual
 
     tol = 1e-5
@@ -339,7 +369,7 @@ def _deformed_superalgebra_input():
 def test_superalgebra_shares_the_charge_images_bit_for_bit():
     p, vectors, doublets = _deformed_superalgebra_input()
     got = superalgebra_check(p, vectors, doublets=doublets)
-    want = _superalgebra_recomputing_charges(p, vectors, doublets)
+    want = _superalgebra_in_blocks(p, vectors, doublets)
     assert [r.check for r in got] == [r.check for r in want]
     assert [r.passed for r in got] == [r.passed for r in want]
     residuals = np.array([[r.residual for r in got], [r.residual for r in want]])
@@ -363,11 +393,11 @@ def test_superalgebra_applies_each_charge_once_per_vector(monkeypatch):
         monkeypatch.setattr(susyq.susy, name, counting(getattr(susyq.susy, name), "apply"))
     monkeypatch.setattr(susyq.susy, "derivative", counting(susyq.numerics.derivative, "derivative"))
     superalgebra_check(p, vectors, doublets=doublets)
-    # per vector: Q_A v, Q_B v, Q_A Q_A v, Q_B Q_B v, H v (2), the
-    # anticommutator (2), H Q_A v (2), Q_A H v, H Q_B v (2), Q_B H v; per
-    # doublet: two mapping images and two annihilations
-    assert counts["apply"] == 14 * len(vectors) + 4 * len(doublets)
-    assert counts["derivative"] == 20 * len(vectors) + 4 * len(doublets)
+    # per vector: A f, B g, H1 f and H2 g (two derivatives each), B A f,
+    # A B g, H2 A f (two), A H1 f, H1 B g (two) and B H2 g, no operator on a
+    # zero block; per doublet: the two mapping images
+    assert counts["apply"] == 10 * len(vectors) + 2 * len(doublets)
+    assert counts["derivative"] == 14 * len(vectors) + 2 * len(doublets)
 
 
 bounded = st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3)
