@@ -6,9 +6,10 @@ coefficients K(J) J^(n/2) exp(-i E_n gamma) / sqrt(rho_n).  This module
 builds those states with certified truncation tails, computes the
 normalization K(J) and the (J, gamma) region where the series converge,
 solves the moment problem for recognized spectra, estimates how well the
-family resolves the identity, evolves states in time, and realizes the
-gamma-dependent lowering operators under which each state is an
-eigenvector with eigenvalue sqrt(J).
+family resolves the identity (its J moments refined on nodes shared by all
+powers, each power keeping its own Simpson sum and stop test), evolves
+states in time, and realizes the gamma-dependent lowering operators under
+which each state is an eigenvector with eigenvalue sqrt(J).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .numerics import (
     GridFunction,
-    _panel_simpson,
     _same_scale,
     inner,
     integrate_halfline,
@@ -599,15 +599,36 @@ def moment_density(s: Spectrum, density=None) -> MomentDensity:
     )
 
 
-def _finite_power_moment(density, power: float, j_upper: float) -> float:
+def _finite_power_moments(density, powers, j_upper: float) -> list:
+    """Integrals of J^p times the density over [0, j_upper], one per power.
+
+    Each power is the refined Simpson of ``numerics._panel_simpson`` with
+    its own arithmetic and stop test, but the powers share one ladder: each
+    level's nodes and density values are computed once for every power
+    still refining.  A power that never settles keeps its last value.
+    """
     # substitute J = u^2 so half-integer powers stay smooth at the origin
     b = math.sqrt(j_upper)
-    return _panel_simpson(
-        lambda u, p=power: 2.0 * u ** (2.0 * p + 1.0) * np.asarray(density(u * u), dtype=float),
-        0.0,
-        b,
-        rel_tol=1e-11,
-    )
+    values, refining = [None] * len(powers), range(len(powers))
+    m = 8
+    for _ in range(14):  # _panel_simpson's max_refine
+        u = np.linspace(0.0, b, m + 1)
+        dens = np.asarray(density(u * u), dtype=float)
+        h = b / m
+        still = []
+        for i in refining:
+            # one 1-D power per exponent: a 2-D broadcast power differs in bits
+            ys = 2.0 * u ** (2.0 * powers[i] + 1.0) * dens
+            val = h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
+            settled = values[i] is not None and abs(val - values[i]) <= 1e-11 * max(1.0, abs(val))
+            values[i] = val
+            if not settled:
+                still.append(i)
+        refining = still
+        if not refining:
+            break
+        m *= 2
+    return values
 
 
 def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
@@ -631,7 +652,7 @@ def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
                 * np.asarray(md.density(jv), dtype=float)
             ).value
         else:
-            got = _finite_power_moment(md.density, float(n), float(j_upper))
+            (got,) = _finite_power_moments(md.density, [float(n)], float(j_upper))
         err = abs(got - want) / abs(want)
         checks.append(CheckResult.from_residual(f"moment n={n}", err, rel_tol))
     return checks
@@ -684,7 +705,10 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
     K^2 cancels between the coefficients and the measure.  Off-diagonal
     terms die like 1/Gamma, diagonal ones approach the exact moments, so
     the trace converges toward <f, g> in the joint limit and its points
-    report the approach rather than assert a fixed tolerance.
+    report the approach rather than assert a fixed tolerance.  The J moments
+    of all half-integer powers share one Simpson refinement ladder per upper
+    limit: each level's nodes and density values are computed once, and each
+    power keeps the arithmetic and stop test of a refinement of its own.
     """
     if not md.solved or md.density is None:
         raise GKError("resolution estimate needs a solved moment density")
@@ -712,8 +736,7 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
         return _sinc(big_gamma * delta)
 
     def t_matrix(upper):
-        powers = [_finite_power_moment(md.density, 0.5 * p, upper)
-                  for p in range(2 * n - 1)]
+        powers = _finite_power_moments(md.density, [0.5 * p for p in range(2 * n - 1)], upper)
         t = np.empty((n, n), dtype=np.complex128)
         for a in range(n):
             for b in range(n):

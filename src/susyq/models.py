@@ -123,7 +123,7 @@ class _HermiteLadder:
     """
 
     def __init__(self):
-        self._key = None
+        self._key = self._envelope_key = None
 
     def __call__(self, n: int, grid: Grid, c=None) -> np.ndarray:
         if n < 0:
@@ -146,6 +146,13 @@ class _HermiteLadder:
             self._level, self._h, self._h_prev = m + 1, h_prev, h
         return self._h.copy()
 
+    def envelope(self, grid: Grid, c, make) -> np.ndarray:
+        """``make(grid)``, the Gaussian its levels are multiplied by, held for
+        the last (grid, c) only.  Callers read it and never write it."""
+        if (grid, c) != self._envelope_key:
+            self._envelope_key, self._envelope = (grid, c), make(grid)
+        return self._envelope
+
 
 def _ladder_argument(grid: Grid, c) -> np.ndarray:
     return grid.x if c is None else c * grid.x
@@ -158,7 +165,8 @@ def _hermite_functions():
 
     def fn(n, grid):
         scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-        return ladder(n, grid) * np.exp(-grid.x ** 2 / 2) / scale
+        env = ladder.envelope(grid, None, lambda g: np.exp(-g.x ** 2 / 2))
+        return ladder(n, grid) * env / scale
 
     return fn
 
@@ -283,16 +291,14 @@ def swanson_model(theta: float = math.pi / 8) -> ModelRecord:
     n1 = cmath.exp(1j * theta / 2) / math.pi**0.25
     n2 = cmath.exp(-1j * theta / 2) / math.pi**0.25
     rot = cmath.exp(1j * theta)
-    ladder = _HermiteLadder()  # shared: one family's levels at a time
+    ladder = _HermiteLadder()  # shared: one family's levels and envelope at a time
 
     def family(norm_const, rotation):
         def gen(n, grid):
-            values = (
-                norm_const
-                / math.sqrt(2.0**n * math.factorial(n))
-                * ladder(n, grid, rotation)
-                * np.exp(-0.5 * rotation**2 * grid.x**2)
-            )
+            env = ladder.envelope(grid, rotation,
+                                  lambda g: np.exp(-0.5 * rotation**2 * g.x**2))
+            values = (norm_const / math.sqrt(2.0**n * math.factorial(n))
+                      * ladder(n, grid, rotation) * env)
             return GridFunction(grid, values)
 
         return gen

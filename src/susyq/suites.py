@@ -100,8 +100,10 @@ class VerifySuite:
 
 def _pair_sections(m, pair, grid):
     """Factorization core and vacuum annihilation of ``pair``, with the
-    record's own vacua when it is the record's pair."""
-    v = m.vacua(grid) if pair is m.pair else vacua(pair, grid)
+    record's own vacua when it is the record's pair; also the in-L2 flags of
+    those vacua in ``records()`` order, or None for another pair."""
+    own = pair is m.pair
+    v = m.vacua(grid) if own else vacua(pair, grid)
     probe = probe_function(grid, pair.singular_points)
     # modulate so the probe cannot sit in the kernel of a first-order factor
     # (the bare Gaussian is exactly the oscillator vacuum)
@@ -117,7 +119,7 @@ def _pair_sections(m, pair, grid):
         "vacua": [CheckResult.from_residual(f"{rec.label} is annihilated by its factor",
                                             rec.annihilation_residual, 1e-6)
                   for rec in v.records()],
-    }
+    }, (tuple(rec.in_l2 for rec in v.records()) if own else None)
 
 
 def _intertwine_section(pair, pairs1, pairs2, tol=1e-5):
@@ -165,11 +167,11 @@ def _ladder_sections(m, pair, grid):
 # pair is the record's, or its perturbed copy; the eigenfamilies, pairing
 # targets and closed forms always come from the record.
 
-def _harmonic_sections(m, pair, grid):
+def _harmonic_sections(m, pair, grid, own_in_l2):
     return _ladder_sections(m, pair, grid), ()
 
 
-def _pseudo_bosonic_sections(m, pair, grid):
+def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
     n_pairing = 11
     phis = [m.phi1(n, grid) for n in range(n_pairing)]
     psis = [m.psi1(n, grid) for n in range(n_pairing)]
@@ -185,7 +187,7 @@ def _pseudo_bosonic_sections(m, pair, grid):
     }, tuple(identity_report.notes)
 
 
-def _swanson_sections(m, pair, grid):
+def _swanson_sections(m, pair, grid, own_in_l2):
     n_pairing = 7
     phis = [m.phi1(n, grid) for n in range(n_pairing)]
     psis = [m.psi1(n, grid) for n in range(n_pairing)]
@@ -226,7 +228,7 @@ def _swanson_sections(m, pair, grid):
         "on the rotated oscillator directly",)
 
 
-def _black_scholes_sections(m, pair, grid):
+def _black_scholes_sections(m, pair, grid, own_in_l2):
     r = m.params["r"]
     x0 = m.extras["x0"]
 
@@ -264,8 +266,9 @@ def _black_scholes_sections(m, pair, grid):
     ]
 
     analytic = bs_classification(r)
-    numeric = bs_numeric_flags(m, grid)
-    agree = analytic.flags() == numeric.flags()
+    # the record's own vacua, also when a perturbed pair drives the other checks
+    numeric = own_in_l2 if own_in_l2 is not None else bs_numeric_flags(m, grid).flags()
+    agree = analytic.flags() == numeric
     classification = [CheckResult(
         "asymptotic-exponent classifier agrees with the case table",
         0.0 if agree else 1.0,
@@ -276,7 +279,7 @@ def _black_scholes_sections(m, pair, grid):
     return {"assembly": assembly, "classification": classification}, ()
 
 
-def _deformed_harmonic_sections(m, pair, grid):
+def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     d = m.extras["deformation"]
     base = m.extras["base_eigenfunction"]
 
@@ -376,8 +379,8 @@ def suite_names():
 
 def _suite(m: ModelRecord, pair, grid: Grid) -> VerifySuite:
     """The record's suite, its operators taken from ``pair``."""
-    sections = {} if pair is None else _pair_sections(m, pair, grid)
-    own, notes = _MODEL_SECTIONS.get(m.name, lambda *_: ({}, ()))(m, pair, grid)
+    sections, own_in_l2 = ({}, None) if pair is None else _pair_sections(m, pair, grid)
+    own, notes = _MODEL_SECTIONS.get(m.name, lambda *_: ({}, ()))(m, pair, grid, own_in_l2)
     return VerifySuite(model=m.name, params=m.params, sections={**sections, **own},
                        notes=tuple(m.notes) + notes)
 

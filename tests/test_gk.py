@@ -24,9 +24,9 @@ from susyq.gk import (
     resolution_estimate,
     spectrum_from_formula,
 )
-from susyq.gk import _sinc  # noqa: F401
+from susyq.gk import _finite_power_moments, _sinc  # noqa: F401
 from susyq.models import get_model
-from susyq.numerics import Grid, GridFunction, inner, norm
+from susyq.numerics import Grid, GridFunction, _panel_simpson, inner, norm
 from susyq.susy import apply_A, apply_H1
 
 
@@ -325,6 +325,48 @@ def test_finite_upper_limit_reports_lost_mass():
     checks = moment_residuals(lin, md, n_max=10, j_upper=5.0)
     assert not checks[-1].passed  # the n=10 moment lives mostly beyond J=5
     assert checks[0].residual < checks[-1].residual
+
+
+def _oracle_moment(density, power, j_upper):
+    """One power on its own refinement ladder: the per-power Simpson that the
+    shared-node moments must reproduce bit for bit."""
+    calls = []
+
+    def integrand(u):
+        calls.append(len(u))
+        return 2.0 * u ** (2.0 * power + 1.0) * np.asarray(density(u * u), dtype=float)
+
+    value = _panel_simpson(integrand, 0.0, math.sqrt(j_upper), rel_tol=1e-11)
+    return value, len(calls)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("model", ["harmonic", "deformed-harmonic"])
+@pytest.mark.parametrize("n", [12, 26])
+@pytest.mark.parametrize("frac", [0.25, 0.5, 1.0])
+def test_shared_ladder_moments_match_per_power_simpson_bit_for_bit(model, n, frac):
+    s = spectrum_from_formula(get_model(model).energy, n)
+    md = moment_density(s)
+    assert md.label.startswith("exponential")
+    j_upper = max(10.0, 40.0 * s.min_gap) * frac  # resolution_estimate's j_max default
+    powers = [0.5 * p for p in range(2 * n - 1)]
+    got = _finite_power_moments(md.density, powers, j_upper)
+    want = [_oracle_moment(md.density, p, j_upper)[0] for p in powers]
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_shared_ladder_moments_keep_the_last_value_of_an_unsettled_power():
+    def density(j):  # unresolved at every level: Simpson never settles
+        return np.cos(1e9 * np.asarray(j, dtype=float))
+
+    powers = [0.0, 0.5, 3.0]
+    want = [_oracle_moment(density, p, 9.0) for p in powers]
+    assert all(levels == 14 for _, levels in want)  # max_refine exhausted
+    got = _finite_power_moments(density, powers, 9.0)
+    assert np.array_equal(_bits(got), _bits([value for value, _ in want]))
 
 
 def test_user_supplied_density_is_adopted_and_verified():

@@ -167,6 +167,54 @@ def test_ladder_levels_are_fresh_arrays_on_the_last_grid_only():
         ladder(-1, small)
 
 
+def _ladders_of(gen):
+    """The Hermite ladders a generator reaches through its closures."""
+    from susyq.models import _HermiteLadder
+
+    found, todo, seen = [], [gen], set()
+    while todo:
+        fn = todo.pop()
+        if id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, _HermiteLadder):
+                found.append(value)
+            elif callable(value) and hasattr(value, "__closure__"):
+                todo.append(value)
+    return found
+
+
+def _held_arrays(ladder):
+    return [a for a in vars(ladder).values() if isinstance(a, np.ndarray)]
+
+
+def test_each_generator_holds_one_envelope_of_the_last_grid():
+    small, large = Grid(12.0, 33), Grid(12.0, 65)
+    for case, (gen, oracle) in _ladder_cases().items():
+        for n, g in [(3, large), (1, large), (2, small)]:
+            got, want = gen(n, g), oracle(n, g)
+            assert _same_bits(got.values, want.values), (case, n, g)
+        ladders = _ladders_of(gen)
+        assert len(ladders) == 1, case
+        held = _held_arrays(ladders[0])
+        # two recurrence levels and one envelope, all on the last grid
+        assert len(held) == 3 and all(a.shape == (small.n_points,) for a in held), case
+
+
+def test_swanson_families_share_one_envelope_slot_across_a_grid_switch():
+    cases = _ladder_cases()
+    (phi, phi_oracle), (psi, psi_oracle) = cases["swanson phi1"], cases["swanson psi1"]
+    (ladder,) = set(_ladders_of(phi)) | set(_ladders_of(psi))
+    small, large = Grid(12.0, 33), Grid(12.0, 16385)
+    for n, g in [(2, large), (2, large), (4, small), (1, large), (3, small), (0, small)]:
+        assert _same_bits(phi(n, g).values, phi_oracle(n, g).values), (n, g)
+        assert _same_bits(psi(n, g).values, psi_oracle(n, g).values), (n, g)
+        held = _held_arrays(ladder)
+        assert len(held) == 3 and all(a.shape == (g.n_points,) for a in held), (n, g)
+
+
 # ---------------------------------------------------------------------------
 # registry
 

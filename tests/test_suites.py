@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from susyq.models import ModelError
+from susyq.models import ModelError, ModelRecord
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
 
@@ -87,6 +87,31 @@ def test_every_pair_model_notices_a_perturbed_second_superpotential(grid):
         # factorizes its own Hamiltonians, black-scholes' pole included
         assert all(c.passed for c in s.sections["factorization"]), name
         assert s.notes[-1] == "second superpotential perturbed by 0.05 * x"
+
+
+def _count_record_vacua(monkeypatch):
+    calls = []
+    record_vacua = ModelRecord.vacua
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return record_vacua(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelRecord, "vacua", counted)
+    return calls
+
+
+@pytest.mark.parametrize("perturb_wb", [None, "0.05 * x"])
+def test_black_scholes_suite_computes_the_record_vacua_once(grid, suites, monkeypatch,
+                                                            perturb_wb):
+    calls = _count_record_vacua(monkeypatch)
+    s = verify_model("black-scholes", grid=grid, perturb_wb=perturb_wb)
+    # the vacua section and the classification share them; a perturbed pair
+    # checks its own vacua, and the classification still reads the record's
+    assert calls == ["black-scholes"]
+    classification = s.sections["classification"]
+    assert classification == suites["black-scholes"].sections["classification"]
+    assert all(c.passed for c in classification)
 
 
 def test_perturbation_needs_a_pair(grid):
