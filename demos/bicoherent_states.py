@@ -17,6 +17,7 @@ from susyq import (
     build_state,
     evolve,
     get_model,
+    inner,
     lowering_defect,
     moment_density,
     moment_residuals,
@@ -43,7 +44,7 @@ psi = build_state(psis, s, "psi", j=1.0, gamma=0.4)
 print("terms kept:", phi.n_terms, " tail estimate:", phi.tail)
 
 print("pair norm (coefficients):", pair_norm(phi, psi))
-print("pair norm (grid):        ", pair_norm(phi, psi, route="grid"))
+print("pair norm (grid):        ", inner(phi.function, psi.function))
 print("action identity <psi, H phi> =", action_identity(phi, psi))
 
 later = evolve(phi, 0.6)

@@ -47,7 +47,7 @@ from .models import (
     get_model,
     models_list,
 )
-from .numerics import Grid, PoleOnGridError, RepresentationError, norm
+from .numerics import Grid, PoleOnGridError, RepresentationError, inner, norm
 from .suites import verify_model, verify_pair
 from .susy import build_pair, vacua as pair_vacua
 
@@ -116,6 +116,14 @@ def _parse_bind_token(token: str):
         return name, text  # expression-valued parameters stay strings
 
 
+def _number(kind, key: str, value):
+    """``kind(value)``; a value that is not a number is a configuration error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from e
+
+
 def _merge_config(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -172,13 +180,12 @@ def _merge_config(args) -> RunConfig:
     r_values = pick("r_values", "r_values", None)
     if r_values is None:
         r_values = _R_VALUES_DEFAULT
-    elif isinstance(r_values, str):
-        try:
-            r_values = tuple(float(t) for t in r_values.split(",") if t.strip())
-        except ValueError as e:
-            raise ConfigError(f"bad r-values list: {e}") from e
     else:
-        r_values = tuple(float(t) for t in r_values)
+        if isinstance(r_values, str):
+            r_values = [t for t in r_values.split(",") if t.strip()]
+        elif not isinstance(r_values, list):
+            raise ConfigError("r_values must be a list of numbers or a comma-separated string")
+        r_values = tuple(_number(float, "r_values entry", t) for t in r_values)
 
     fmt = pick("fmt", "format", "csv")
     if fmt not in ("csv", "json"):
@@ -193,15 +200,15 @@ def _merge_config(args) -> RunConfig:
         w_a=pick("wA", "wA", None),
         w_b=pick("wB", "wB", None),
         bind=bind,
-        grid_l=float(pick("grid_l", "_ignored_", grid_cfg.get("L", 12.0))),
-        grid_n=int(grid_n),
+        grid_l=_number(float, "grid.L", pick("grid_l", "_ignored_", grid_cfg.get("L", 12.0))),
+        grid_n=_number(int, "grid.N", grid_n),
         tolerances=tolerances,
         out=pick("out", "out", "susyq-out"),
         fmt=fmt,
-        j=float(pick("j", "J", 1.0)),
-        gamma=float(pick("gamma", "gamma", 0.0)),
+        j=_number(float, "J", pick("j", "J", 1.0)),
+        gamma=_number(float, "gamma", pick("gamma", "gamma", 0.0)),
         family=family,
-        n_terms=int(pick("n_terms", "n_terms", 26)),
+        n_terms=_number(int, "n_terms", pick("n_terms", "n_terms", 26)),
         j_max=pick("j_max", "j_max", None),
         spectrum_file=pick("spectrum_file", "spectrum_file", None),
         normalization=pick("normalization", "normalization", "raw"),
@@ -210,7 +217,7 @@ def _merge_config(args) -> RunConfig:
         numeric=bool(pick("numeric", "numeric", False)),
     )
     if cfg.j_max is not None:
-        cfg.j_max = float(cfg.j_max)
+        cfg.j_max = _number(float, "j_max", cfg.j_max)
     return cfg
 
 
@@ -525,7 +532,7 @@ def _cmd_gk(cfg: RunConfig) -> list:
     state, partner = ((phi_state, psi_state) if cfg.family == "phi"
                       else (psi_state, phi_state))
 
-    norms = pair_norm(phi_state, psi_state, route="both")
+    pair_value = pair_norm(phi_state, psi_state)
     action_value, action_note = None, None
     try:
         action_value = action_identity(phi_state, psi_state)
@@ -594,8 +601,8 @@ def _cmd_gk(cfg: RunConfig) -> list:
             "notes": list(domain.notes),
         },
         "values": {
-            "pair_norm_coefficients": norms["coefficients"],
-            "pair_norm_grid": norms["grid"],
+            "pair_norm_coefficients": pair_value,
+            "pair_norm_grid": inner(phi_state.function, psi_state.function),
             "action_identity": action_value,
             "action_note": action_note,
             "lowering_defect": lowering_defect(state),
@@ -628,7 +635,7 @@ def _cmd_bs_classify(cfg: RunConfig) -> list:
         row_obj = bs_classification(r)
         row = list(row_obj.flags())
         if cfg.numeric:
-            m = get_model("black-scholes", r=r, v0=float(cfg.bind.get("v0", 1.0)))
+            m = get_model("black-scholes", r=r, v0=cfg.bind.get("v0", 1.0))
             row.append(bs_numeric_flags(m, grid).flags() == row_obj.flags())
         rows.append(row)
     columns = [np.array(cfg.r_values, dtype=float)]

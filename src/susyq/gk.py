@@ -65,24 +65,22 @@ class GKError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with their running products and square roots.
+    """Eigenvalues with their running products rho_n = E_1*...*E_n.
 
-    ``sqrt_rho`` uses the accumulated argument of the factors, so each step
-    satisfies sqrt_rho[n] = sqrt_rho[n-1] * sqrt(E_n) with the principal
-    square root, without branch jumps as the accumulated phase passes pi.
-    ``radius`` is the estimated convergence radius of the K series: the
-    modulus of the last eigenvalue, promoted to infinity when the tail
-    moduli are still growing at full strength.
+    The products are kept as log|rho_n| and the accumulated argument
+    ``theta``; ``sqrt_rho`` uses that argument, so each step satisfies
+    sqrt_rho[n] = sqrt_rho[n-1] * sqrt(E_n) with the principal square root,
+    without branch jumps as the accumulated phase passes pi.  ``radius`` is
+    the estimated convergence radius of the K series: the modulus of the
+    last eigenvalue, promoted to infinity when the tail moduli are still
+    growing at full strength.  The notes say how the tail behaved.
     """
 
     energies: np.ndarray
-    rho: np.ndarray
     log_abs_rho: np.ndarray
     theta: np.ndarray
     sqrt_rho: np.ndarray
-    radius_estimate: float
     radius: float
-    radius_trend: str
     min_gap: float
     multiplicity_one: bool
     delta_e_tail: float
@@ -109,8 +107,6 @@ def build_spectrum(energies) -> Spectrum:
     theta = np.zeros(n)
     log_abs[1:] = np.cumsum(np.log(np.abs(e[1:])))
     theta[1:] = np.cumsum(np.angle(e[1:]))
-    rho = np.ones(n, dtype=np.complex128)
-    rho[1:] = np.cumprod(e[1:])
     sqrt_rho = np.exp(0.5 * log_abs + 0.5j * theta)
 
     notes = []
@@ -118,28 +114,20 @@ def build_spectrum(energies) -> Spectrum:
     tail = moduli[-min(10, n):]
     scale = max(1.0, float(tail.max()))
     diffs = np.diff(tail)
-    radius_estimate = float(moduli[-1])
+    radius = float(moduli[-1])
     if len(diffs) and np.all(diffs > 1e-9 * scale):
         if diffs[-1] < 0.8 * diffs[0]:
-            trend = "stabilizing"
-            radius = radius_estimate
             notes.append(
                 "radius estimated from a still-rising tail; certified J values "
                 "stay conservative"
             )
         else:
-            trend = "increasing"
             radius = math.inf
             notes.append(
                 "tail moduli grow without stabilizing; treating the radius as "
                 "unbounded"
             )
-    elif len(diffs) == 0 or np.max(np.abs(diffs)) <= 1e-6 * scale:
-        trend = "stable"
-        radius = radius_estimate
-    else:
-        trend = "irregular"
-        radius = radius_estimate
+    elif len(diffs) and np.max(np.abs(diffs)) > 1e-6 * scale:
         notes.append("tail moduli are not monotone-stable; radius estimate is rough")
 
     gaps = np.abs(e[:, None] - e[None, :])
@@ -152,13 +140,10 @@ def build_spectrum(energies) -> Spectrum:
 
     return Spectrum(
         energies=e,
-        rho=rho,
         log_abs_rho=log_abs,
         theta=theta,
         sqrt_rho=sqrt_rho,
-        radius_estimate=radius_estimate,
         radius=radius,
-        radius_trend=trend,
         min_gap=min_gap,
         multiplicity_one=multiplicity_one,
         delta_e_tail=delta_e_tail,
@@ -224,7 +209,6 @@ def _fit_norm_bound(norms, label: str):
     a = math.exp(intercept + resid.max())
     notes = []
     if resid.max() - resid.min() <= 1.0:
-        m_seq = None
         m_limit = 1.0
     else:
         m_seq = np.exp(resid - resid.max())
@@ -234,7 +218,7 @@ def _fit_norm_bound(norms, label: str):
             f"{label} norms deviate from a pure geometric envelope; "
             "using a level-dependent correction"
         )
-    return a, r, m_seq, m_limit, notes
+    return a, r, m_limit, notes
 
 
 @dataclass(eq=False)
@@ -243,12 +227,10 @@ class GKDomain:
 
     a_phi: float
     r_phi: float
-    m_phi: np.ndarray | None
     m_phi_limit: float
     j_phi: float
     a_psi: float
     r_psi: float
-    m_psi: np.ndarray | None
     m_psi_limit: float
     j_psi: float
     radius: float
@@ -266,8 +248,8 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms, delta_e_tol: float = 1e-8) -> G
     of the series bound is uncontrolled and the whole domain collapses to
     J_min = 0.
     """
-    a_phi, r_phi, m_phi, ml_phi, n1 = _fit_norm_bound(phi_norms, "phi")
-    a_psi, r_psi, m_psi, ml_psi, n2 = _fit_norm_bound(psi_norms, "psi")
+    a_phi, r_phi, ml_phi, n1 = _fit_norm_bound(phi_norms, "phi")
+    a_psi, r_psi, ml_psi, n2 = _fit_norm_bound(psi_norms, "psi")
 
     def side_limit(m_limit, r):
         if math.isinf(s.radius):
@@ -288,12 +270,10 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms, delta_e_tol: float = 1e-8) -> G
     return GKDomain(
         a_phi=a_phi,
         r_phi=r_phi,
-        m_phi=m_phi,
         m_phi_limit=ml_phi,
         j_phi=j_phi,
         a_psi=a_psi,
         r_psi=r_psi,
-        m_psi=m_psi,
         m_psi_limit=ml_psi,
         j_psi=j_psi,
         radius=s.radius,
@@ -488,36 +468,28 @@ def _require_partners(phi_state: GKState, psi_state: GKState):
         raise GKError("states were built over different spectra")
 
 
-def pair_norm(phi_state: GKState, psi_state: GKState, route: str = "coefficients"):
+def pair_norm(phi_state: GKState, psi_state: GKState) -> complex:
     """<phi(J,gamma), psi(J,gamma)>, equal to one by the choice of K.
 
-    The coefficient route contracts against exact biorthogonality and is an
-    algebraic identity: the phases cancel pairwise even for complex
-    eigenvalues, leaving K^2 sum J^n/|rho_n|.  The grid route integrates
-    the two summed functions and reports the quadrature's verdict instead.
+    The coefficients are contracted against exact biorthogonality, which
+    makes this an algebraic identity: the phases cancel pairwise even for
+    complex eigenvalues, leaving K^2 sum J^n/|rho_n|.  The quadrature's
+    verdict on the same pairing is ``inner(phi_state.function,
+    psi_state.function)``.
     """
     _require_partners(phi_state, psi_state)
     n = min(phi_state.n_terms, psi_state.n_terms)
-    if route == "coefficients":
-        return complex(np.sum(np.conjugate(phi_state.coefficients[:n])
-                              * psi_state.coefficients[:n]))
-    if route == "grid":
-        return inner(phi_state.function, psi_state.function)
-    if route == "both":
-        return {
-            "coefficients": pair_norm(phi_state, psi_state, "coefficients"),
-            "grid": pair_norm(phi_state, psi_state, "grid"),
-        }
-    raise GKError("route must be 'coefficients', 'grid', or 'both'")
+    return complex(np.sum(np.conjugate(phi_state.coefficients[:n])
+                          * psi_state.coefficients[:n]))
 
 
-def action_identity(phi_state: GKState, psi_state: GKState, h_apply=None,
-                    route: str = "coefficients"):
+def action_identity(phi_state: GKState, psi_state: GKState) -> complex:
     """<psi(J,gamma), H phi(J,gamma)> = J for ladder-type spectra.
 
     Requires E_0 = 0 and E_n real positive above it; the coefficient
-    contraction then telescopes exactly to J.  A grid route applies the
-    supplied operator to the summed state and integrates.
+    contraction then telescopes exactly to J, and a contraction that drifts
+    from J raises.  On the grid the same value is ``inner(psi_state.function,
+    H phi_state.function)`` for the sector's Hamiltonian H.
     """
     _require_partners(phi_state, psi_state)
     n = min(phi_state.n_terms, psi_state.n_terms)
@@ -527,22 +499,16 @@ def action_identity(phi_state: GKState, psi_state: GKState, h_apply=None,
         raise GKError("action identity needs a real spectrum")
     if abs(e[0]) > 1e-12 * scale or np.any(e.real[1:] <= 0):
         raise GKError("action identity needs E_0 = 0 and E_n > 0 above it")
-    if route == "coefficients":
-        val = complex(np.sum(np.conjugate(psi_state.coefficients[:n])
-                             * e * phi_state.coefficients[:n]))
-        j = phi_state.j
-        slack = 1e-8 * max(1.0, j) + 100.0 * (phi_state.tail + psi_state.tail)
-        if abs(val - j) > slack:
-            raise GKError(
-                f"coefficient contraction {val:.6g} drifted from the action "
-                f"value J={j:g}; the truncation is inconsistent"
-            )
-        return val
-    if route == "grid":
-        if h_apply is None:
-            raise GKError("the grid route needs an operator applier")
-        return inner(psi_state.function, h_apply(phi_state.function))
-    raise GKError("route must be 'coefficients' or 'grid'")
+    val = complex(np.sum(np.conjugate(psi_state.coefficients[:n])
+                         * e * phi_state.coefficients[:n]))
+    j = phi_state.j
+    slack = 1e-8 * max(1.0, j) + 100.0 * (phi_state.tail + psi_state.tail)
+    if abs(val - j) > slack:
+        raise GKError(
+            f"coefficient contraction {val:.6g} drifted from the action "
+            f"value J={j:g}; the truncation is inconsistent"
+        )
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +525,14 @@ class MomentDensity:
     notes: tuple
 
 
-def moment_density(s: Spectrum, density=None) -> MomentDensity:
-    """Match |rho_n| against closed-form families, or adopt a supplied density.
+def moment_density(s: Spectrum) -> MomentDensity:
+    """Match |rho_n| against closed-form families.
 
     Recognized: |E_n| = c*n for constant c gives |rho_n| = c^n n! and the
     density exp(-J/c)/c.  Constant-modulus spectra have |rho_n| = 1, whose
     moment sequence no integrable density on a half line reproduces here;
     anything else is reported unsolved rather than guessed.
     """
-    if density is not None:
-        return MomentDensity("user-supplied", density, None, True, ())
     e = s.energies
     ns = np.arange(1, len(e))
     ratios = np.abs(e[1:]) / ns
@@ -595,7 +559,7 @@ def moment_density(s: Spectrum, density=None) -> MomentDensity:
         None,
         None,
         False,
-        ("moment problem unsolved for this spectrum; supply a density to verify",),
+        ("moment problem unsolved for this spectrum",),
     )
 
 
@@ -632,27 +596,19 @@ def _finite_power_moments(density, powers, j_upper: float) -> list:
 
 
 def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
-                     rel_tol: float = 1e-8, j_upper: float | None = None):
-    """Check integral of J^n times the density against |rho_n| for n <= n_max.
-
-    ``j_upper=None`` integrates the whole half line.  A finite upper limit
-    reports whatever mass the truncation loses; a failing top moment there
-    is the flag that the closed form solves the infinite-limit problem
-    only.
-    """
-    if not md.solved or md.density is None:
+                     rel_tol: float = 1e-8):
+    """Check the half-line integral of J^n times the density against
+    |rho_n| for n <= n_max, one relative-error check per moment."""
+    if not md.solved:
         raise GKError("no solved moment density to verify")
     checks = []
     top = min(n_max, len(s) - 1)
     for n in range(top + 1):
         want = math.exp(s.log_abs_rho[n])
-        if j_upper is None:
-            got = integrate_halfline(
-                lambda jv, p=n: np.asarray(jv, dtype=float) ** p
-                * np.asarray(md.density(jv), dtype=float)
-            ).value
-        else:
-            (got,) = _finite_power_moments(md.density, [float(n)], float(j_upper))
+        got = integrate_halfline(
+            lambda jv, p=n: np.asarray(jv, dtype=float) ** p
+            * np.asarray(md.density(jv), dtype=float)
+        ).value
         err = abs(got - want) / abs(want)
         checks.append(CheckResult.from_residual(f"moment n={n}", err, rel_tol))
     return checks
@@ -692,10 +648,12 @@ class ResolutionReport:
     n_trace: tuple
 
 
+# the angle windows Gamma of the trace, widest last
+_GAMMA_LIMITS = (25.0, 50.0, 100.0, 200.0)
+
+
 def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
                         md: MomentDensity,
-                        gamma_limits=(25.0, 50.0, 100.0, 200.0),
-                        j_max: float | None = None,
                         n_trunc: int | None = None) -> ResolutionReport:
     """Estimate <f, g> from the overcompleteness integral of the family.
 
@@ -705,12 +663,14 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
     K^2 cancels between the coefficients and the measure.  Off-diagonal
     terms die like 1/Gamma, diagonal ones approach the exact moments, so
     the trace converges toward <f, g> in the joint limit and its points
-    report the approach rather than assert a fixed tolerance.  The J moments
+    report the approach rather than assert a fixed tolerance.  The J
+    integral runs up to j_max = max(10, 40 * min_gap), and the angle windows
+    are ``_GAMMA_LIMITS``.  The J moments
     of all half-integer powers share one Simpson refinement ladder per upper
     limit: each level's nodes and density values are computed once, and each
     power keeps the arithmetic and stop test of a refinement of its own.
     """
-    if not md.solved or md.density is None:
+    if not md.solved:
         raise GKError("resolution estimate needs a solved moment density")
     if not s.multiplicity_one:
         raise GKError(
@@ -722,9 +682,7 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
         raise GKError("need at least two levels")
     if n > min(len(phi_basis), len(psi_basis), len(s)):
         raise GKError("truncation exceeds the available basis or spectrum")
-    if j_max is None:
-        j_max = max(10.0, 40.0 * s.min_gap)
-    gammas = sorted(float(gv) for gv in gamma_limits)
+    j_max = max(10.0, 40.0 * s.min_gap)
 
     e = s.energies[:n]
     f_coeff = np.array([inner(f, phi_basis[i]) for i in range(n)])
@@ -756,11 +714,11 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
 
     t_full = t_matrix(j_max)
     gamma_trace = []
-    for gv in gammas:
+    for gv in _GAMMA_LIMITS:
         val = estimate(gv, t_full, n)
         gamma_trace.append(ResolutionPoint(gv, j_max, n, val, *errors(val)))
 
-    final_gamma = gammas[-1]
+    final_gamma = _GAMMA_LIMITS[-1]
     j_trace = []
     for frac in (0.25, 0.5, 1.0):
         upper = j_max * frac

@@ -28,30 +28,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .expr import Const, Exp, LogAbs, Var, differentiate, parse
-from .numerics import (
-    Grid,
-    GridFunction,
-    default_grid,
-    derivative,
-    fitted_decay_exponents,
-    inner,
-    relative_residual,
-    sample,
-)
+from .numerics import Grid, GridFunction, default_grid, derivative, inner, sample
 from .reporting import CheckResult
 from .susy import (
     SuperpotentialPair,
     VacuumRecord,
-    apply_A,
-    apply_A_dag,
-    apply_B,
-    apply_B_dag,
     build_pair,
     finalize_vacua,
     vacua as generic_vacua,
@@ -215,6 +203,8 @@ def register_model(name: str, builder, schema: dict, description: str):
 
 
 def get_model(name: str, **params) -> ModelRecord:
+    """Build a registered model; a parameter whose default is a number must
+    be given a real number (not a string or a bool)."""
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ModelError(f"unknown model {name!r}; registered: {known}")
@@ -222,9 +212,16 @@ def get_model(name: str, **params) -> ModelRecord:
     unknown = set(params) - set(entry["schema"])
     if unknown:
         raise ModelError(f"model {name!r} does not take parameters {sorted(unknown)}")
+    for key, value in params.items():
+        if _is_number(entry["schema"][key]) and not _is_number(value):
+            raise ModelError(f"model {name!r} parameter {key!r} must be a number, got {value!r}")
     merged = dict(entry["schema"])
     merged.update(params)
     return entry["builder"](**merged)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def models_list() -> list:
@@ -313,7 +310,6 @@ def swanson_model(theta: float = math.pi / 8) -> ModelRecord:
         constants={
             "n1": n1,
             "n2": n2,
-            "n1_bar_times_n2": n1.conjugate() * n2,
             "pairing_target": cmath.exp(-1j * theta) / math.sqrt(math.pi),
         },
         notes=[
@@ -415,28 +411,10 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
         "psi0_1": Const(-1.0) * x + log_u,
         "psi0_2": Const(r) * x - log_u,
     }
-    annihilators = {
-        "phi0_1": apply_A,
-        "phi0_2": apply_B,
-        "psi0_1": apply_B_dag,
-        "psi0_2": apply_A_dag,
-    }
 
     def vacua_fn(grid, normalization):
-        exclude = list(singular)
-        records = {}
-        for label, log_expr in vacuum_logs.items():
-            f = _bs_scaled_exponential(grid, log_expr)
-            fit = fitted_decay_exponents(f)
-            residual = relative_residual(annihilators[label](pair, f), f, exclude=exclude)
-            records[label] = VacuumRecord(
-                label=label,
-                function=f,
-                decay=fit,
-                in_l2=fit.square_integrable,
-                in_l1loc_on_grid=f.representable(),
-                annihilation_residual=residual,
-            )
+        records = {label: VacuumRecord.measure(label, _bs_scaled_exponential(grid, log), pair)
+                   for label, log in vacuum_logs.items()}
         return finalize_vacua(records, normalization)
 
     return ModelRecord(
@@ -549,9 +527,6 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
 class PBIdentityReport:
     checks: list
     notes: list
-
-    def all_pass(self):
-        return all(c.passed for c in self.checks)
 
 
 def pb_identities(k: float = -1.0, n_max: int = 12, grid: Grid | None = None) -> PBIdentityReport:

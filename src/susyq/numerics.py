@@ -55,7 +55,6 @@ __all__ = [
     "integrate_halfline",
     "cumulative_antiderivative",
     "relative_residual",
-    "interior_slice",
     "interior_norm",
     "fitted_decay_exponents",
 ]
@@ -443,10 +442,6 @@ def norm(f) -> float:
     return float(np.sqrt(abs(inner(f, f))))
 
 
-def interior_slice(n_points: int, pad: int = EDGE_PAD) -> slice:
-    return slice(pad, n_points - pad)
-
-
 def interior_norm(f, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
     """L2 norm over the interior, skipping edge points and marked poles."""
     mask = _interior_mask(f.grid, pad, exclude)
@@ -456,7 +451,7 @@ def interior_norm(f, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
 
 def _interior_mask(grid: Grid, pad: int, exclude: list | None) -> np.ndarray:
     mask = np.zeros(grid.n_points, dtype=bool)
-    mask[interior_slice(grid.n_points, pad)] = True
+    mask[pad:grid.n_points - pad] = True
     if exclude:
         width = 6 * grid.spacing
         for x0 in exclude:

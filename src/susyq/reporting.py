@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["CheckResult", "all_pass", "worst"]
+__all__ = ["CheckResult"]
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,3 @@ class CheckResult:
         residual = float(residual)
         ok = math.isfinite(residual) and residual < tolerance
         return CheckResult(check, residual, float(tolerance), ok)
-
-
-def all_pass(report) -> bool:
-    return all(r.passed for r in report)
-
-
-def worst(report):
-    """The check with the largest residual/tolerance ratio, or None."""
-    if not report:
-        return None
-    return max(report, key=lambda r: r.residual / r.tolerance if r.tolerance else 0.0)
-

@@ -40,7 +40,7 @@ from .models import (
     pb_identities,
 )
 from .numerics import (Grid, NonConvergenceError, RepresentationError,
-                       biorthogonality_defect, norm, relative_residual)
+                       biorthogonality_defect, inner, norm, relative_residual)
 from .reporting import CheckResult
 from .susy import (
     apply_H1,
@@ -288,7 +288,7 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     psis = [m.psi1(n, grid) for n in range(n_basis)]
 
     basis_checks = deformed_basis_report(d, phis[:9], psis[:9])
-    eig_checks, _ = deformed_eigencheck(
+    eig_checks = deformed_eigencheck(
         d, [(m.energy(n), base(n, grid)) for n in range(9)], grid=grid,
     )
 
@@ -314,13 +314,11 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     )]
     phi = build_state(phis, s, "phi", j=1.0, gamma=0.4, tol=1e-8, domain=dom)
     psi = build_state(psis, s, "psi", j=1.0, gamma=0.4, tol=1e-8, domain=dom)
-    both = pair_norm(phi, psi, route="both")
     states.append(CheckResult.from_residual(
-        "state pairing is one (coefficient route)",
-        abs(both["coefficients"] - 1.0), 1e-12,
+        "state pairing is one (coefficient route)", abs(pair_norm(phi, psi) - 1.0), 1e-12,
     ))
     states.append(CheckResult.from_residual(
-        "state pairing is one (grid route)", abs(both["grid"] - 1.0), 1e-7,
+        "state pairing is one (grid route)", abs(inner(phi.function, psi.function) - 1.0), 1e-7,
     ))
     states.append(CheckResult.from_residual(
         "energy pairing returns the action label",
@@ -430,8 +428,9 @@ def verify_model(name: str, grid: Grid | None = None, perturb_wb: str | None = N
 def verify_pair(wa_src: str, wb_src: str, bindings: dict | None = None,
                 grid: Grid | None = None) -> VerifySuite:
     """Factorization core and vacuum checks for a user-supplied pair."""
+    # parse first: a binding that is not a number is a ParseError, not a float() failure
+    pair = build_pair(parse(wa_src, bindings), parse(wb_src, bindings))
     params = {"wA": wa_src, "wB": wb_src,
               **{k: float(v) for k, v in (bindings or {}).items()}}
-    pair = build_pair(parse(wa_src, bindings), parse(wb_src, bindings))
     return _suite(ModelRecord(name="user-pair", params=params, pair=pair, energy=None),
                   pair, grid or Grid())

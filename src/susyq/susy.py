@@ -60,9 +60,7 @@ __all__ = [
     "intertwine_check",
     "superalgebra_check",
     "factorization_residual",
-    "commutator_defect_residual",
     "potential_identity_residual",
-    "vacuum_duality_residual",
     "probe_function",
 ]
 
@@ -256,16 +254,6 @@ def factorization_residual(p: SuperpotentialPair, f, sector: int = 1) -> float:
     return relative_residual(composed - direct, direct, exclude=list(p.singular_points))
 
 
-def commutator_defect_residual(p: SuperpotentialPair, f) -> float:
-    """[A, B] f should equal (wA' + wB') f; interior relative residual."""
-    s = p.samples(f.grid)
-    comm = apply_A(p, apply_B(p, f)).values - apply_B(p, apply_A(p, f)).values
-    want = (s["dw_a"] + s["dw_b"]) * f.values
-    return relative_residual(
-        f.with_values(comm - want), f, exclude=list(p.singular_points)
-    )
-
-
 def potential_identity_residual(p: SuperpotentialPair, grid: Grid) -> float:
     """Pointwise residual of V2 - V1 against wA' + wB' over the interior.
 
@@ -306,6 +294,23 @@ class VacuumRecord:
             "in_l1loc_on_grid": self.in_l1loc_on_grid,
             "annihilation_residual": self.annihilation_residual,
         }
+
+    @classmethod
+    def measure(cls, label: str, f, pair: SuperpotentialPair) -> "VacuumRecord":
+        """Record ``f`` as the vacuum ``label`` of ``pair``: its decay fit,
+        integrability flags and the residual of its annihilating factor."""
+        annihilator = {"phi0_1": apply_A, "phi0_2": apply_B,
+                       "psi0_1": apply_B_dag, "psi0_2": apply_A_dag}[label]
+        fit = fitted_decay_exponents(f)
+        return cls(
+            label=label,
+            function=f,
+            decay=fit,
+            in_l2=fit.square_integrable,
+            in_l1loc_on_grid=f.representable(),
+            annihilation_residual=relative_residual(
+                annihilator(pair, f), f, exclude=list(pair.singular_points)),
+        )
 
 
 @dataclass
@@ -376,32 +381,16 @@ def vacua(p: SuperpotentialPair, grid: Grid | None = None, normalization: str = 
     phi against its psi partner so their pairing is 1.  Vacua that cannot be
     normalized under the requested policy are left raw, with a note.
     """
-    if normalization not in ("raw", "unit", "paired"):
-        raise ValueError(f"unknown normalization policy {normalization!r}")
     grid = grid or default_grid()
     s = p.samples(grid)
-    exclude = list(p.singular_points)
-
     specs = [
-        ("phi0_1", s["w_a"], s["dw_a"], -1.0, apply_A),
-        ("phi0_2", s["w_b"], s["dw_b"], +1.0, apply_B),
-        ("psi0_1", np.conjugate(s["w_b"]), np.conjugate(s["dw_b"]), -1.0, apply_B_dag),
-        ("psi0_2", np.conjugate(s["w_a"]), np.conjugate(s["dw_a"]), +1.0, apply_A_dag),
+        ("phi0_1", s["w_a"], s["dw_a"], -1.0),
+        ("phi0_2", s["w_b"], s["dw_b"], +1.0),
+        ("psi0_1", np.conjugate(s["w_b"]), np.conjugate(s["dw_b"]), -1.0),
+        ("psi0_2", np.conjugate(s["w_a"]), np.conjugate(s["dw_a"]), +1.0),
     ]
-    records = {}
-    for label, w_vals, dw_vals, sign, annihilator in specs:
-        f = _exp_vacuum(grid, w_vals, dw_vals, sign)
-        fit = fitted_decay_exponents(f)
-        residual = relative_residual(annihilator(p, f), f, exclude=exclude)
-        records[label] = VacuumRecord(
-            label=label,
-            function=f,
-            decay=fit,
-            in_l2=fit.square_integrable,
-            in_l1loc_on_grid=f.representable(),
-            annihilation_residual=residual,
-        )
-
+    records = {label: VacuumRecord.measure(label, _exp_vacuum(grid, w_vals, dw_vals, sign), p)
+               for label, w_vals, dw_vals, sign in specs}
     return finalize_vacua(records, normalization)
 
 
@@ -431,25 +420,6 @@ def finalize_vacua(records: dict, normalization: str) -> Vacua:
     )
 
 
-def vacuum_duality_residual(v: Vacua) -> float:
-    """Pointwise constancy defect of psi0_1 * phi0_2 over the interior.
-
-    The combined exponent cancels exactly (both scales come from the same
-    antiderivative of wB), so the product never overflows.  Constant for
-    real wB; for complex wB the product is a unimodular phase and this
-    residual reports its swing.
-    """
-    a, b = v.psi0_1.function, v.phi0_2.function
-    grid = a.grid
-    prod = a.values * b.values * np.exp(a.log_scale + b.log_scale)
-    lo, hi = 5, grid.n_points - 5
-    inner_vals = prod[lo:hi]
-    ref = inner_vals[len(inner_vals) // 2]
-    if abs(ref) == 0.0:
-        return np.inf
-    return float(np.max(np.abs(inner_vals - ref)) / abs(ref))
-
-
 # ---------------------------------------------------------------------------
 # intertwining
 
@@ -470,8 +440,6 @@ class IntertwineRecord:
     residual_b: float
     product_residual: float | None
     passed: bool
-    dual_residual_b: float | None = None
-    dual_residual_a: float | None = None
 
 
 def _projection(target, image, tol_floor=1e-13):
@@ -485,21 +453,13 @@ def _projection(target, image, tol_floor=1e-13):
     return c, float(residual_num / scale)
 
 
-def intertwine_check(
-    p: SuperpotentialPair,
-    eigpairs1,
-    eigpairs2,
-    psi1=None,
-    psi2=None,
-    tol: float = 1e-6,
-):
+def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2, tol: float = 1e-6):
     """Verify that A and B map the two eigenfamilies onto each other.
 
     ``eigpairs1`` is a list of (E_n, phi_n) for the first sector;
     ``eigpairs2`` aligns entry n with the *same eigenvalue* in the second
-    sector, with None where no partner exists (a zero-mode).  When the
-    adjoint families ``psi1``/``psi2`` are supplied, the conjugate mapping
-    relations are verified on them as well.
+    sector, with None where no partner exists (a zero-mode).  Returns one
+    :class:`IntertwineRecord` per level.
     """
     out = []
     for n, (energy, phi1) in enumerate(eigpairs1):
@@ -532,28 +492,18 @@ def intertwine_check(
         passed = residual_a < tol and residual_b < tol
         if product_residual is not None:
             passed = passed and product_residual < tol * max(1.0, abs(energy))
-        rec = IntertwineRecord(
-            n=n,
-            energy=complex(energy),
-            alpha=alpha,
-            beta=beta,
-            residual_a=residual_a,
-            residual_b=residual_b,
-            product_residual=product_residual,
-            passed=passed,
+        out.append(
+            IntertwineRecord(
+                n=n,
+                energy=complex(energy),
+                alpha=alpha,
+                beta=beta,
+                residual_a=residual_a,
+                residual_b=residual_b,
+                product_residual=product_residual,
+                passed=passed,
+            )
         )
-        if psi1 is not None and psi2 is not None and psi2[n] is not None:
-            pn1 = psi1[n].materialize()
-            pn2 = psi2[n].materialize()
-            # adjoint relations carry the conjugated coefficients
-            b_img = apply_B_dag(p, pn1)
-            diff_b = b_img - np.conjugate(beta) * pn2
-            rec.dual_residual_b = float(norm(diff_b) / max(norm(b_img), 1e-300))
-            a_img = apply_A_dag(p, pn2)
-            diff_a = a_img - np.conjugate(alpha) * pn1
-            rec.dual_residual_a = float(norm(diff_a) / max(norm(a_img), 1e-300))
-            rec.passed = rec.passed and rec.dual_residual_b < tol and rec.dual_residual_a < tol
-        out.append(rec)
     return out
 
 

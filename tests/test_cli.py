@@ -103,6 +103,32 @@ def test_config_errors_exit_two(tmp_path):
                    "--out", out).returncode == 2
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["gk", "--model", "harmonic"], {"J": "abc"}, "J must be a number"),
+    (["gk", "--model", "harmonic"], {"gamma": "abc"}, "gamma must be a number"),
+    (["gk", "--model", "harmonic"], {"n_terms": "abc"}, "n_terms must be a number"),
+    (["gk", "--model", "harmonic"], {"j_max": "abc"}, "j_max must be a number"),
+    (["gk", "--model", "harmonic"], {"grid": {"L": "abc"}}, "grid.L must be a number"),
+    (["gk", "--model", "harmonic"], {"grid": {"N": "abc"}}, "grid.N must be a number"),
+    (["bs-classify"], {"r_values": [1.0, "abc"]}, "r_values entry must be a number"),
+    (["verify", "--model", "pseudo-bosonic", "--bind", "k=abc"], None, "'k' must be a number"),
+    (["verify", "--model", "pseudo-bosonic", "--bind", "k=true"], None, "'k' must be a number"),
+    (["bs-classify", "--numeric", "--bind", "v0=abc"], None, "'v0' must be a number"),
+    (["verify", "--wA", "x + k", "--wB", "x", "--bind", "k=abc"], None, "binding 'k'"),
+])
+def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, config, message):
+    from susyq import cli
+
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "Traceback" not in err
+    assert message in err
+
+
 def test_unknown_tolerance_names_exit_two(tmp_path):
     out = str(tmp_path / "o")
     r = run_cli("potentials", "--model", "harmonic", "--tol", "stat=1e-9", "--out", out)

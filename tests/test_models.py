@@ -282,7 +282,8 @@ def test_swanson_normalization_constraint():
     theta = math.pi / 8
     m = get_model("swanson", theta=theta)
     want = np.exp(-1j * theta) / math.sqrt(math.pi)
-    assert m.constants["n1_bar_times_n2"] == pytest.approx(want, abs=1e-15)
+    got = np.conjugate(m.constants["n1"]) * m.constants["n2"]
+    assert got == pytest.approx(want, abs=1e-15)
     assert m.constants["pairing_target"] == pytest.approx(want, abs=1e-15)
 
 
