@@ -13,6 +13,9 @@ orthonormal eigenfunctions form biorthogonal Riesz-type families; the
 pointwise weight conj(e^{-conj q}) e^q = 1 makes their cross pairing
 literally the base orthonormality.
 
+The ``deformed-harmonic`` record builds these families, its partner sector
+being the same one level down; the checks below take the record's families.
+
 The bounds m, M are certified by a grid scan only; when an extremum sits at
 the scan boundary the true global bound may lie outside the window and the
 deformation carries a note saying so.
@@ -32,7 +35,6 @@ from .numerics import (
     GridFunction,
     biorthogonality_defect,
     default_grid,
-    inner,
     norm,
     relative_residual,
     sample,
@@ -53,7 +55,6 @@ __all__ = [
     "DeformationError",
     "build_deformation",
     "deformed_pair",
-    "deformed_basis",
     "deformed_basis_report",
     "deformed_eigencheck",
     "DEFAULT_DEFORMATION_Q",
@@ -139,31 +140,6 @@ def deformed_pair(d: Deformation) -> SuperpotentialPair:
     return build_pair(w_a, w_b, simplified={"q1": Const(2.0) * d.dq})
 
 
-def deformed_basis(d: Deformation, base_eigfns, grid: Grid | None = None, on_tol: float = 1e-6):
-    """Map a base orthonormal family through T and its inverse adjoint.
-
-    Returns (phis, psis) with phi_n = e^q e_n and psi_n = e^{-conj q} e_n.
-    The base family is required to be orthonormal on the grid; anything
-    else would silently break every pairing downstream.
-    """
-    grid = grid or d.grid
-    fns = list(base_eigfns)
-    for i, e_i in enumerate(fns):
-        for j in range(i, len(fns)):
-            got = inner(e_i, fns[j])
-            want = 1.0 if i == j else 0.0
-            if abs(got - want) > on_tol:
-                raise DeformationError(
-                    f"base family is not orthonormal: "
-                    f"|<e_{i}, e_{j}> - {want:g}| = {abs(got - want):.3e}"
-                )
-    t_vals = d.multiplier_values(grid)
-    t_dual = d.inverse_dual_values(grid)
-    phis = [GridFunction(grid, t_vals * e.values) for e in fns]
-    psis = [GridFunction(grid, t_dual * e.values) for e in fns]
-    return phis, psis
-
-
 def deformed_basis_report(d: Deformation, phis, psis, slack: float = 1e-10):
     """Pairing-matrix and norm-bound checks for a deformed family.
 
@@ -181,56 +157,45 @@ def deformed_basis_report(d: Deformation, phis, psis, slack: float = 1e-10):
     ]
 
 
-def deformed_eigencheck(d: Deformation, base_eigpairs, tol: float = 1e-5, grid: Grid | None = None):
+def deformed_eigencheck(d: Deformation, pair: SuperpotentialPair, energies, phis, psis, base):
     """Eigen-residuals of both deformed sectors and their adjoints.
 
-    ``base_eigpairs`` lists (E_n, e_n) for the Hermitian base in sector 1.
-    The sector-2 base functions are generated by the base lowering map
-    (A e_{n+1} / sqrt(E_{n+1})), which is where the partner's shifted
-    spectrum comes from; no separate eigenbasis needs to be supplied.
-    Returns four checks, one per family (h1 and h2 on the deformed states,
-    their adjoints on the duals), each holding the worst level's residual.
+    ``phis``/``psis`` are the sector-1 families T e_n, T^-* e_n of the base
+    eigenfunctions ``base`` at E_n = ``energies[n]``, and ``pair`` supplies
+    the operators.  Sector 2 is T and T^-* on the lowered base
+    A e_{n+1} / sqrt(E_{n+1}).  Returns four checks, one per family, each
+    holding the worst level's residual.
     """
-    grid = grid or d.grid
-    pair = deformed_pair(d)
+    grid = base[0].grid
     base_pair = build_pair(d.w, d.w)
-
-    energies = [float(e) for e, _ in base_eigpairs]
-    base1 = [f for _, f in base_eigpairs]
 
     def family_check(family, op, fns, evs):
         worst = 0.0
         for f, e_n in zip(fns, evs):
             hf = op(pair, f)  # named: freeing it before the subtraction ran slower at large N
             worst = max(worst, relative_residual(hf - e_n * f, f))
-        return CheckResult.from_residual(f"{family}: eigen-residuals", worst, tol)
+        return CheckResult.from_residual(f"{family}: eigen-residuals", worst, 1e-5)
 
-    # one sector's deformed families at a time: the two never share the peak
-    phis, psis = deformed_basis(d, base1, grid)
-    checks = [
+    base2 = [apply_A(base_pair, base[n + 1]).values / math.sqrt(energies[n + 1])
+             for n in range(len(base) - 1)]
+    # built level by level as each check reads it: no sector-2 family is held whole
+    return [
         family_check("h1 on phi1", apply_H1, phis, energies),
         family_check("h1 adjoint on psi1", apply_H1_dag, psis, energies),
+        family_check("h2 on phi2", apply_H2,
+                     (GridFunction(grid, d.multiplier_values(grid) * e) for e in base2),
+                     energies[1:]),
+        family_check("h2 adjoint on psi2", apply_H2_dag,
+                     (GridFunction(grid, d.inverse_dual_values(grid) * e) for e in base2),
+                     energies[1:]),
     ]
-    del phis, psis
-
-    base2 = []
-    for n in range(len(base1) - 1):
-        lowered = apply_A(base_pair, base1[n + 1])
-        base2.append(GridFunction(grid, lowered.values / math.sqrt(energies[n + 1])))
-    phis, psis = deformed_basis(d, base2, grid)
-    del base2
-    checks += [
-        family_check("h2 on phi2", apply_H2, phis, energies[1:]),
-        family_check("h2 adjoint on psi2", apply_H2_dag, psis, energies[1:]),
-    ]
-    return checks
 
 
 # ---------------------------------------------------------------------------
 # registry hookup
 
 def _deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q):
-    from .models import ModelRecord, _hermite_functions
+    from .models import ModelRecord, _hermite_functions, _one_level_down
 
     d = build_deformation(q)
     pair = deformed_pair(d)
@@ -245,21 +210,15 @@ def _deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q):
     def psi1(n, grid):
         return GridFunction(grid, d.inverse_dual_values(grid) * hermite_fn(n, grid))
 
-    def phi2(n, grid):
-        return None if n == 0 else phi1(n - 1, grid)
-
-    def psi2(n, grid):
-        return None if n == 0 else psi1(n - 1, grid)
-
     return ModelRecord(
         name="deformed-harmonic",
         params={"q": q},
         pair=pair,
         energy=lambda n: 2.0 * n,
         phi1=phi1,
-        phi2=phi2,
+        phi2=_one_level_down(phi1),
         psi1=psi1,
-        psi2=psi2,
+        psi2=_one_level_down(psi1),
         constants={"m": d.m, "M": d.M},
         notes=list(d.notes),
         extras={"deformation": d, "base_eigenfunction": base},

@@ -204,7 +204,8 @@ def register_model(name: str, builder, schema: dict, description: str):
 
 def get_model(name: str, **params) -> ModelRecord:
     """Build a registered model; a parameter whose default is a number must
-    be given a real number (not a string or a bool)."""
+    be given a real number (not a string or a bool), and one whose default
+    is an expression string must be given a string."""
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ModelError(f"unknown model {name!r}; registered: {known}")
@@ -215,6 +216,8 @@ def get_model(name: str, **params) -> ModelRecord:
     for key, value in params.items():
         if _is_number(entry["schema"][key]) and not _is_number(value):
             raise ModelError(f"model {name!r} parameter {key!r} must be a number, got {value!r}")
+        if isinstance(entry["schema"][key], str) and not isinstance(value, str):
+            raise ModelError(f"model {name!r} parameter {key!r} must be an expression string")
     merged = dict(entry["schema"])
     merged.update(params)
     return entry["builder"](**merged)
@@ -222,6 +225,12 @@ def get_model(name: str, **params) -> ModelRecord:
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _one_level_down(gen):
+    """Second-sector partners from a first-sector generator: level n is
+    ``gen``'s level n-1, and level 0 has none (the unbroken zero-mode)."""
+    return lambda n, grid: None if n == 0 else gen(n - 1, grid)
 
 
 def models_list() -> list:
@@ -242,10 +251,8 @@ def harmonic_model() -> ModelRecord:
     def phi1(n, grid):
         return GridFunction(grid, hermite_fn(n, grid))
 
-    def phi2(n, grid):
-        # partner potential x^2 + 1 has eigenvalue 2m + 2 on level m
-        return None if n == 0 else GridFunction(grid, hermite_fn(n - 1, grid))
-
+    # partner potential x^2 + 1 has eigenvalue 2m + 2 on level m
+    phi2 = _one_level_down(phi1)
     return ModelRecord(
         name="harmonic",
         params={},
@@ -501,21 +508,15 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
             d2log=np.exp(xs) - 1.0,
         )
 
-    def phi2(n, grid):
-        return None if n == 0 else phi1(n - 1, grid)
-
-    def psi2(n, grid):
-        return None if n == 0 else psi1(n - 1, grid)
-
     return ModelRecord(
         name="pseudo-bosonic",
         params={"k": k},
         pair=pair,
         energy=lambda n: float(n),
         phi1=phi1,
-        phi2=phi2,
+        phi2=_one_level_down(phi1),
         psi1=psi1,
-        psi2=psi2,
+        psi2=_one_level_down(psi1),
         notes=[
             "second-sector eigenvalues are the first sector's shifted by one; "
             "coherent-state constructions on sector 2 must pass the shifted spectrum"

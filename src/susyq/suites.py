@@ -4,9 +4,11 @@ One runner, :func:`verify_model`, builds every suite from the model record.
 A record with a superpotential pair gets the factorization core and the
 vacuum annihilation checks; a per-model function then adds the model's own
 sections (eigen-residuals, intertwining, biorthogonality, polynomial
-identities, classification tables, state-family identities) and notes.  A
-user pair runs the same runner with no sections of its own.  The verify
-command renders these reports and turns them into exit codes.
+identities, classification tables, state-family identities) and notes.
+Each suite builds each of the record's families once and hands the same
+lists to every section; the second sector is read as the first one level
+down.  A user pair runs the same runner with no sections of its own.  The
+verify command renders these reports and turns them into exit codes.
 """
 
 from __future__ import annotations
@@ -122,8 +124,11 @@ def _pair_sections(m, pair, grid):
     }, (tuple(rec.in_l2 for rec in v.records()) if own else None)
 
 
-def _intertwine_section(pair, pairs1, pairs2, tol=1e-5):
-    recs = intertwine_check(pair, pairs1, pairs2, tol=tol)
+def _intertwine_section(m, pair, phis, tol=1e-5):
+    """Intertwining over the levels of the record's sector-1 list ``phis``;
+    sector 2 is the same list one level down, as the record's ``phi2`` states."""
+    pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, len(phis))]
+    recs = intertwine_check(pair, [(m.energy(n), f) for n, f in enumerate(phis)], pairs2, tol=tol)
     checks = []
     for rec in recs:
         if rec.alpha is None:
@@ -141,25 +146,20 @@ def _intertwine_section(pair, pairs1, pairs2, tol=1e-5):
     return checks, recs
 
 
-def _ladder_sections(m, pair, grid):
+def _ladder_sections(m, pair, phis):
     """Eigen-residuals and intertwining over the model's first nine levels."""
-    pairs1 = [(m.energy(n), m.phi1(n, grid)) for n in range(9)]
-    pairs2 = []
-    for n in range(9):
-        partner = m.phi2(n, grid)
-        pairs2.append(None if partner is None else (m.energy(n), partner))
     eigen = [
         CheckResult.from_residual(
             f"level {n} eigen-residual",
-            relative_residual(apply_H1(pair, fn) - energy * fn, fn,
+            relative_residual(apply_H1(pair, fn) - m.energy(n) * fn, fn,
                               exclude=list(pair.singular_points)),
             1e-5,
         )
-        for n, (energy, fn) in enumerate(pairs1)
+        for n, fn in enumerate(phis[:9])
     ]
     return {
         "eigenfunctions": eigen,
-        "intertwining": _intertwine_section(pair, pairs1, pairs2)[0],
+        "intertwining": _intertwine_section(m, pair, phis[:9])[0],
     }
 
 
@@ -168,7 +168,7 @@ def _ladder_sections(m, pair, grid):
 # targets and closed forms always come from the record.
 
 def _harmonic_sections(m, pair, grid, own_in_l2):
-    return _ladder_sections(m, pair, grid), ()
+    return _ladder_sections(m, pair, [m.phi1(n, grid) for n in range(9)]), ()
 
 
 def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
@@ -182,7 +182,7 @@ def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
     identity_report = pb_identities(k=m.params["k"], n_max=12)
     return {
         "biorthogonality": bio,
-        **_ladder_sections(m, pair, grid),
+        **_ladder_sections(m, pair, phis),
         "identities": list(identity_report.checks),
     }, tuple(identity_report.notes)
 
@@ -288,13 +288,10 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     psis = [m.psi1(n, grid) for n in range(n_basis)]
 
     basis_checks = deformed_basis_report(d, phis[:9], psis[:9])
-    eig_checks = deformed_eigencheck(
-        d, [(m.energy(n), base(n, grid)) for n in range(9)], grid=grid,
-    )
+    eig_checks = deformed_eigencheck(d, pair, [m.energy(n) for n in range(9)],
+                                     phis[:9], psis[:9], [base(n, grid) for n in range(9)])
 
-    pairs1 = [(m.energy(n), phis[n]) for n in range(11)]
-    pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 11)]
-    inter_checks, inter_recs = _intertwine_section(pair, pairs1, pairs2)
+    inter_checks, inter_recs = _intertwine_section(m, pair, phis[:11])
 
     doublets = [
         (rec.n, rec.energy, phis[rec.n], phis[rec.n - 1], rec.alpha, rec.beta)
@@ -430,7 +427,9 @@ def verify_pair(wa_src: str, wb_src: str, bindings: dict | None = None,
     """Factorization core and vacuum checks for a user-supplied pair."""
     # parse first: a binding that is not a number is a ParseError, not a float() failure
     pair = build_pair(parse(wa_src, bindings), parse(wb_src, bindings))
+    # a complex binding [re, im] is reported as its two floats
     params = {"wA": wa_src, "wB": wb_src,
-              **{k: float(v) for k, v in (bindings or {}).items()}}
+              **{k: [float(c) for c in v] if isinstance(v, (list, tuple)) else float(v)
+                 for k, v in (bindings or {}).items()}}
     return _suite(ModelRecord(name="user-pair", params=params, pair=pair, energy=None),
                   pair, grid or Grid())

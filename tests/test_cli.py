@@ -115,6 +115,10 @@ def test_config_errors_exit_two(tmp_path):
     (["verify", "--model", "pseudo-bosonic", "--bind", "k=true"], None, "'k' must be a number"),
     (["bs-classify", "--numeric", "--bind", "v0=abc"], None, "'v0' must be a number"),
     (["verify", "--wA", "x + k", "--wB", "x", "--bind", "k=abc"], None, "binding 'k'"),
+    (["verify", "--model", "deformed-harmonic", "--bind", "q=2"], None,
+     "'q' must be an expression string"),
+    (["potentials", "--model", "deformed-harmonic"], {"bind": {"q": 2}},
+     "'q' must be an expression string"),
 ])
 def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, config, message):
     from susyq import cli
@@ -216,9 +220,9 @@ def test_verify_rejects_an_unknown_binding(tmp_path):
 
 
 def test_verify_suite_that_cannot_build_exits_one(tmp_path):
-    # the deformed basis fails its orthonormality guard on this coarse grid
+    # Re q is negative on the left half, so the deformation is not bounded below
     out = tmp_path / "o"
-    r = run_cli("verify", "--model", "deformed-harmonic", "--grid-n", "1025",
+    r = run_cli("verify", "--model", "deformed-harmonic", "--bind", "q=0.5*tanh(x)",
                 "--out", str(out))
     assert r.returncode == 1, r.stderr
     assert "internal error" not in r.stderr
@@ -227,6 +231,15 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     [check] = rep["sections"]["suite"]
     assert check["passed"] is False and check["residual"] is None
     assert rep["notes"][0].startswith("DeformationError: ")
+
+
+def test_verify_user_pair_reports_a_complex_binding(tmp_path):
+    out = tmp_path / "o"
+    r = run_cli("verify", "--wA", "x + k", "--wB", "x", "--bind", "k=[0.1,0.2]",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "internal error" not in r.stderr
+    assert read_json(out / "verify.json")["params"]["k"] == [0.1, 0.2]
 
 
 def test_verify_user_pair(tmp_path):

@@ -9,7 +9,6 @@ from susyq.deform import (
     DEFAULT_DEFORMATION_Q,
     DeformationError,
     build_deformation,
-    deformed_basis,
     deformed_basis_report,
     deformed_eigencheck,
     deformed_pair,
@@ -34,6 +33,13 @@ def d(grid):
 def base(grid):
     oscillator = get_model("harmonic")
     return [oscillator.phi1(n, grid) for n in range(9)]
+
+
+@pytest.fixture(scope="module")
+def families(grid):
+    """The record's deformed families T e_n and T^-* e_n, levels 0-8."""
+    m = get_model("deformed-harmonic")
+    return [m.phi1(n, grid) for n in range(9)], [m.psi1(n, grid) for n in range(9)]
 
 
 def test_bound_scan(d):
@@ -84,8 +90,8 @@ def test_dual_potential_flips_second_derivative_sign(d, grid):
     assert np.max(np.abs(s["v1_dual"] - want)) < 1e-12
 
 
-def test_basis_weight_cancels_exactly(d, base, grid):
-    phis, psis = deformed_basis(d, base, grid)
+def test_basis_weight_cancels_exactly(families):
+    phis, psis = families
     worst = 0.0
     for a in range(9):
         for b in range(9):
@@ -94,16 +100,8 @@ def test_basis_weight_cancels_exactly(d, base, grid):
     assert worst < 1e-8
 
 
-def test_basis_rejects_non_orthonormal_input(d, base, grid):
-    bad = list(base)
-    bad[1] = GridFunction(grid, 1.3 * base[1].values)
-    # the message names the first offending entry and how far off it is
-    with pytest.raises(DeformationError, match=r"\|<e_1, e_1> - 1\| = 6\.900e-01$"):
-        deformed_basis(d, bad, grid)
-
-
-def test_norm_bounds(d, base, grid):
-    phis, psis = deformed_basis(d, base, grid)
+def test_norm_bounds(d, families):
+    phis, psis = families
     for phi in phis:
         assert norm(phi) <= math.exp(d.M) * (1 + 1e-12)
     for psi in psis:
@@ -112,17 +110,17 @@ def test_norm_bounds(d, base, grid):
     assert all(c.passed for c in checks)
 
 
-def test_eigencheck_harmonic_base(d, base):
-    pairs = [(2.0 * n, base[n]) for n in range(9)]
-    checks = deformed_eigencheck(d, pairs, tol=1e-5)
+def test_eigencheck_harmonic_base(d, base, families):
+    checks = deformed_eigencheck(d, deformed_pair(d), [2.0 * n for n in range(9)],
+                                 *families, base)
     assert [c.check for c in checks] == [
         f"{family}: eigen-residuals" for family in
         ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")]
     assert all(c.passed for c in checks), [c.check for c in checks if not c.passed]
 
 
-def test_intertwining_coefficients_sqrt_e(d, base, grid):
-    phis, _ = deformed_basis(d, base, grid)
+def test_intertwining_coefficients_sqrt_e(d, families):
+    phis, _ = families
     pair = deformed_pair(d)
     eig1 = [(2.0 * n, phis[n]) for n in range(9)]
     eig2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]

@@ -471,3 +471,17 @@ def test_pb_identities_all_pass():
 def test_pb_identities_rejects_overflowing_n():
     with pytest.raises(ModelError):
         pb_identities(n_max=40)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pseudo-bosonic", "deformed-harmonic"])
+def test_second_sector_is_the_first_one_level_down(name):
+    # the suites read sector 2 off their sector-1 lists by this rule
+    m = get_model(name)
+    g = Grid(12.0, 1025)
+    for sector2, sector1 in ((m.phi2, m.phi1), (m.psi2, m.psi1)):
+        assert sector2(0, g) is None
+        for n in range(1, 9):
+            got, want = sector2(n, g), sector1(n - 1, g)
+            for attr in ("values", "log_scale", "dlog", "d2log"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert (a is None and b is None) or _same_bits(a, b), (name, n, attr)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import susyq.suites as suites_module
+from susyq import deform
 from susyq.models import ModelError, ModelRecord
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
@@ -87,6 +89,58 @@ def test_every_pair_model_notices_a_perturbed_second_superpotential(grid):
         # factorizes its own Hamiltonians, black-scholes' pole included
         assert all(c.passed for c in s.sections["factorization"]), name
         assert s.notes[-1] == "second superpotential perturbed by 0.05 * x"
+
+
+def test_perturbed_pair_reaches_the_deformed_eigen_residuals(grid):
+    s = verify_model("deformed-harmonic", grid=grid, perturb_wb="0.05 * x")
+    assert [c.check for c in s.sections["eigenfunctions"] if not c.passed] == [
+        f"{family}: eigen-residuals" for family in
+        ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")]
+
+
+def test_deformed_harmonic_runs_to_verdicts_on_a_coarse_grid():
+    s = verify_model("deformed-harmonic", grid=Grid(12.0, 1025))
+    assert "suite" not in s.sections
+    assert len(list(s.checks())) == 114
+
+
+def _count_families(monkeypatch):
+    """Count the calls to the four family generators of each record the
+    suites build, wrapping them as they leave ``get_model``."""
+    calls = []
+
+    def counted(fn):
+        def gen(n, grid):
+            calls.append(n)
+            return fn(n, grid)
+        return gen
+
+    build = suites_module.get_model
+
+    def get_model(name, **params):
+        m = build(name, **params)
+        for attr in ("phi1", "psi1", "phi2", "psi2"):
+            if getattr(m, attr) is not None:
+                setattr(m, attr, counted(getattr(m, attr)))
+        return m
+
+    monkeypatch.setattr(suites_module, "get_model", get_model)
+    return calls
+
+
+@pytest.mark.parametrize("name, n_calls", [("harmonic", 9), ("pseudo-bosonic", 22)])
+def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
+    calls = _count_families(monkeypatch)
+    assert verify_model(name, grid=grid).all_pass()
+    assert len(calls) == n_calls
+
+
+def test_deformed_harmonic_suite_builds_its_pair_once(grid, monkeypatch):
+    calls = []
+    build = deform.deformed_pair
+    monkeypatch.setattr(deform, "deformed_pair", lambda d: calls.append(d) or build(d))
+    assert verify_model("deformed-harmonic", grid=grid).all_pass()
+    assert len(calls) == 1
 
 
 def _count_record_vacua(monkeypatch):
