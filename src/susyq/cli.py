@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import deform as _deform  # noqa: F401  (registers the deformed model)
+from .deform import DeformationError  # importing deform registers the deformed model
 from .expr import ExprError, parse
 from .gk import (
     GKError,
@@ -278,21 +278,42 @@ def _csv_text(s: str) -> str:
     return s
 
 
-def _csv_cells(col) -> list:
+def _each_distinct(fmt, col) -> list:
+    """``fmt`` of every cell of a block, called once per distinct value.
+
+    Floats are told apart by bit pattern, so -0.0 and 0.0 stay apart and a
+    NaN equals only its own bits; a block of all-distinct floats is
+    formatted directly.  str and bool cells go through a dict.
+    """
     if isinstance(col, np.ndarray):
-        return list(map("{:.17g}".format, col.tolist()))
-    return [("true" if v else "false") if isinstance(v, bool) else _csv_text(v)
-            for v in col]
+        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        if len(bits) == len(col):
+            return list(map(fmt, col.tolist()))
+        cells, keys = list(map(fmt, bits.view(np.float64).tolist())), inverse.tolist()
+    else:
+        cells, keys = {v: fmt(v) for v in set(col)}, col
+    return list(map(cells.__getitem__, keys))
+
+
+def _csv_cell(v) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else _csv_text(v)
+
+
+def _json_cell(v) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else encode_basestring_ascii(v)
+
+
+def _csv_cells(col) -> list:
+    return _each_distinct("{:.17g}".format if isinstance(col, np.ndarray) else _csv_cell, col)
 
 
 def _json_cells(col) -> list:
     if isinstance(col, np.ndarray):
-        cells = list(map(float.__repr__, col.tolist()))
+        cells = _each_distinct(float.__repr__, col)
         for i in np.flatnonzero(~np.isfinite(col)).tolist():
             cells[i] = f'"{cells[i]}"'  # inf, -inf and nan as strings
         return cells
-    return [("true" if v else "false") if isinstance(v, bool)
-            else encode_basestring_ascii(v) for v in col]
+    return _each_distinct(_json_cell, col)
 
 
 def _json_row_template(header) -> str:
@@ -333,7 +354,8 @@ def _write_table(path: str, header, columns) -> str:
 
     ``columns`` holds one entry per header name: a 1-D float array for a
     numeric column, a list of str or bool otherwise.  Columns are formatted
-    whole, a block of rows at a time, and then joined into rows.
+    whole, a block of rows at a time, each distinct cell of a block once,
+    and then joined into rows.
     """
     write = _write_json_table if path.endswith(".json") else _write_csv_table
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -739,7 +761,7 @@ def main(argv=None) -> int:
     except GKError as e:
         print(f"susyq: {e}", file=sys.stderr)
         return _EXIT_DOMAIN
-    except (ConfigError, ExprError, ModelError) as e:
+    except (ConfigError, DeformationError, ExprError, ModelError) as e:
         print(f"susyq: {e}", file=sys.stderr)
         return _EXIT_CONFIG
     except Exception as e:  # keep exit 1 reserved for verification failures

@@ -233,6 +233,16 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     assert rep["notes"][0].startswith("DeformationError: ")
 
 
+@pytest.mark.parametrize("command", ["potentials", "gk"])
+def test_rejected_deformation_is_a_configuration_error(command, tmp_path):
+    r = run_cli(command, "--model", "deformed-harmonic", "--bind", "q=0.5*tanh(x)",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "internal error" not in r.stderr and "Traceback" not in r.stderr
+    assert r.stderr.startswith("susyq: Re q must stay positive")
+    assert r.stderr.count("\n") == 1
+
+
 def test_verify_user_pair_reports_a_complex_binding(tmp_path):
     out = tmp_path / "o"
     r = run_cli("verify", "--wA", "x + k", "--wB", "x", "--bind", "k=[0.1,0.2]",

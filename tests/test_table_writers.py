@@ -386,3 +386,60 @@ def test_tables_longer_than_one_block():
     for fmt in ("csv", "json"):
         assert_same_text(emitted_table(fmt, header, columns),
                          reference_table(fmt, header, columns))
+
+
+# ---------------------------------------------------------------------------
+# repeated cells, which the writers format once per distinct value in a block
+
+def _float_with_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+_POOL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("-nan"),
+                     _float_with_bits(0x7FF8000000000001),  # a NaN with a payload
+                     float("inf"), float("-inf"), 5e-324, 1.0, -2.5, 0.1]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def repeating_tables(draw):
+    """(header, columns) whose cells repeat: each column draws its cells from
+    a small pool of floats, strings or booleans drawn first."""
+    n_rows = draw(st.integers(0, 40))
+    n_cols = draw(st.integers(2, 4))
+    header = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from([_POOL_FLOATS, _TEXT, st.booleans()]))
+        pool = draw(st.lists(kind, min_size=1, max_size=4))
+        col = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        if kind is _POOL_FLOATS:
+            col = np.array(col, dtype=np.float64)
+        columns.append(col)
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_tables())
+def test_repeated_cells_match_the_row_writer(table):
+    header, columns = table
+    for fmt in ("csv", "json"):
+        assert_same_text(emitted_table(fmt, header, columns),
+                         reference_table(fmt, header, columns))
+
+
+@pytest.mark.parametrize("n", [cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                               2 * cli._BLOCK_ROWS + 1])
+def test_repeated_cells_across_block_edges(n):
+    z = np.exp(1j * np.round(np.linspace(-3.0, 3.0, n), 2))  # each phase repeats
+    note = [""] * n
+    for i in range(0, n, 997):
+        note[i] = f"pole x0={cli._fmt(i / 7.0)}"
+    note[n // 2] = "a,b"
+    header = ["const", "signed_zero", "z_im", "annotation"]
+    columns = [np.full(n, 0.25), np.resize([0.0, -0.0], n), z.imag, note]
+    for fmt in ("csv", "json"):
+        assert_same_text(emitted_table(fmt, header, columns),
+                         reference_table(fmt, header, columns))
