@@ -330,10 +330,22 @@ def _blocks(columns):
         yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
+def _csv_lines(rows, n_columns: int) -> str:
+    """Rows of cell strings as CSV lines, each ended by a newline.
+
+    csv.writer quotes a lone empty field, which would otherwise read as a
+    blank line; only a one-column row can join to "".
+    """
+    lines = map(",".join, rows)
+    if n_columns == 1:
+        lines = (line or '""' for line in lines)
+    return "\n".join(lines) + "\n"
+
+
 def _write_csv_table(fh, header, columns) -> None:
-    fh.write(",".join(map(_csv_text, header)) + "\n")
+    fh.write(_csv_lines([map(_csv_text, header)], len(header)))
     for block in _blocks(columns):
-        fh.write("\n".join(map(",".join, zip(*map(_csv_cells, block)))) + "\n")
+        fh.write(_csv_lines(zip(*map(_csv_cells, block)), len(block)))
 
 
 def _write_json_table(fh, header, columns) -> None:

@@ -20,6 +20,7 @@ eliminations; trees otherwise print back exactly as structured, and
 
 from __future__ import annotations
 
+import cmath
 import re
 
 import numpy as np
@@ -273,7 +274,10 @@ class Pow(Expr):
         if self.n < 0 and (np.isscalar(base) or np.ndim(base) == 0):
             if base == 0:
                 raise EvalDomainError("zero raised to a negative power", x)
-        return base ** self.n
+        try:
+            return base ** self.n
+        except OverflowError:  # Python scalars raise where numpy gives inf
+            return np.power(np.asarray(base), self.n)
 
     def diff(self):
         inner = _mul(Const(self.n), _pow(self.a, self.n - 1))
@@ -416,8 +420,16 @@ def _pow(a, n: int):
         return Const(1.0)
     if n == 1:
         return a
-    if _is_const(a) and (a.value != 0 or n > 0):
-        return Const(a.value ** n)
+    if _is_const(a):
+        if a.value == 0 and n < 0:
+            raise ExprError("the constant zero raised to a negative power")
+        try:
+            value = a.value ** n
+            if cmath.isfinite(value):
+                return Const(value)
+        except OverflowError:
+            pass
+        raise ExprError(f"constant power {a}^{n} is out of float range")
     return Pow(a, n)
 
 

@@ -25,6 +25,18 @@ a third of the doubles).  The zero terms can only flip the sign of a zero,
 which needs a -0.0 among a point's samples, or turn an overflow into a NaN;
 such points are recomputed with the complex expressions.  Real input (a log
 scale) is divided by d, as the real expression does.
+
+The kernels on the grid (derivatives, the operators built on them in
+``stencil_pass``, the scaled pairing and the interior norms) run block by
+block over slices of ``_BLOCK`` points, small enough that a block's operands
+and scratch stay in L2 cache; a whole-array expression would send each of
+its N-point temporaries through memory.  Elementwise work is blocked: every
+element goes through the same operations, in the same order and on the same
+operand types, as in the whole-array expression, so it gets the same bits.
+Reductions whose order sets the bits stay whole-array: the blocks write
+their terms into one N-point array and ``np.sum`` adds it once, with the
+pairwise order of the whole-array sum.  A maximum is exact in any order, so
+it is taken block by block.
 """
 
 from __future__ import annotations
@@ -292,83 +304,109 @@ _EDGE_STENCILS = {
 }
 
 
-def _fd(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    out = np.empty_like(values)
-    _fd_interior(values, h, order, out[2:-2])
-    v = values
-    n = len(v)
-    for j, offsets in _EDGE_STENCILS[order].items():
-        w = _one_sided_weights(offsets, order) / h**order
-        idx = j + np.array(offsets)
-        out[j] = np.dot(w, v[idx])
-        # mirrored stencil at the right edge
-        jr = n - 1 - j
-        w_r = _one_sided_weights(tuple(-o for o in offsets), order) / h**order
-        out[jr] = np.dot(w_r, v[jr + np.array([-o for o in offsets])])
-    return out
-
-
-def _fd_interior(values: np.ndarray, h: float, order: int, out: np.ndarray):
-    """The central stencil, written into ``out`` (the interior slice).
-
-    Runs block by block on the float64 view, where neighbour j+1 of a complex
-    array sits two doubles further on, with one cache-sized scratch buffer
-    and the operations in the order of ``_fd_reference``.  The results are
-    that function's bits (see the module docstring): the points next to a
-    -0.0 sample and the points whose result overflows are recomputed by it.
-    """
-    v = np.ascontiguousarray(values)
-    a = v.view(np.float64)
-    s = a.size // v.size  # doubles per element: 2 for complex, 1 for real
-    scale = 12 * h if order == 1 else 12 * h * h
-    recip = 1.0 / scale
-    o = out.view(np.float64)
-    m = o.size
-    tmp = np.empty(min(_FD_BLOCK, m))
-    for lo in range(0, m, _FD_BLOCK):
-        hi = min(lo + _FD_BLOCK, m)
-        ob, t = o[lo:hi], tmp[: hi - lo]
-        # v_k: neighbour j + k - 2 of every interior point j in the block
-        v0, v1, v2, v3, v4 = (a[lo + k * s : hi + k * s] for k in range(5))
-        if order == 1:
-            np.multiply(v1, 8, out=t)
-            np.subtract(v0, t, out=ob)
-            np.multiply(v3, 8, out=t)
-            ob += t
-            ob -= v4
-        else:
-            np.negative(v0, out=ob)
-            np.multiply(v1, 16, out=t)
-            ob += t
-            np.multiply(v2, 30, out=t)
-            ob -= t
-            np.multiply(v3, 16, out=t)
-            ob += t
-            ob -= v4
-        if s == 1:
-            ob /= scale
-        else:
-            ob *= recip
-    if s == 1:
-        return
-    redo = []
-    bits = a.view(np.int64)
-    if bits.min() == _NEGATIVE_ZERO:
-        near = np.flatnonzero(bits == _NEGATIVE_ZERO) // 2
-        redo.append((near[:, None] + np.arange(-2, 3)).ravel())
-    if not np.isfinite(o.sum()):
-        redo.append(np.flatnonzero(~np.isfinite(out)) + 2)
-    if redo:
-        j = np.unique(np.concatenate(redo))
-        j = j[(j >= 2) & (j < len(v) - 2)]
-        out[j - 2] = _fd_reference(v, h, order, j)
-
-
-_FD_BLOCK = 16384  # doubles per block: each 128 KiB slice stays in L2 cache
+_BLOCK = 8192  # points per block: a complex slice is 128 KiB and stays in L2
 # -0.0 read as an int64 is the smallest int64, so one min finds any -0.0
 _NEGATIVE_ZERO = np.iinfo(np.int64).min
+
+
+def _blocks(n: int):
+    """The (lo, hi) bounds of the cache-sized blocks that cover range(n)."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+class _Stencil:
+    """Derivatives of one sample array, written a block of points at a time.
+
+    The central stencil runs on the float64 view, where neighbour j+1 of a
+    complex array sits two doubles further on, with the operations in the
+    order of ``_fd_reference``.  The results are that function's bits (see
+    the module docstring): the points next to a -0.0 sample and the points
+    whose result overflows are recomputed by it.  The two points at each
+    edge take one-sided stencils.
+    """
+
+    def __init__(self, values: np.ndarray, h: float, orders):
+        if not set(orders) <= {1, 2}:
+            raise ValueError("order must be 1 or 2")
+        self.v = v = np.ascontiguousarray(values)
+        self.a = v.view(np.float64)
+        self.s = self.a.size // v.size  # doubles per element: 2 for complex, 1 for real
+        self.h = h
+        self.tmp = np.empty(min(_BLOCK, len(v)) * self.s)
+        self.scale = {order: 12 * h if order == 1 else 12 * h * h for order in orders}
+        self.recip = {order: 1.0 / scale for order, scale in self.scale.items()}
+        n = len(v)
+        self.edges = []  # (order, point, weights, neighbour indices)
+        for order in orders:
+            for j, offsets in _EDGE_STENCILS[order].items():
+                self.edges.append((order, j, _one_sided_weights(offsets, order) / h**order,
+                                   j + np.array(offsets)))
+                # mirrored stencil at the right edge
+                jr = n - 1 - j
+                self.edges.append((order, jr, _one_sided_weights(tuple(-o for o in offsets), order)
+                                   / h**order, jr + np.array([-o for o in offsets])))
+
+    def into(self, lo: int, hi: int, outs: dict) -> dict:
+        """Write the derivative of each order at points lo..hi-1 into
+        ``outs[order]``; return ``outs``."""
+        v, a, s = self.v, self.a, self.s
+        jlo, jhi = max(lo, 2), min(hi, len(v) - 2)
+        if jlo < jhi:
+            t = self.tmp[: (jhi - jlo) * s]
+            # v_k: neighbour j + k - 2 of every interior point j in the block
+            b, e = (jlo - 2) * s, (jhi - 2) * s
+            v0, v1, v2, v3, v4 = a[b:e], a[b + s : e + s], a[b + 2 * s : e + 2 * s], \
+                a[b + 3 * s : e + 3 * s], a[b + 4 * s : e + 4 * s]
+            near = self._near_negative_zero(jlo, jhi) if s == 2 else None
+            for order, out in outs.items():
+                ob = out[jlo - lo : jhi - lo]
+                o = ob.view(np.float64)
+                if order == 1:
+                    np.multiply(v1, 8, out=t)
+                    np.subtract(v0, t, out=o)
+                    np.multiply(v3, 8, out=t)
+                    o += t
+                    o -= v4
+                else:  # 16 v1 - v0 is -v0 + 16 v1: x - y and x + (-y) round alike
+                    np.multiply(v1, 16, out=t)
+                    np.subtract(t, v0, out=o)
+                    np.multiply(v2, 30, out=t)
+                    o -= t
+                    np.multiply(v3, 16, out=t)
+                    o += t
+                    o -= v4
+                if s == 1:
+                    o /= self.scale[order]
+                    continue
+                o *= self.recip[order]
+                redo = [] if near is None else [near]
+                if not math.isfinite(o.sum()):
+                    redo.append(np.flatnonzero(~np.isfinite(ob)) + jlo)
+                if redo:
+                    j = np.unique(np.concatenate(redo))
+                    j = j[(j >= jlo) & (j < jhi)]
+                    ob[j - jlo] = _fd_reference(v, self.h, order, j)
+        for order, j, w, idx in self.edges:
+            if lo <= j < hi:
+                outs[order][j - lo] = np.dot(w, v[idx])
+        return outs
+
+    def _near_negative_zero(self, jlo: int, jhi: int):
+        """The points within two of a -0.0 sample that the interior points
+        jlo..jhi-1 read, or None when they read none."""
+        bits = self.a[(jlo - 2) * 2 : (jhi + 2) * 2].view(np.int64)
+        if bits.min() != _NEGATIVE_ZERO:
+            return None
+        near = np.flatnonzero(bits == _NEGATIVE_ZERO) // 2 + (jlo - 2)
+        return (near[:, None] + np.arange(-2, 3)).ravel()
+
+
+def _fd(values: np.ndarray, h: float, order: int) -> np.ndarray:
+    stencil = _Stencil(values, h, (order,))
+    out = np.empty_like(stencil.v)
+    for lo, hi in _blocks(len(out)):
+        stencil.into(lo, hi, {order: out[lo:hi]})
+    return out
 
 
 def _fd_reference(v: np.ndarray, h: float, order: int, j: np.ndarray) -> np.ndarray:
@@ -378,18 +416,71 @@ def _fd_reference(v: np.ndarray, h: float, order: int, j: np.ndarray) -> np.ndar
     return (-v[j - 2] + 16 * v[j - 1] - 30 * v[j] + 16 * v[j + 1] - v[j + 2]) / (12 * h * h)
 
 
+def stencil_pass(f, orders: tuple, combine) -> GridFunction:
+    """``f`` with new values from one cache-blocked pass over its samples.
+
+    For each block of points, ``combine(sl, v, *d, out, t)`` writes the
+    block's values into ``out``: ``sl`` is the block's slice, ``v`` is
+    ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]`` for each
+    k in ``orders`` (1, 2 or both), in scratch buffers the combine may
+    overwrite, as it may ``t``.  The scaled derivatives are formed as the
+    whole-array expressions of a scaled ``derivative`` form them, operation
+    by operation.
+
+    A complex product must not be written over one of its factors: on a
+    one-point block numpy then takes a loop whose last bit can differ.
+    """
+    grid = f.grid
+    n, h = grid.n_points, grid.spacing
+    scale = f.log_scale
+    # a scaled second derivative reads the first derivative of the values too
+    need = sorted(set(orders) | ({1} if scale is not None else set()))
+    stencil = _Stencil(f.values, h, need)
+    m = min(_BLOCK, n)
+    d = {k: np.empty(m, dtype=np.complex128) for k in need}
+    t = np.empty(m, dtype=np.complex128)
+    if scale is not None:
+        given = {1: f.dlog, 2: f.d2log}
+        fitted = [k for k in need if given[k] is None]
+        log_stencil = _Stencil(scale, h, fitted)
+        sd = {k: np.empty(m) for k in fitted}
+        r = np.empty(m)
+    out = np.empty(n, dtype=np.complex128)
+    for lo, hi in _blocks(n):
+        k = hi - lo
+        sl = slice(lo, hi)
+        v = f.values[sl]
+        db = stencil.into(lo, hi, {j: d[j][:k] for j in need})
+        if scale is not None:
+            s = log_stencil.into(lo, hi, {j: sd[j][:k] for j in fitted})
+            s.update((j, given[j][sl]) for j in need if j not in s)
+            rb, tb = r[:k], t[:k]
+            if 2 in orders:  # v2 + 2 * s1 * v1 + (s2 + s1 * s1) * v
+                np.multiply(2, s[1], out=rb)
+                np.multiply(rb, db[1], out=tb)
+                db[2] += tb
+                np.multiply(s[1], s[1], out=rb)
+                np.add(s[2], rb, out=rb)
+                np.multiply(rb, v, out=tb)
+                db[2] += tb
+            if 1 in orders:  # v1 + s1 * v
+                np.multiply(s[1], v, out=tb)
+                db[1] += tb
+        combine(sl, v, *(db[j] for j in orders), out[sl], t[:k])
+    return f.with_values(out)
+
+
+def _copy(sl, v, d, out, t):
+    out[...] = d
+
+
 def derivative(f, order: int = 1):
     """4th-order finite-difference derivative, on the same scale as ``f``."""
-    h = f.grid.spacing
     if f.log_scale is None:
-        return f.with_values(_fd(f.values, h, order))
-    s1 = f.dlog if f.dlog is not None else _fd(f.log_scale, h, 1).real
-    v1 = _fd(f.values, h, 1)
-    if order == 1:
-        return f.with_values(v1 + s1 * f.values)
-    v2 = _fd(f.values, h, order)  # raises unless order is 2
-    s2 = f.d2log if f.d2log is not None else _fd(f.log_scale, h, 2).real
-    return f.with_values(v2 + 2 * s1 * v1 + (s2 + s1 * s1) * f.values)
+        return f.with_values(_fd(f.values, f.grid.spacing, order))
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    return stencil_pass(f, (order,), _copy)
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +498,54 @@ def inner(f, g) -> complex:
     w = f.grid.simpson_weights
     if f.log_scale is None and g.log_scale is None:
         return complex(np.sum(w * np.conjugate(f.values) * g.values))
-    s = _log_scale(f) + _log_scale(g)
-    p = np.conjugate(f.values) * g.values
-    mag = np.abs(p)
-    with np.errstate(divide="ignore"):
-        log_mag = s + np.log(mag)
-    if np.max(log_mag, initial=-np.inf) > _LOG_HUGE:
-        j = int(np.argmax(log_mag))
+    n = f.grid.n_points
+    m = min(_BLOCK, n)
+    zeros = np.zeros(m)
+    p, c = np.empty(m, dtype=np.complex128), np.empty(m, dtype=np.complex128)
+    s, mag, log_mag = np.empty(m), np.empty(m), np.empty(m)
+    weighted = np.empty(n, dtype=np.complex128)  # w times the integrand
+
+    # no complex product is written over a factor (see stencil_pass)
+    def integrand(lo, hi):
+        """p, |p| and s + log|p| at points lo..hi-1, in the scratch buffers."""
+        k = hi - lo
+        pb, mb, lb, sb = p[:k], mag[:k], log_mag[:k], s[:k]
+        np.add(zeros[:k] if f.log_scale is None else f.log_scale[lo:hi],
+               zeros[:k] if g.log_scale is None else g.log_scale[lo:hi], out=sb)
+        np.multiply(np.conjugate(f.values[lo:hi], out=c[:k]), g.values[lo:hi], out=pb)
+        np.abs(pb, out=mb)
+        with np.errstate(divide="ignore"):
+            np.log(mb, out=lb)
+        np.add(sb, lb, out=lb)
+        return pb, mb, lb
+
+    def weigh(lo, hi, pb, mb, lb):
+        """w * (p / |p|) * exp(s + log|p|) into ``weighted``, 0 where p is 0."""
+        cb = c[: hi - lo]
+        if mb.min() > 0:
+            np.multiply(np.divide(pb, mb, out=cb), np.exp(lb, out=lb), out=pb)
+            cb = pb
+        else:
+            cb[:] = 0
+            nz = mb > 0
+            cb[nz] = (pb[nz] / mb[nz]) * np.exp(lb[nz])
+        np.multiply(w[lo:hi], cb, out=weighted[lo:hi])
+
+    # the largest log|integrand| and its first point, as np.argmax of the
+    # whole array finds it; once it is out of range, blocks are only scanned
+    worst, at = -np.inf, 0
+    for lo, hi in _blocks(n):
+        pb, mb, lb = integrand(lo, hi)
+        top = lb.max()
+        if top > worst:
+            worst, at = top, lo + int(np.argmax(lb))
+        if worst <= _LOG_HUGE:
+            weigh(lo, hi, pb, mb, lb)
+    if worst > _LOG_HUGE:
         raise RepresentationError(
-            f"pairing integrand exceeds float range near x={float(f.grid.x[j])!r}"
+            f"pairing integrand exceeds float range near x={float(f.grid.x[at])!r}"
         )
-    if mag.min() > 0:
-        out = (p / mag) * np.exp(log_mag)
-    else:
-        out = np.zeros_like(p)
-        nz = mag > 0
-        out[nz] = (p[nz] / mag[nz]) * np.exp(log_mag[nz])
-    return complex(np.sum(w * out))
+    return complex(np.sum(weighted))
 
 
 def biorthogonality_defect(left, right) -> float:
@@ -445,17 +567,53 @@ def norm(f) -> float:
 def interior_norm(f, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
     """L2 norm over the interior, skipping edge points and marked poles."""
     mask = _interior_mask(f.grid, pad, exclude)
-    w = f.grid.simpson_weights * mask
-    return float(np.sqrt(np.sum(w * np.abs(f.materialize().values) ** 2)))
+    return float(_weighted_norms(f.grid, [f.materialize().values], mask)[0])
+
+
+def _weighted_norms(grid: Grid, arrays: list, mask: np.ndarray, shift=None) -> list:
+    """sqrt(sum(w * |v|**2 * e2)) for each v in ``arrays``.
+
+    w is the Simpson weights times ``mask``; e2 is
+    exp(2 * clip(scale - top, -_LOG_HUGE, 0)) when ``shift`` gives
+    (scale, top), and 1 otherwise.  The terms are formed block by block
+    and each row is summed whole.
+    """
+    n = grid.n_points
+    m = min(_BLOCK, n)
+    sw, wb, e2 = grid.simpson_weights, np.empty(m), np.empty(m)
+    terms = np.empty((len(arrays), n))
+    for lo, hi in _blocks(n):
+        sl = slice(lo, hi)
+        w = np.multiply(sw[sl], mask[sl], out=wb[: hi - lo])
+        if shift is not None:
+            e = np.subtract(shift[0][sl], shift[1], out=e2[: hi - lo])
+            np.clip(e, -_LOG_HUGE, 0.0, out=e)
+            np.exp(np.multiply(2, e, out=e), out=e)
+        for row, v in zip(terms, arrays):
+            t = np.abs(v[sl], out=row[sl])
+            np.square(t, out=t)
+            np.multiply(w, t, out=t)
+            if shift is not None:
+                t *= e
+    return [np.sqrt(np.sum(row)) for row in terms]
 
 
 def _interior_mask(grid: Grid, pad: int, exclude: list | None) -> np.ndarray:
-    mask = np.zeros(grid.n_points, dtype=bool)
-    mask[pad:grid.n_points - pad] = True
+    return _cached_interior_mask(grid.half_width, grid.n_points, pad, tuple(exclude or ()))
+
+
+@lru_cache(maxsize=32)
+def _cached_interior_mask(half_width: float, n_points: int, pad: int, exclude: tuple) -> np.ndarray:
+    """The interior points of a grid, read-only; keyed by the grid's
+    parameters so that the cache keeps no grid alive."""
+    grid = Grid(half_width, n_points)
+    mask = np.zeros(n_points, dtype=bool)
+    mask[pad:n_points - pad] = True
     if exclude:
         width = 6 * grid.spacing
         for x0 in exclude:
             mask &= np.abs(grid.x - x0) > width
+    mask.flags.writeable = False
     return mask
 
 
@@ -468,18 +626,13 @@ def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None
     _check_same_grid(num, den)
     grid = num.grid
     mask = _interior_mask(grid, pad, exclude)
-    w = grid.simpson_weights * mask
-    if num.log_scale is None and den.log_scale is None:
-        a = np.sqrt(np.sum(w * np.abs(num.values) ** 2))
-        b = np.sqrt(np.sum(w * np.abs(den.values) ** 2))
-    else:
+    shift = None
+    if num.log_scale is not None or den.log_scale is not None:
         scale = _log_scale(num)
-        if not np.array_equal(scale, _log_scale(den)):
+        if num.log_scale is not den.log_scale and not np.array_equal(scale, _log_scale(den)):
             raise ValueError("scaled residual requires a shared log_scale")
-        shifted = scale - np.max(scale[mask], initial=0.0)
-        e2 = np.exp(2 * np.clip(shifted, -_LOG_HUGE, 0.0))
-        a = np.sqrt(np.sum(w * np.abs(num.values) ** 2 * e2))
-        b = np.sqrt(np.sum(w * np.abs(den.values) ** 2 * e2))
+        shift = (scale, np.max(scale, where=mask, initial=0.0))
+    a, b = _weighted_norms(grid, [num.values, den.values], mask, shift)
     if b == 0.0:
         return 0.0 if a == 0.0 else np.inf
     return float(a / b)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, EvalDomainError, conjugate, differentiate, evaluate
+from .expr import EvalDomainError, Expr, ExprError, conjugate, differentiate, evaluate
 from .numerics import (
     DecayFit,
     Grid,
@@ -31,13 +31,13 @@ from .numerics import (
     RepresentationError,
     cumulative_antiderivative,
     default_grid,
-    derivative,
     fitted_decay_exponents,
     inner,
     interior_norm,
     norm,
     relative_residual,
     sample,
+    stencil_pass,
 )
 from .reporting import CheckResult
 
@@ -156,7 +156,7 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
                 raise ValueError(f"simplified {name} disagrees with the derived form at x={x}")
         checked += 1
     if checked == 0:
-        raise ValueError("no pole-free sample points to verify the pair on")
+        raise ExprError("no pole-free sample points in [-8, 8] to verify the pair on")
     for name, e in simplified.items():
         setattr(p, name, e)
     return p
@@ -166,11 +166,15 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
 # operator application
 
 def _first_order(p, f, w_name, deriv_sign, conj_w):
+    """deriv_sign * f' + w f, with w conjugated for an adjoint."""
     w = p.samples(f.grid)[w_name]
-    if conj_w:
-        w = np.conjugate(w)
-    d1 = derivative(f, 1)
-    return f.with_values(deriv_sign * d1.values + w * f.values)
+
+    def combine(sl, v, d1, out, t):
+        np.multiply(deriv_sign, d1, out=out)
+        np.multiply(np.conjugate(w[sl], out=d1) if conj_w else w[sl], v, out=t)
+        out += t
+
+    return stencil_pass(f, (1,), combine)
 
 
 def apply_A(p: SuperpotentialPair, f):
@@ -193,10 +197,18 @@ def apply_B_dag(p: SuperpotentialPair, f):
     return _first_order(p, f, "w_b", +1.0, True)
 
 
-def _second_order(f, drift, potential):
-    d1 = derivative(f, 1)
-    d2 = derivative(f, 2)
-    return f.with_values(-d2.values + drift * d1.values + potential * f.values)
+def _second_order(f, drift, potential, dual=False):
+    """-f'' + q f' + V f; with ``dual`` the drift is -conj(drift)."""
+
+    def combine(sl, v, d1, d2, out, t):
+        np.negative(d2, out=out)
+        q = np.negative(np.conjugate(drift[sl], out=d2), out=d2) if dual else drift[sl]
+        np.multiply(q, d1, out=t)
+        out += t
+        np.multiply(potential[sl], v, out=t)
+        out += t
+
+    return stencil_pass(f, (1, 2), combine)
 
 
 def apply_H1(p: SuperpotentialPair, f):
@@ -213,12 +225,12 @@ def apply_H2(p: SuperpotentialPair, f):
 def apply_H1_dag(p: SuperpotentialPair, f):
     """Adjoint of H1: drift flips to -conj(q1), potential to the dual."""
     s = p.samples(f.grid)
-    return _second_order(f, -np.conjugate(s["q1"]), s["v1_dual"])
+    return _second_order(f, s["q1"], s["v1_dual"], dual=True)
 
 
 def apply_H2_dag(p: SuperpotentialPair, f):
     s = p.samples(f.grid)
-    return _second_order(f, -np.conjugate(s["q1"]), s["v2_dual"])
+    return _second_order(f, s["q1"], s["v2_dual"], dual=True)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,29 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     assert rep["notes"][0].startswith("DeformationError: ")
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["potentials", "--wA", "x", "--wB", "(0)^-1"], 2,
+     "susyq: the constant zero raised to a negative power"),
+    (["potentials", "--wA", "x", "--wB", "1/(x-x)"], 2, "susyq: no pole-free sample points"),
+    (["potentials", "--wA", "x", "--wB", "x^400"], 3, "susyq: non-finite sample"),
+    (["vacua", "--wA", "x", "--wB", "x^400"], 3, "susyq: non-finite sample"),
+    (["verify", "--wA", "x", "--wB", "x^400"], 3, "susyq: non-finite sample"),
+    (["potentials", "--wA", "x", "--wB", "k^3", "--bind", "k=[1e200,1e200]"], 2,
+     "susyq: constant power (1e+200 + 1e+200i)^3 is out of float range"),
+    (["potentials", "--wA", "x", "--wB", "k^101", "--bind", "k=[1e200,1e200]"], 2,
+     "is out of float range"),
+])
+def test_singular_and_overflowing_expressions_end_in_a_documented_exit(
+        tmp_path, capsys, argv, code, message):
+    from susyq import cli
+
+    assert cli.main(argv + ["--grid-n", "1025", "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err and "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("susyq: ")
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["potentials", "gk"])
 def test_rejected_deformation_is_a_configuration_error(command, tmp_path):
     r = run_cli(command, "--model", "deformed-harmonic", "--bind", "q=0.5*tanh(x)",

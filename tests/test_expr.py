@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyq.expr import (
     EvalDomainError,
+    ExprError,
     ParseError,
     conjugate,
     differentiate,
@@ -199,6 +200,30 @@ def test_pole_evaluation_carries_x():
         evaluate(parse("ln(x)"), 0.0)
     with pytest.raises(EvalDomainError):
         evaluate(parse("x^-1"), 0.0)
+
+
+def test_scalar_power_overflow_is_a_domain_error_like_the_array_inf():
+    e = parse("x^400")
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(e, 8.0)
+    assert err.value.x == 8.0
+    with pytest.raises(EvalDomainError):
+        evaluate(parse("(x + 1i)^400"), 8.0)
+    assert np.isinf(evaluate_array(e, np.array([8.0]))[0].real)
+    # past the overflow the value is exact again
+    assert evaluate(parse("exp(0 - x^400)"), 8.0) == 0.0
+
+
+@pytest.mark.parametrize("text, bindings, message", [
+    ("(0)^-1", None, "the constant zero raised to a negative power"),
+    ("k^3", {"k": [1e200, 1e200]}, "out of float range"),
+    ("k^101", {"k": [1e200, 1e200]}, "out of float range"),
+    ("k^2", {"k": 1e200}, "out of float range"),
+])
+def test_constant_powers_fold_to_finite_numbers_or_raise(text, bindings, message):
+    with pytest.raises(ExprError, match=message):
+        parse(text, bindings)
+    assert evaluate(parse("k^-2", {"k": 2}), 0.0) == 0.25
 
 
 def test_array_evaluation_matches_scalar():

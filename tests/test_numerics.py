@@ -24,11 +24,13 @@ from susyq.numerics import (
     fitted_decay_exponents,
     inner,
     integrate_halfline,
+    interior_norm,
     norm,
     relative_residual,
     sample,
 )
-from susyq.numerics import _fd
+from susyq import susy
+from susyq.numerics import _BLOCK, _EDGE_STENCILS, _LOG_HUGE, _fd, _one_sided_weights
 
 
 def test_grid_spacing_and_endpoints():
@@ -358,6 +360,225 @@ def test_scaled_inner_with_exactly_zero_products():
     got = inner(phi, holes)
     assert got == _masked_inner(phi, holes)
     assert got != inner(phi, psi)
+
+
+# ---------------------------------------------------------------------------
+# the blocked kernels against the whole-array expressions they replaced
+
+_BLOCK_EDGE_SIZES = [16, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _fd_oracle(v, h, order):
+    """The whole derivative: the interior oracle plus the edge dot products."""
+    out = np.empty_like(v)
+    out[2:-2] = _fd_interior_oracle(v, h, order)
+    n = len(v)
+    for j, offsets in _EDGE_STENCILS[order].items():
+        w = _one_sided_weights(offsets, order) / h**order
+        out[j] = np.dot(w, v[j + np.array(offsets)])
+        jr = n - 1 - j
+        w_r = _one_sided_weights(tuple(-o for o in offsets), order) / h**order
+        out[jr] = np.dot(w_r, v[jr + np.array([-o for o in offsets])])
+    return out
+
+
+def _derivative_oracle(f, order):
+    """``derivative(f, order).values`` as whole-array expressions."""
+    h = f.grid.spacing
+    if f.log_scale is None:
+        return _fd_oracle(f.values, h, order)
+    s1 = f.dlog if f.dlog is not None else _fd_oracle(f.log_scale, h, 1).real
+    v1 = _fd_oracle(f.values, h, 1)
+    if order == 1:
+        return v1 + s1 * f.values
+    v2 = _fd_oracle(f.values, h, 2)
+    s2 = f.d2log if f.d2log is not None else _fd_oracle(f.log_scale, h, 2).real
+    return v2 + 2 * s1 * v1 + (s2 + s1 * s1) * f.values
+
+
+def _operator_oracles(p, f):
+    """Each ``susy.apply_*`` of ``f`` as the composed whole-array expression."""
+    s = p.samples(f.grid)
+    d1, d2 = _derivative_oracle(f, 1), _derivative_oracle(f, 2)
+    dual_drift = -np.conjugate(s["q1"])
+    return {
+        "A": +1.0 * d1 + s["w_a"] * f.values,
+        "B": -1.0 * d1 + s["w_b"] * f.values,
+        "A_dag": -1.0 * d1 + np.conjugate(s["w_a"]) * f.values,
+        "B_dag": +1.0 * d1 + np.conjugate(s["w_b"]) * f.values,
+        "H1": -d2 + s["q1"] * d1 + s["v1"] * f.values,
+        "H2": -d2 + s["q1"] * d1 + s["v2"] * f.values,
+        "H1_dag": -d2 + dual_drift * d1 + s["v1_dual"] * f.values,
+        "H2_dag": -d2 + dual_drift * d1 + s["v2_dual"] * f.values,
+    }
+
+
+def _carriers(grid, rng):
+    """Plain and scaled carriers, -0.0 samples among them."""
+    n = grid.n_points
+    x = grid.x
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(-x**2 / 8)
+    signed = z.copy()
+    signed.real[::7] = -0.0
+    signed.imag[n // 2] = -0.0
+    signed[n - 3] = complex(-0.0, -0.0)
+    scale = 0.3 * x**2 - 0.5 * x
+    return {
+        "plain": GridFunction(grid, z),
+        "plain with -0.0": GridFunction(grid, signed),
+        "scaled, fitted scale derivatives": GridFunction(grid, signed, scale),
+        "scaled, exact scale derivatives": GridFunction(grid, z, scale, 0.6 * x - 0.5,
+                                                        np.full(n, 0.6)),
+        "scaled, one exact derivative": GridFunction(grid, signed, -scale, -0.6 * x + 0.5),
+    }
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+def test_blocked_operators_are_the_composed_expressions_bit_for_bit(n):
+    grid = Grid(3.0, n)
+    p = susy.build_pair(parse("x + 0.3i * cos(x)"), parse("x - 0.5 * tanh(x)"))
+    for case, f in _carriers(grid, np.random.default_rng(n)).items():
+        want = _operator_oracles(p, f)
+        for op, values in want.items():
+            got = getattr(susy, f"apply_{op}")(p, f)
+            assert np.array_equal(_bits(got.values), _bits(values)), (case, op)
+            assert got.log_scale is f.log_scale, (case, op)
+        for order in (1, 2):
+            got = derivative(f, order).values
+            assert np.array_equal(_bits(got), _bits(_derivative_oracle(f, order))), (case, order)
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])
+def test_an_overflowing_stencil_is_reported_as_the_composed_expression_reports_it(n):
+    grid = Grid(3.0, n)
+    p = susy.build_pair(parse("x"), parse("x + 1"))
+    values = np.ones(n, dtype=np.complex128)
+    values[_BLOCK - 5 : _BLOCK] = [1e307, -1e307, 1e307, -1e307, 1e307]  # reads across the block edge
+    values[-40] = 1e307
+    for f in (GridFunction(grid, values), GridFunction(grid, values, 0.1 * grid.x)):
+        with np.errstate(all="ignore"):
+            for op, want in _operator_oracles(p, f).items():
+                with pytest.raises(PoleOnGridError) as expected:
+                    GridFunction(grid, want)
+                with pytest.raises(PoleOnGridError) as got:
+                    getattr(susy, f"apply_{op}")(p, f)
+                assert str(got.value) == str(expected.value), op
+            got = _fd(values, grid.spacing, 2)
+            want = _fd_oracle(values, grid.spacing, 2)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _scaled_inner_oracle(f, g):
+    """The scaled branch of ``inner`` as whole-array expressions."""
+    ls = lambda c: c.log_scale if c.log_scale is not None else np.zeros(c.grid.n_points)
+    s = ls(f) + ls(g)
+    p = np.conjugate(f.values) * g.values
+    mag = np.abs(p)
+    with np.errstate(divide="ignore"):
+        log_mag = s + np.log(mag)
+    if np.max(log_mag, initial=-np.inf) > _LOG_HUGE:
+        j = int(np.argmax(log_mag))
+        raise RepresentationError(
+            f"pairing integrand exceeds float range near x={float(f.grid.x[j])!r}")
+    if mag.min() > 0:
+        out = (p / mag) * np.exp(log_mag)
+    else:
+        out = np.zeros_like(p)
+        nz = mag > 0
+        out[nz] = (p[nz] / mag[nz]) * np.exp(log_mag[nz])
+    return complex(np.sum(f.grid.simpson_weights * out))
+
+
+def _same_complex(a, b):
+    return _bits(np.array([a])).tolist() == _bits(np.array([b])).tolist()
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+def test_blocked_scaled_inner_is_the_whole_array_formula_bit_for_bit(n):
+    grid = Grid(12.0, n)
+    rng = np.random.default_rng(n)
+    x = grid.x
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    up = GridFunction(grid, z, 40.0 * x)
+    down = GridFunction(grid, np.conjugate(z) * 0.5, -40.0 * x - x**2)
+    holes = down.with_values(np.where(np.arange(n) % 5 == 0, 0.0, down.values))
+    # a zero product only in the last block keeps the earlier blocks unmasked
+    late_hole = down.with_values(np.where(np.arange(n) == n - 2, 0.0, down.values))
+    plain = GridFunction(grid, z * np.exp(-x**2))
+    for f, g in [(up, down), (down, up), (up, holes), (holes, up), (up, late_hole),
+                 (plain, down), (down, plain)]:
+        assert _same_complex(inner(f, g), _scaled_inner_oracle(f, g))
+    # only the last point contributes, so the last block's bits reach the sum
+    for value in rng.standard_normal(16) + 1j * rng.standard_normal(16):
+        tail = GridFunction(grid, np.where(np.arange(n) == n - 1, value, 0.0), 40.0 * x)
+        assert _same_complex(inner(tail, down), _scaled_inner_oracle(tail, down))
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])
+def test_a_pairing_out_of_range_names_the_first_largest_point(n):
+    grid = Grid(12.0, n)
+    ones = np.ones(n)
+    # (point, log scale): a tie across blocks names the first point, and a
+    # larger value in a later block names that one
+    for peaks in ([(3, 750.0), (n - 1, 750.0)], [(_BLOCK - 1, 750.0), (n - 1, 760.0)],
+                  [(_BLOCK - 1, 760.0), (_BLOCK, 750.0), (n - 1, 760.0)]):
+        scale = np.zeros(n)
+        for j, value in peaks:
+            scale[j] = value
+        f = GridFunction(grid, ones, scale)
+        with pytest.raises(RepresentationError) as expected:
+            _scaled_inner_oracle(f, f.with_values(ones))
+        with pytest.raises(RepresentationError) as got:
+            inner(f, f.with_values(ones))
+        assert str(got.value) == str(expected.value)
+
+
+def _relative_residual_oracle(num, den, mask):
+    w = num.grid.simpson_weights * mask
+    if num.log_scale is None and den.log_scale is None:
+        a = np.sqrt(np.sum(w * np.abs(num.values) ** 2))
+        b = np.sqrt(np.sum(w * np.abs(den.values) ** 2))
+    else:
+        scale = num.log_scale if num.log_scale is not None else np.zeros(num.grid.n_points)
+        shifted = scale - np.max(scale[mask], initial=0.0)
+        e2 = np.exp(2 * np.clip(shifted, -_LOG_HUGE, 0.0))
+        a = np.sqrt(np.sum(w * np.abs(num.values) ** 2 * e2))
+        b = np.sqrt(np.sum(w * np.abs(den.values) ** 2 * e2))
+    if b == 0.0:
+        return 0.0 if a == 0.0 else np.inf
+    return float(a / b)
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+def test_blocked_norms_and_residuals_are_the_whole_array_sums_bit_for_bit(n):
+    from susyq.numerics import _interior_mask
+
+    grid = Grid(12.0, n)
+    carriers = _carriers(grid, np.random.default_rng(n + 1))
+    exclude = [0.3, -2.0] if n > 16 else []  # at n = 16 they would mask every point
+    mask = _interior_mask(grid, 5, exclude)
+    for case, f in carriers.items():
+        g = f.with_values(f.values[::-1] + 0.25)
+        got = relative_residual(g, f, exclude=exclude)
+        assert got == _relative_residual_oracle(g, f, mask), case
+        if f.log_scale is None:
+            w = grid.simpson_weights * mask
+            want = float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
+            assert interior_norm(f, exclude=exclude) == want, case
+
+
+def test_the_interior_mask_is_cached_and_read_only():
+    from susyq.numerics import _interior_mask
+
+    g = Grid(12.0, 4097)
+    a = _interior_mask(g, 5, [0.5])
+    assert _interior_mask(Grid(12.0, 4097), 5, [0.5]) is a
+    assert _interior_mask(g, 5, None) is _interior_mask(g, 5, [])
+    assert _interior_mask(g, 5, None) is not a
+    with pytest.raises(ValueError):
+        a[0] = True
+    window = np.abs(g.x - 0.5) <= 6 * g.spacing
+    assert np.array_equal(a, ~window & (np.arange(4097) >= 5) & (np.arange(4097) < 4092))
 
 
 def test_biorthogonality_defect_is_the_hand_loop_bit_for_bit():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
-from susyq.expr import parse
+from susyq.expr import ExprError, parse
 from susyq.numerics import Grid, GridFunction, default_grid, inner, interior_norm, norm, sample
 from susyq.susy import (
     apply_A,
@@ -129,6 +129,11 @@ def test_adjoint_hamiltonian_is_swapped_conjugated_pair():
 def test_build_pair_requires_sane_input():
     with pytest.raises(Exception):
         build_pair(parse("1 / x"), parse("1 / x"), singular_points=np.linspace(-8, 8, 200))
+
+
+def test_a_pair_singular_at_every_sample_point_is_an_expression_error():
+    with pytest.raises(ExprError, match="no pole-free sample points"):
+        build_pair(parse("x"), parse("1 / (x - x)"))
 
 
 def test_harmonic_vacua_forms_and_classification():
@@ -352,7 +357,7 @@ def test_superalgebra_applies_each_charge_once_per_vector(monkeypatch):
     import susyq.susy
 
     p, vectors, doublets = _deformed_superalgebra_input()
-    counts = {"apply": 0, "derivative": 0}
+    counts = {"apply": 0, "pass": 0}
 
     def counting(fn, key):
         def wrapped(*args, **kwargs):
@@ -362,13 +367,13 @@ def test_superalgebra_applies_each_charge_once_per_vector(monkeypatch):
 
     for name in ("apply_A", "apply_B", "apply_H1", "apply_H2"):
         monkeypatch.setattr(susyq.susy, name, counting(getattr(susyq.susy, name), "apply"))
-    monkeypatch.setattr(susyq.susy, "derivative", counting(susyq.numerics.derivative, "derivative"))
+    monkeypatch.setattr(susyq.susy, "stencil_pass", counting(susyq.numerics.stencil_pass, "pass"))
     superalgebra_check(p, vectors, doublets=doublets)
-    # per vector: A f, B g, H1 f and H2 g (two derivatives each), B A f,
-    # A B g, H2 A f (two), A H1 f, H1 B g (two) and B H2 g, no operator on a
-    # zero block; per doublet: the two mapping images
+    # per vector: A f, B g, H1 f, H2 g, B A f, A B g, H2 A f, A H1 f, H1 B g
+    # and B H2 g, no operator on a zero block; per doublet: the two mapping
+    # images.  Each application is one stencil pass, second order included.
     assert counts["apply"] == 10 * len(vectors) + 2 * len(doublets)
-    assert counts["derivative"] == 14 * len(vectors) + 2 * len(doublets)
+    assert counts["pass"] == counts["apply"]
 
 
 bounded = st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3)

@@ -335,9 +335,9 @@ _TEXT = st.text(st.sampled_from(list('ab1 ,;"\n\r{}[]\\:\x00\té€\U0001f600'))
 
 @st.composite
 def tables(draw):
-    """(header, columns): two to five columns, each float, str or bool."""
+    """(header, columns): one to five columns, each float, str or bool."""
     n_rows = draw(st.integers(0, 6))
-    n_cols = draw(st.integers(2, 5))
+    n_cols = draw(st.integers(1, 5))
     header = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
     columns = []
     for _ in range(n_cols):
@@ -371,6 +371,13 @@ def test_string_cells_get_minimal_quoting():
     columns = [np.array([1.0, 2.0, 3.0, 4.0]), ["plain", 'say "hi"', "a,b", "cr\rlf\n"]]
     assert emitted_table("csv", header, columns) == (
         'x,note\n1,plain\n2,"say ""hi"""\n3,"a,b"\n4,"cr\rlf\n"\n')
+
+
+def test_one_column_tables_quote_a_lone_empty_cell():
+    header, columns = [""], [["", "a", ""]]
+    assert emitted_table("csv", header, columns) == '""\n""\na\n""\n'
+    assert_same_text(emitted_table("csv", header, columns),
+                     reference_table("csv", header, columns))
 
 
 def test_empty_tables():
@@ -408,7 +415,7 @@ def repeating_tables(draw):
     """(header, columns) whose cells repeat: each column draws its cells from
     a small pool of floats, strings or booleans drawn first."""
     n_rows = draw(st.integers(0, 40))
-    n_cols = draw(st.integers(2, 4))
+    n_cols = draw(st.integers(1, 4))
     header = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
     columns = []
     for _ in range(n_cols):
