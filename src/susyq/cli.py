@@ -124,6 +124,14 @@ def _number(kind, key: str, value):
         raise ConfigError(f"{key} must be a number, got {value!r}") from e
 
 
+def _finite(key: str, value) -> float:
+    """``float(value)``, which must be finite."""
+    v = _number(float, key, value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {v!r}")
+    return v
+
+
 def _merge_config(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None):
@@ -205,8 +213,8 @@ def _merge_config(args) -> RunConfig:
         tolerances=tolerances,
         out=pick("out", "out", "susyq-out"),
         fmt=fmt,
-        j=_number(float, "J", pick("j", "J", 1.0)),
-        gamma=_number(float, "gamma", pick("gamma", "gamma", 0.0)),
+        j=_finite("J", pick("j", "J", 1.0)),
+        gamma=_finite("gamma", pick("gamma", "gamma", 0.0)),
         family=family,
         n_terms=_number(int, "n_terms", pick("n_terms", "n_terms", 26)),
         j_max=pick("j_max", "j_max", None),
@@ -217,7 +225,9 @@ def _merge_config(args) -> RunConfig:
         numeric=bool(pick("numeric", "numeric", False)),
     )
     if cfg.j_max is not None:
-        cfg.j_max = _number(float, "j_max", cfg.j_max)
+        cfg.j_max = _finite("j_max", cfg.j_max)
+        if cfg.j_max <= 0:
+            raise ConfigError(f"j_max must be positive, got {cfg.j_max!r}")
     return cfg
 
 

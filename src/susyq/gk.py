@@ -19,16 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (
-    GridFunction,
-    _same_scale,
-    inner,
-    integrate_halfline,
-    norm,
-    relative_residual,
-)
+from .numerics import GridFunction, _same_scale, inner, integrate_halfline, norm
 from .reporting import CheckResult
-from .susy import apply_A, apply_B
 
 __all__ = [
     "GKError",
@@ -51,8 +43,6 @@ __all__ = [
     "action_identity",
     "lowering_action",
     "lowering_defect",
-    "SpecialMapsReport",
-    "pb_special_maps",
 ]
 
 
@@ -290,7 +280,6 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms, delta_e_tol: float = 1e-8) -> G
 @dataclass(eq=False)
 class GKState:
     family: str
-    sector: int
     j: float
     gamma: float
     n_terms: int
@@ -304,10 +293,14 @@ class GKState:
     build_tol: float = field(repr=False)
 
     def payload(self) -> dict:
-        """JSON-ready summary; the key set is the serialization contract."""
+        """JSON-ready summary; the key set is the serialization contract.
+
+        States are built and reported over sector 1, so ``sector`` is a
+        fixed 1 kept for the file format.
+        """
         return {
             "family": self.family,
-            "sector": self.sector,
+            "sector": 1,
             "J": self.j,
             "gamma": self.gamma,
             "N": self.n_terms,
@@ -393,19 +386,17 @@ def _tail_bound(s: Spectrum, a: float, r: float, family: str,
 
 
 def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
-                gamma: float = 0.0, sector: int = 1, tol: float = 1e-10,
+                gamma: float = 0.0, tol: float = 1e-10,
                 domain: GKDomain | None = None) -> GKState:
     """Truncate the coefficient series over ``basis`` and sum it on the grid.
 
     With no explicit domain the certification is one-sided: the growth
-    bound is fitted from this basis alone and used for both slots.  A
-    sector-2 basis must come with the spectrum that actually labels it;
-    nothing here re-derives the shift between partner sectors.
+    bound is fitted from this basis alone and used for both slots.  The
+    basis must come with the spectrum that actually labels it; nothing here
+    re-derives the shift between partner sectors.
     """
     if family not in ("phi", "psi"):
         raise GKError("family must be 'phi' or 'psi'")
-    if sector not in (1, 2):
-        raise GKError("sector must be 1 or 2")
     if not basis:
         raise GKError("empty basis")
     grid = basis[0].grid
@@ -436,7 +427,6 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
     fn = _combine(list(basis[:n]), coeffs)
     return GKState(
         family=family,
-        sector=sector,
         j=j,
         gamma=gamma,
         n_terms=n,
@@ -457,8 +447,6 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
 def _require_partners(phi_state: GKState, psi_state: GKState):
     if phi_state.family != "phi" or psi_state.family != "psi":
         raise GKError("pass the phi-family state first and its psi partner second")
-    if phi_state.sector != psi_state.sector:
-        raise GKError("states belong to different sectors")
     if phi_state.j != psi_state.j or phi_state.gamma != psi_state.gamma:
         raise GKError("states carry different (J, gamma) labels")
     if not np.array_equal(
@@ -608,7 +596,7 @@ def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
         got = integrate_halfline(
             lambda jv, p=n: np.asarray(jv, dtype=float) ** p
             * np.asarray(md.density(jv), dtype=float)
-        ).value
+        )
         err = abs(got - want) / abs(want)
         checks.append(CheckResult.from_residual(f"moment n={n}", err, rel_tol))
     return checks
@@ -757,7 +745,6 @@ def evolve(state: GKState, t: float) -> GKState:
         family=state.family,
         j=state.j,
         gamma=state.gamma + t,
-        sector=state.sector,
         tol=state.build_tol,
         domain=state.domain,
     )
@@ -808,138 +795,3 @@ def lowering_defect(state: GKState) -> float:
     mat = lowering_action(state.spectrum, state.gamma, state.family, state.n_terms)
     c = state.coefficients
     return float(np.max(np.abs(mat @ c - math.sqrt(state.j) * c)))
-
-
-# ---------------------------------------------------------------------------
-# ladder-normalized intertwining maps on whole states
-
-@dataclass(eq=False)
-class SpecialMapsReport:
-    case: str
-    checks: tuple
-    notes: tuple
-
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _map_check(name: str, lhs, rhs, tol: float, ref_scale: float, notes: list):
-    # a side that is exactly zero in theory still carries the derivative
-    # stencil's noise, so the degenerate cutoff sits above that floor
-    lhs_mag = float(np.max(np.abs(lhs.values)))
-    rhs_mag = float(np.max(np.abs(rhs.values)))
-    if max(lhs_mag, rhs_mag) <= 1e-6 * max(ref_scale, 1e-300):
-        notes.append(f"{name}: both sides vanish at this label; check degenerate")
-        return CheckResult(name, 0.0, tol, True)
-    return CheckResult.from_residual(
-        name, relative_residual(lhs - rhs, rhs), tol
-    )
-
-
-def pb_special_maps(phi1_state: GKState, phi2_state: GKState, pair,
-                    case: str = "alpha-energy", h: float = 1e-4,
-                    map_tol: float = 1e-8, operator_tol: float = 1e-5) -> SpecialMapsReport:
-    """Check how A and B act on whole states for ladder-normalized pairs.
-
-    The two sector states must share one spectrum, one K, and slots
-    aligned by eigenvalue, with the sector-2 slot at the ground energy
-    empty whenever A annihilates the sector-1 vacuum.  Case "alpha-energy"
-    (A scaled to carry the eigenvalue, B normalized) sends the sector-1
-    state to the angle derivative of the sector-2 state, and B sends the
-    sector-2 state back to the sector-1 state; with an empty ground slot
-    the B image reproduces it minus its ground term, which is noted, not
-    hidden.  Case "alpha-one" swaps the roles.  The angle derivative is
-    taken by a fourth-order central difference over the coefficients and
-    cross-checked against the -i E_n weighting.
-    """
-    if case not in ("alpha-energy", "alpha-one"):
-        raise GKError("case must be 'alpha-energy' or 'alpha-one'")
-    if phi1_state.family != "phi" or phi2_state.family != "phi":
-        raise GKError("both states must be phi-family states")
-    if phi1_state.sector != 1 or phi2_state.sector != 2:
-        raise GKError("pass the sector-1 state first and the sector-2 state second")
-    if phi1_state.j != phi2_state.j or phi1_state.gamma != phi2_state.gamma:
-        raise GKError("states carry different (J, gamma) labels")
-    n = min(phi1_state.n_terms, phi2_state.n_terms)
-    e = phi1_state.spectrum.energies[:n]
-    if not np.array_equal(e, phi2_state.spectrum.energies[:n]):
-        raise GKError(
-            "states were built over different spectra; align the sector-2 "
-            "slots by eigenvalue before building"
-        )
-    if n < 2:
-        raise GKError("need at least two levels")
-
-    basis1 = list(phi1_state.basis[:n])
-    basis2 = list(phi2_state.basis[:n])
-    probe = apply_A(pair, basis1[1])
-    anchor = basis2[1]
-    denom = inner(anchor, anchor)
-    if abs(denom) == 0.0:
-        raise GKError("sector-2 basis slot 1 is empty")
-    alpha_hat = inner(anchor, probe) / denom
-    expected = complex(e[1]) if case == "alpha-energy" else 1.0 + 0.0j
-    if abs(alpha_hat - expected) > 1e-6 * max(1.0, abs(expected)):
-        raise GKError(
-            f"measured alpha_1 = {alpha_hat:.6g} does not match the {case} "
-            f"case (expected {expected:.6g})"
-        )
-
-    notes: list = []
-    checks: list = []
-    s = phi1_state.spectrum
-    j, gamma, k = phi1_state.j, phi1_state.gamma, phi1_state.k
-    deriv_state = phi2_state if case == "alpha-energy" else phi1_state
-
-    def c_at(gv):
-        return _coefficient_vector(s, "phi", j, gv, k, n)
-
-    dc = (c_at(gamma - 2 * h) - 8 * c_at(gamma - h)
-          + 8 * c_at(gamma + h) - c_at(gamma + 2 * h)) / (12 * h)
-    analytic = -1j * e * deriv_state.coefficients[:n]
-    deriv_scale = max(float(np.max(np.abs(analytic))), 1e-300)
-    e_top = float(np.abs(e).max())
-    deriv_tol = max(1e-10, e_top ** 5 * h ** 4 / 10.0)
-    checks.append(CheckResult.from_residual(
-        "angle derivative of the coefficients matches the -iE weighting",
-        float(np.max(np.abs(dc - analytic))) / deriv_scale,
-        deriv_tol,
-    ))
-
-    ref_scale = float(np.max(np.abs(phi1_state.function.values)))
-    if case == "alpha-energy":
-        lhs_a = apply_A(pair, phi1_state.function)
-        rhs_a = _combine(basis2, 1j * dc)
-        checks.append(_map_check(
-            "A image matches the angle derivative of the sector-2 state",
-            lhs_a, rhs_a, map_tol, ref_scale, notes,
-        ))
-        lhs_b = apply_B(pair, phi2_state.function)
-        rhs_b = phi1_state.function
-        ground_norm = norm(basis2[0])
-        peers = max(norm(b) for b in basis2[1:])
-        if ground_norm <= 1e-9 * peers:
-            c0 = phi1_state.coefficients[0]
-            rhs_b = rhs_b - _combine([basis1[0]], np.array([c0]))
-            notes.append(
-                "sector-2 expansion has no slot at the ground energy; the B "
-                "image reproduces the sector-1 state minus its ground term"
-            )
-        checks.append(_map_check(
-            "B image matches the sector-1 state",
-            lhs_b, rhs_b, operator_tol, ref_scale, notes,
-        ))
-    else:
-        lhs_a = apply_A(pair, phi1_state.function)
-        checks.append(_map_check(
-            "A image matches the sector-2 state",
-            lhs_a, phi2_state.function, map_tol, ref_scale, notes,
-        ))
-        lhs_b = apply_B(pair, phi2_state.function)
-        rhs_b = _combine(basis1, 1j * dc)
-        checks.append(_map_check(
-            "B image matches the angle derivative of the sector-1 state",
-            lhs_b, rhs_b, operator_tol, ref_scale, notes,
-        ))
-
-    return SpecialMapsReport(case=case, checks=tuple(checks), notes=tuple(notes))

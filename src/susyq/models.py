@@ -146,13 +146,22 @@ def _ladder_argument(grid: Grid, c) -> np.ndarray:
     return grid.x if c is None else c * grid.x
 
 
+def _factorial(n: int) -> float:
+    """n! as a float for the Hermite normalizations; past 170! doubles
+    cannot hold it, so the level is not available."""
+    try:
+        return float(math.factorial(n))
+    except OverflowError:
+        raise ModelError(f"level {n} not available: {n}! exceeds the float range") from None
+
+
 def _hermite_functions():
     """Orthonormal oscillator eigenfunctions as a generator (n, grid):
     H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) on the grid."""
     ladder = _HermiteLadder()
 
     def fn(n, grid):
-        scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        scale = math.sqrt(2.0**n * _factorial(n) * math.sqrt(math.pi))
         env = ladder.envelope(grid, None, lambda g: np.exp(-g.x ** 2 / 2))
         return ladder(n, grid) * env / scale
 
@@ -301,7 +310,7 @@ def swanson_model(theta: float = math.pi / 8) -> ModelRecord:
         def gen(n, grid):
             env = ladder.envelope(grid, rotation,
                                   lambda g: np.exp(-0.5 * rotation**2 * g.x**2))
-            values = (norm_const / math.sqrt(2.0**n * math.factorial(n))
+            values = (norm_const / math.sqrt(2.0**n * _factorial(n))
                       * ladder(n, grid, rotation) * env)
             return GridFunction(grid, values)
 

@@ -29,6 +29,7 @@ from .numerics import (
     Grid,
     GridFunction,
     RepresentationError,
+    _interior_mask,
     cumulative_antiderivative,
     default_grid,
     fitted_decay_exponents,
@@ -274,9 +275,7 @@ def potential_identity_residual(p: SuperpotentialPair, grid: Grid) -> float:
     natural backward-error scale where it dominates.
     """
     s = p.samples(grid)
-    mask = np.ones(grid.n_points, dtype=bool)
-    for x0 in p.singular_points:
-        mask &= np.abs(grid.x - x0) > 6 * grid.spacing
+    mask = _interior_mask(grid, 0, p.singular_points)
     lhs = s["v2"] - s["v1"]
     rhs = s["dw_a"] + s["dw_b"]
     local = np.maximum(np.maximum(np.abs(s["v1"]), np.abs(s["v2"])), np.maximum(np.abs(rhs), 1.0))

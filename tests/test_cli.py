@@ -244,6 +244,23 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
      "susyq: constant power (1e+200 + 1e+200i)^3 is out of float range"),
     (["potentials", "--wA", "x", "--wB", "k^101", "--bind", "k=[1e200,1e200]"], 2,
      "is out of float range"),
+    # Hermite normalizations need n!, which doubles hold up to 170!
+    (["gk", "--model", "harmonic", "--n-terms", "172"], 2, "level 171 not available"),
+    (["gk", "--model", "swanson", "--n-terms", "172"], 2, "level 171 not available"),
+    (["gk", "--model", "deformed-harmonic", "--n-terms", "172"], 2, "level 171 not available"),
+    # grids whose points or whose L*L doubles cannot hold
+    (["vacua", "--wA", "x", "--wB", "x", "--grid-l", "inf"], 2, "past the float range"),
+    (["vacua", "--wA", "x", "--wB", "x", "--grid-l", "1e308"], 2, "past the float range"),
+    (["vacua", "--wA", "x", "--wB", "x", "--grid-l", "1e-162"], 2, "square underflows"),
+    (["vacua", "--wA", "x", "--wB", "x", "--grid-l", "1e-200"], 2, "square underflows"),
+    (["verify", "--model", "harmonic", "--grid-l", "inf"], 2, "past the float range"),
+    (["verify", "--model", "harmonic", "--grid-l", "1e-200"], 2, "square underflows"),
+    # gk labels
+    (["gk", "--model", "harmonic", "--gamma", "inf"], 2, "gamma must be finite"),
+    (["gk", "--model", "harmonic", "--j", "nan"], 2, "J must be finite"),
+    (["gk", "--model", "harmonic", "--j-max", "-1"], 2, "j_max must be positive"),
+    (["gk", "--model", "harmonic", "--j-max", "nan"], 2, "j_max must be finite"),
+    (["gk", "--model", "harmonic", "--j", "-1"], 4, "J must be nonnegative"),
 ])
 def test_singular_and_overflowing_expressions_end_in_a_documented_exit(
         tmp_path, capsys, argv, code, message):

@@ -20,14 +20,13 @@ from susyq.gk import (
     moment_residuals,
     normalization_K,
     pair_norm,
-    pb_special_maps,
     resolution_estimate,
     spectrum_from_formula,
 )
 from susyq.gk import _finite_power_moments, _sinc  # noqa: F401
 from susyq.models import get_model
 from susyq.numerics import Grid, GridFunction, _panel_simpson, inner, norm
-from susyq.susy import apply_A, apply_H1
+from susyq.susy import apply_H1
 
 
 @pytest.fixture(scope="module")
@@ -56,30 +55,9 @@ def dh_pair_states(dh):
 
 @pytest.fixture(scope="module")
 def harm(grid):
+    """The first 20 harmonic oscillator levels."""
     m = get_model("harmonic")
-    n = 20
-    basis = [m.phi1(k, grid) for k in range(n)]
-    s = spectrum_from_formula(m.energy, n)
-    dom = gk_domain(s, [norm(b) for b in basis], [norm(b) for b in basis])
-    return m, basis, s, dom
-
-
-@pytest.fixture(scope="module")
-def harm_sector2(harm, grid):
-    """Sector-2 slots aligned by eigenvalue, ground slot empty.
-
-    With the A map scaled to carry the eigenvalue the aligned slot is
-    A e_n / E_n; the normalized variant keeps A e_n as is.
-    """
-    m, basis, s, dom = harm
-    zero = GridFunction(grid, np.zeros(grid.n_points, dtype=complex))
-    scaled = [zero] + [apply_A(m.pair, basis[k]) * (1.0 / m.energy(k))
-                       for k in range(1, len(basis))]
-    plain = [apply_A(m.pair, basis[0])] + [apply_A(m.pair, basis[k])
-                                           for k in range(1, len(basis))]
-    dom_scaled = gk_domain(s, [norm(b) for b in scaled], [norm(b) for b in scaled])
-    dom_plain = gk_domain(s, [norm(b) for b in plain], [norm(b) for b in plain])
-    return scaled, dom_scaled, plain, dom_plain
+    return [m.phi1(k, grid) for k in range(20)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +174,7 @@ def test_imaginary_drift_collapses_the_domain(harm):
     assert not dom.delta_e_ok
     assert any("certified" in note for note in dom.notes)
     # even the vacuum label is refused once nothing is certified
-    _, basis, _, _ = harm
+    basis = harm
     with pytest.raises(GKError):
         build_state(basis[:12], s, "phi", j=0.0, domain=dom)
 
@@ -234,15 +212,13 @@ def test_state_input_validation(dh):
     with pytest.raises(GKError):
         build_state(phis, s, "chi", j=0.5, domain=dom)
     with pytest.raises(GKError):
-        build_state(phis, s, "phi", j=0.5, sector=3, domain=dom)
-    with pytest.raises(GKError):
         build_state(phis, s, "phi", j=-0.1, domain=dom)
     with pytest.raises(GKError):
         build_state([], s, "phi", j=0.5, domain=dom)
 
 
 def test_action_outside_certified_domain_rejected(harm):
-    _, basis, _, _ = harm
+    basis = harm
     s = build_spectrum([1 - 1 / (n + 1) for n in range(20)])
     dom = gk_domain(s, [1.0] * 20, [1.0] * 20)
     assert dom.j_min == pytest.approx(s.radius)
@@ -251,7 +227,7 @@ def test_action_outside_certified_domain_rejected(harm):
 
 
 def test_short_basis_leaves_a_visible_tail(harm):
-    _, basis, _, _ = harm
+    basis = harm
     s = spectrum_from_formula(lambda n: 2.0 * n, 60)
     with pytest.raises(GKError, match="tail"):
         build_state(basis[:8], s, "phi", j=9.0, tol=1e-10)
@@ -448,7 +424,7 @@ def test_action_identity_returns_the_action(dh_pair_states, dh):
 
 def test_action_identity_for_unit_spaced_levels(harm):
     # the pairing telescopes for any E_0 = 0 ladder, not only even spacing
-    _, basis, _, _ = harm
+    basis = harm
     s = spectrum_from_formula(lambda n: float(n), 20)
     dom = gk_domain(s, [1.0] * 20, [1.0] * 20)
     phi = build_state(basis, s, "phi", j=0.8, gamma=0.4, domain=dom)
@@ -457,7 +433,7 @@ def test_action_identity_for_unit_spaced_levels(harm):
 
 
 def test_action_identity_preconditions(harm):
-    _, basis, _, _ = harm
+    basis = harm
     shifted = spectrum_from_formula(lambda n: n + 0.5, 20)
     dom = gk_domain(shifted, [1.0] * 20, [1.0] * 20)
     phi = build_state(basis, shifted, "phi", j=0.5, domain=dom)
@@ -491,7 +467,7 @@ def test_evolution_composes(dh_pair_states):
 
 
 def test_evolution_conjugates_for_the_dual_family(harm):
-    _, basis, _, _ = harm
+    basis = harm
     steady = build_spectrum([n + 0.4j for n in range(20)])
     dom = gk_domain(steady, [1.0] * 20, [1.0] * 20)
     psi = build_state(basis, steady, "psi", j=0.5, gamma=0.0, domain=dom)
@@ -526,7 +502,7 @@ def test_states_are_lowering_eigenvectors(dh):
 def test_lowering_handles_complex_spectra(harm):
     # interior rows cancel to rounding; what survives is the top row's
     # truncation footprint sqrt(J) |c_{N-1}|
-    _, basis, _, _ = harm
+    basis = harm
     steady = build_spectrum([n + 0.4j for n in range(20)])
     dom = gk_domain(steady, [1.0] * 20, [1.0] * 20)
     for family in ("phi", "psi"):
@@ -541,77 +517,6 @@ def test_lowering_truncation_bounds():
         lowering_action(s, 0.0, n_terms=15)
     small = lowering_action(s, 0.0, n_terms=5)
     assert small.shape == (5, 5)
-
-
-# ---------------------------------------------------------------------------
-# ladder-normalized maps between the sectors
-
-def test_energy_normalized_maps(harm, harm_sector2):
-    m, basis, s, dom = harm
-    scaled, dom_scaled, _, _ = harm_sector2
-    phi1 = build_state(basis, s, "phi", j=1.2, gamma=0.5, sector=1,
-                       tol=1e-8, domain=dom)
-    phi2 = build_state(scaled, s, "phi", j=1.2, gamma=0.5, sector=2,
-                       tol=1e-8, domain=dom_scaled)
-    report = pb_special_maps(phi1, phi2, m.pair, case="alpha-energy")
-    assert report.passed()
-    assert any("ground term" in note for note in report.notes)
-
-
-def test_unit_normalized_maps(harm, harm_sector2):
-    m, basis, s, dom = harm
-    _, _, plain, dom_plain = harm_sector2
-    phi1 = build_state(basis, s, "phi", j=1.2, gamma=0.5, sector=1,
-                       tol=1e-8, domain=dom)
-    phi2 = build_state(plain, s, "phi", j=1.2, gamma=0.5, sector=2,
-                       tol=1e-8, domain=dom_plain)
-    report = pb_special_maps(phi1, phi2, m.pair, case="alpha-one")
-    assert report.passed()
-    # the A side is a rearrangement of the same sums and lands near float exactness
-    a_side = [c for c in report.checks if c.check.startswith("A image")][0]
-    assert a_side.residual <= 1e-10
-
-
-def test_map_case_mismatch_is_detected(harm, harm_sector2):
-    m, basis, s, dom = harm
-    _, _, plain, dom_plain = harm_sector2
-    phi1 = build_state(basis, s, "phi", j=1.2, gamma=0.5, sector=1,
-                       tol=1e-8, domain=dom)
-    phi2 = build_state(plain, s, "phi", j=1.2, gamma=0.5, sector=2,
-                       tol=1e-8, domain=dom_plain)
-    with pytest.raises(GKError, match="alpha_1"):
-        pb_special_maps(phi1, phi2, m.pair, case="alpha-energy")
-
-
-def test_maps_degenerate_at_the_vacuum_label(harm, harm_sector2):
-    m, basis, s, dom = harm
-    scaled, dom_scaled, _, _ = harm_sector2
-    phi1 = build_state(basis, s, "phi", j=0.0, gamma=0.5, sector=1, domain=dom)
-    phi2 = build_state(scaled, s, "phi", j=0.0, gamma=0.5, sector=2,
-                       domain=dom_scaled)
-    report = pb_special_maps(phi1, phi2, m.pair, case="alpha-energy")
-    assert report.passed()
-    assert any("degenerate" in note for note in report.notes)
-
-
-def test_maps_on_exponentially_weighted_carriers(grid):
-    pb = get_model("pseudo-bosonic")
-    n = 14
-    basis1 = [pb.phi1(k, grid) for k in range(n)]
-    s = spectrum_from_formula(pb.energy, n)
-    basis2 = [basis1[0].with_values(np.zeros(grid.n_points, dtype=complex))]
-    for k in range(1, n):
-        image = apply_A(pb.pair, basis1[k])
-        basis2.append(image.with_values(image.values / pb.energy(k)))
-    dom1 = gk_domain(s, [norm(b) for b in basis1], [norm(b) for b in basis1])
-    dom2 = gk_domain(s, [norm(b) for b in basis2], [norm(b) for b in basis2])
-    phi1 = build_state(basis1, s, "phi", j=0.1, gamma=0.3, sector=1,
-                       tol=1e-6, domain=dom1)
-    phi2 = build_state(basis2, s, "phi", j=0.1, gamma=0.3, sector=2,
-                       tol=1e-6, domain=dom2)
-    report = pb_special_maps(phi1, phi2, pb.pair, case="alpha-energy",
-                             map_tol=1e-6, operator_tol=1e-4)
-    assert report.passed()
 
 
 def test_oscillator_like_growth_keeps_an_open_domain(grid):
