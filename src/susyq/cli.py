@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .deform import DeformationError  # importing deform registers the deformed model
+from .deform import DeformationError
 from .expr import ExprError, parse
 from .gk import (
     GKError,
@@ -42,6 +42,7 @@ from .gk import (
 )
 from .models import (
     ModelError,
+    ModelRecord,
     bs_classification,
     bs_numeric_flags,
     get_model,
@@ -49,7 +50,7 @@ from .models import (
 )
 from .numerics import Grid, PoleOnGridError, RepresentationError, inner, norm
 from .suites import verify_model, verify_pair
-from .susy import build_pair, vacua as pair_vacua
+from .susy import build_pair
 
 __all__ = ["main", "RunConfig"]
 
@@ -240,8 +241,20 @@ def _require_source(cfg: RunConfig):
             raise ConfigError("need --model, or both --wA and --wB")
 
 
-def _build_user_pair(cfg: RunConfig):
-    return build_pair(parse(cfg.w_a, cfg.bind), parse(cfg.w_b, cfg.bind))
+def _source(cfg: RunConfig):
+    """(model record, grid, metadata) for --model or --wA/--wB, a user pair
+    being a record without a name; the metadata holds the model, params, wA,
+    wB and grid fields of a report."""
+    _require_source(cfg)
+    grid = cfg.grid()
+    if cfg.model is not None:
+        m = get_model(cfg.model, **cfg.bind)
+    else:
+        pair = build_pair(parse(cfg.w_a, cfg.bind), parse(cfg.w_b, cfg.bind))
+        m = ModelRecord(name=None, params=dict(cfg.bind), pair=pair, energy=None)
+    meta = {"model": m.name, "params": m.params, "wA": cfg.w_a, "wB": cfg.w_b,
+            "grid": {"L": grid.half_width, "N": grid.n_points}}
+    return m, grid, meta
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +416,10 @@ def _annotations(grid: Grid, singular_points) -> list:
 # subcommands
 
 def _cmd_potentials(cfg: RunConfig) -> list:
-    _require_source(cfg)
-    grid = cfg.grid()
-    if cfg.model is not None:
-        m = get_model(cfg.model, **cfg.bind)
-        if m.pair is None:
-            raise ConfigError(f"model {cfg.model!r} has no factorized pair")
-        pair, meta_model, meta_params = m.pair, m.name, m.params
-    else:
-        pair = _build_user_pair(cfg)
-        meta_model, meta_params = None, dict(cfg.bind)
+    m, grid, meta = _source(cfg)
+    pair = m.pair
+    if pair is None:
+        raise ConfigError(f"model {cfg.model!r} has no factorized pair")
 
     s = pair.samples(grid)  # raises PoleOnGridError if a node hits a pole
     names = ("q1", "v1", "v2", "v1_dual", "v2_dual")
@@ -430,16 +437,8 @@ def _cmd_potentials(cfg: RunConfig) -> list:
     columns.append(_annotations(grid, pair.singular_points))
 
     paths = [_emit_table(cfg, "potentials", header, columns)]
-    meta = {
-        "model": meta_model,
-        "params": meta_params,
-        "wA": cfg.w_a,
-        "wB": cfg.w_b,
-        "grid": {"L": grid.half_width, "N": grid.n_points},
-        "complex_valued": complex_valued,
-        "singular_points": list(pair.singular_points),
-        "columns": header,
-    }
+    meta.update(complex_valued=complex_valued,
+                singular_points=list(pair.singular_points), columns=header)
     meta_path = os.path.join(cfg.out, "potentials-meta.json")
     _write_json(meta_path, meta)
     paths.append(meta_path)
@@ -447,19 +446,11 @@ def _cmd_potentials(cfg: RunConfig) -> list:
 
 
 def _cmd_vacua(cfg: RunConfig) -> list:
-    _require_source(cfg)
-    grid = cfg.grid()
     if cfg.normalization not in ("raw", "unit", "paired"):
         raise ConfigError(
             f"unknown normalization {cfg.normalization!r} (raw, unit, or paired)")
-    if cfg.model is not None:
-        m = get_model(cfg.model, **cfg.bind)
-        v = m.vacua(grid, cfg.normalization)
-        meta_model, meta_params = m.name, m.params
-    else:
-        pair = _build_user_pair(cfg)
-        v = pair_vacua(pair, grid, cfg.normalization)
-        meta_model, meta_params = None, dict(cfg.bind)
+    m, grid, report = _source(cfg)
+    v = m.vacua(grid, cfg.normalization)
 
     header, columns = ["x"], [grid.x]
     for rec in v.records():
@@ -468,16 +459,8 @@ def _cmd_vacua(cfg: RunConfig) -> list:
         columns.extend([f.log_magnitude(), np.angle(f.values)])
 
     paths = [_emit_table(cfg, "vacua", header, columns)]
-    report = {
-        "model": meta_model,
-        "params": meta_params,
-        "wA": cfg.w_a,
-        "wB": cfg.w_b,
-        "grid": {"L": grid.half_width, "N": grid.n_points},
-        "normalization": v.normalization,
-        "records": [rec.summary() for rec in v.records()],
-        "notes": list(v.notes),
-    }
+    report.update(normalization=v.normalization,
+                  records=[rec.summary() for rec in v.records()], notes=list(v.notes))
     report_path = os.path.join(cfg.out, "vacua-report.json")
     _write_json(report_path, report)
     paths.append(report_path)

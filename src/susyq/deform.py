@@ -13,8 +13,8 @@ orthonormal eigenfunctions form biorthogonal Riesz-type families; the
 pointwise weight conj(e^{-conj q}) e^q = 1 makes their cross pairing
 literally the base orthonormality.
 
-The ``deformed-harmonic`` record builds these families, its partner sector
-being the same one level down; the checks below take the record's families.
+The ``deformed-harmonic`` model (in ``models``) builds these families, its
+partner sector the same one level down; the checks below take its families.
 
 The bounds m, M are certified by a grid scan only; when an extremum sits at
 the scan boundary the true global bound may lie outside the window and the
@@ -189,51 +189,3 @@ def deformed_eigencheck(d: Deformation, pair: SuperpotentialPair, energies, phis
                      (GridFunction(grid, d.inverse_dual_values(grid) * e) for e in base2),
                      energies[1:]),
     ]
-
-
-# ---------------------------------------------------------------------------
-# registry hookup
-
-def _deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q):
-    from .models import ModelRecord, _hermite_functions, _one_level_down
-
-    d = build_deformation(q)
-    pair = deformed_pair(d)
-    hermite_fn = _hermite_functions()
-
-    def base(n, grid):
-        return GridFunction(grid, hermite_fn(n, grid))
-
-    def phi1(n, grid):
-        return GridFunction(grid, d.multiplier_values(grid) * hermite_fn(n, grid))
-
-    def psi1(n, grid):
-        return GridFunction(grid, d.inverse_dual_values(grid) * hermite_fn(n, grid))
-
-    return ModelRecord(
-        name="deformed-harmonic",
-        params={"q": q},
-        pair=pair,
-        energy=lambda n: 2.0 * n,
-        phi1=phi1,
-        phi2=_one_level_down(phi1),
-        psi1=psi1,
-        psi2=_one_level_down(psi1),
-        constants={"m": d.m, "M": d.M},
-        notes=list(d.notes),
-        extras={"deformation": d, "base_eigenfunction": base},
-    )
-
-
-def _register():
-    from .models import register_model
-
-    register_model(
-        "deformed-harmonic",
-        _deformed_harmonic_model,
-        {"q": DEFAULT_DEFORMATION_Q},
-        "oscillator ladder conjugated by a bounded multiplier e^q",
-    )
-
-
-_register()

@@ -57,16 +57,9 @@ class EvalDomainError(ExprError):
     """Evaluation hit a pole, a log of zero, or overflowed; carries x."""
 
     def __init__(self, message: str, x):
-        super().__init__(f"{message} at x={x}")
+        # on a grid only a constant subexpression is checked: it fails at every point
+        super().__init__(f"{message} at x={x}" if np.ndim(x) == 0 else f"{message} at every x")
         self.x = x
-
-
-def _as_const(value):
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, float, complex, np.integer, np.floating, np.complexfloating)):
-        return Const(complex(value))
-    return NotImplemented
 
 
 class Expr:
@@ -83,38 +76,18 @@ class Expr:
     def conj(self) -> "Expr":
         raise NotImplementedError
 
-    # arithmetic sugar used heavily when assembling potentials
+    # arithmetic sugar for assembling potentials; both operands are trees
     def __add__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _add(self, other)
-
-    def __radd__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _add(other, self)
+        return _add(self, other) if isinstance(other, Expr) else NotImplemented
 
     def __sub__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _add(self, _neg(other))
-
-    def __rsub__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _add(other, _neg(self))
+        return _add(self, _neg(other)) if isinstance(other, Expr) else NotImplemented
 
     def __mul__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _mul(self, other)
-
-    def __rmul__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _mul(other, self)
+        return _mul(self, other) if isinstance(other, Expr) else NotImplemented
 
     def __truediv__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _div(self, other)
-
-    def __rtruediv__(self, other):
-        other = _as_const(other)
-        return NotImplemented if other is NotImplemented else _div(other, self)
+        return _div(self, other) if isinstance(other, Expr) else NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -457,9 +430,11 @@ def parse_bindings(raw: dict | None) -> dict:
         if name in _RESERVED:
             raise ParseError(f"binding name {name!r} shadows a reserved word", 0)
         if isinstance(value, (list, tuple)):
-            if len(value) != 2:
-                raise ParseError(f"binding {name!r}: expected [re, im]", 0)
-            out[name] = complex(float(value[0]), float(value[1]))
+            try:
+                re_part, im_part = value
+                out[name] = complex(float(re_part), float(im_part))
+            except (TypeError, ValueError):
+                raise ParseError(f"binding {name!r}: expected [re, im]", 0) from None
         elif isinstance(value, (int, float, complex)):
             out[name] = complex(value)
         else:

@@ -63,7 +63,7 @@ class Spectrum:
     without branch jumps as the accumulated phase passes pi.  ``radius`` is
     the estimated convergence radius of the K series: the modulus of the
     last eigenvalue, promoted to infinity when the tail moduli are still
-    growing at full strength.  The notes say how the tail behaved.
+    growing at full strength.
     """
 
     energies: np.ndarray
@@ -74,7 +74,6 @@ class Spectrum:
     min_gap: float
     multiplicity_one: bool
     delta_e_tail: float
-    notes: tuple
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -99,26 +98,14 @@ def build_spectrum(energies) -> Spectrum:
     theta[1:] = np.cumsum(np.angle(e[1:]))
     sqrt_rho = np.exp(0.5 * log_abs + 0.5j * theta)
 
-    notes = []
     moduli = np.abs(e)
     tail = moduli[-min(10, n):]
     scale = max(1.0, float(tail.max()))
     diffs = np.diff(tail)
     radius = float(moduli[-1])
-    if len(diffs) and np.all(diffs > 1e-9 * scale):
-        if diffs[-1] < 0.8 * diffs[0]:
-            notes.append(
-                "radius estimated from a still-rising tail; certified J values "
-                "stay conservative"
-            )
-        else:
-            radius = math.inf
-            notes.append(
-                "tail moduli grow without stabilizing; treating the radius as "
-                "unbounded"
-            )
-    elif len(diffs) and np.max(np.abs(diffs)) > 1e-6 * scale:
-        notes.append("tail moduli are not monotone-stable; radius estimate is rough")
+    # tail moduli that rise throughout without slowing: an unbounded radius
+    if len(diffs) and np.all(diffs > 1e-9 * scale) and not diffs[-1] < 0.8 * diffs[0]:
+        radius = math.inf
 
     gaps = np.abs(e[:, None] - e[None, :])
     np.fill_diagonal(gaps, np.inf)
@@ -137,7 +124,6 @@ def build_spectrum(energies) -> Spectrum:
         min_gap=min_gap,
         multiplicity_one=multiplicity_one,
         delta_e_tail=delta_e_tail,
-        notes=tuple(notes),
     )
 
 
@@ -313,22 +299,24 @@ class GKState:
 def _coefficient_vector(s: Spectrum, family: str, j: float, gamma: float,
                         k: float, n: int) -> np.ndarray:
     """c_n = K J^(n/2) exp(-i E_n gamma) / sqrt(rho_n), phases conjugated
-    for the psi family, computed through logs so huge rho_n cannot overflow."""
+    for the psi family, computed through logs so huge rho_n cannot overflow.
+    K J^(n/2) / |sqrt(rho_n)| <= 1, so only the angle label can leave double
+    range, in E_n gamma or in exp(+-Im E_n gamma); such a label is rejected."""
     e = s.energies[:n]
     sign = 1.0 if family == "phi" else -1.0
-    phase = -e.real * gamma - 0.5 * s.theta[:n]
-    if j == 0.0:
-        out = np.zeros(n, dtype=np.complex128)
-        out[0] = k * np.exp(sign * e[0].imag * gamma) * np.exp(1j * phase[0])
-        return out
-    ns = np.arange(n)
-    log_mag = (
-        math.log(k)
-        + 0.5 * ns * math.log(j)
-        - 0.5 * s.log_abs_rho[:n]
-        + sign * e.imag * gamma
-    )
-    return np.exp(log_mag) * np.exp(1j * phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = -e.real * gamma - 0.5 * s.theta[:n]
+        if j == 0.0:
+            out = np.zeros(n, dtype=np.complex128)
+            out[0] = k * np.exp(sign * e[0].imag * gamma) * np.exp(1j * phase[0])
+        else:
+            ns = np.arange(n)
+            log_mag = (math.log(k) + 0.5 * ns * math.log(j) - 0.5 * s.log_abs_rho[:n]
+                       + sign * e.imag * gamma)
+            out = np.exp(log_mag) * np.exp(1j * phase)
+    if not (np.isfinite(phase).all() and np.isfinite(out).all()):
+        raise GKError(f"gamma={gamma:g} is too large: exp(-i E_n gamma) leaves double range")
+    return out
 
 
 def _combine(basis, coefficients):
@@ -354,35 +342,20 @@ def _tail_bound(s: Spectrum, a: float, r: float, family: str,
         return 0.0
     e = s.energies
     sign = 1.0 if family == "phi" else -1.0
-    total = 0.0
-    ns = np.arange(n_used, len(s))
-    log_t = (
-        math.log(k)
-        + math.log(a)
-        + ns * math.log(r)
-        + 0.5 * ns * math.log(j)
-        - 0.5 * s.log_abs_rho[n_used:]
-        + sign * e[n_used:].imag * gamma
-    )
-    if len(log_t):
-        total += float(np.exp(log_t).sum())
+
+    def log_term(n):  # log |c_n| ||v_n|| on the envelope; n an index or an index array
+        return (math.log(k) + math.log(a) + n * math.log(r) + 0.5 * n * math.log(j)
+                - 0.5 * s.log_abs_rho[n] + sign * e[n].imag * gamma)
+
+    known = float(np.exp(log_term(np.arange(n_used, len(s)))).sum())
     last = len(s) - 1
-    log_last = (
-        math.log(k)
-        + math.log(a)
-        + last * math.log(r)
-        + 0.5 * last * math.log(j)
-        - 0.5 * s.log_abs_rho[last]
-        + sign * e[last].imag * gamma
-    )
     q = r * math.sqrt(j / abs(e[last]))
     if q >= 0.99:
         raise GKError(
             f"series terms are still growing at the last available level "
             f"(ratio {q:.3g}); extend the spectrum or reduce J"
         )
-    total += math.exp(log_last) * q / (1.0 - q)
-    return total
+    return known + math.exp(log_term(last)) * q / (1.0 - q)
 
 
 def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
@@ -510,7 +483,6 @@ class MomentDensity:
     density: object
     scale: float | None
     solved: bool
-    notes: tuple
 
 
 def moment_density(s: Spectrum) -> MomentDensity:
@@ -531,7 +503,6 @@ def moment_density(s: Spectrum) -> MomentDensity:
             lambda jv, c=c: np.exp(-np.asarray(jv, dtype=float) / c) / c,
             c,
             True,
-            (),
         )
     if np.max(np.abs(np.abs(e[1:]) - 1.0)) <= 1e-9:
         return MomentDensity(
@@ -539,15 +510,12 @@ def moment_density(s: Spectrum) -> MomentDensity:
             None,
             None,
             False,
-            ("moment problem unsolved: all |rho_n| equal one, which no "
-             "recognized closed form reproduces",),
         )
     return MomentDensity(
         None,
         None,
         None,
         False,
-        ("moment problem unsolved for this spectrum",),
     )
 
 

@@ -1,9 +1,11 @@
 """Registered worked examples with closed-form eigendata.
 
-Four families ship built in:
+Five families ship built in:
 
 * ``harmonic`` - the self-adjoint oscillator factorization wA = wB = x,
   eigenvalues 2n on Hermite functions.  The base everything else deforms.
+* ``deformed-harmonic`` - the same ladder conjugated by a bounded
+  multiplier e^q (see :mod:`susyq.deform`): non-selfadjoint, same spectrum.
 * ``swanson`` - the rotated-oscillator family: complex-argument Hermite
   eigenfunctions of a non-selfadjoint quadratic Hamiltonian with real
   spectrum (n + 1/2)/cos(2 theta).  No real factorized form is used; the
@@ -18,10 +20,10 @@ Four families ship built in:
   fixed polynomial ladder p_n times the respective vacuum.  The dual family
   grows like exp(e^x) and is carried in scaled form.
 
-Each model is a :class:`ModelRecord` in a registry keyed by name; the
-command line binds to the registry.  Eigenfunction generators return grid
-carriers; pure polynomial data (the p_n ladder) is exposed in exact
-coefficient arithmetic for the identity checks that need it.
+Each model is a :class:`ModelRecord` built by the registry table at the end
+of this module, which the command line binds to.  Eigenfunction generators
+return grid carriers; pure polynomial data (the p_n ladder) is exposed in
+exact coefficient arithmetic for the identity checks that need it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .deform import DEFAULT_DEFORMATION_Q, build_deformation, deformed_pair
 from .expr import Const, Exp, LogAbs, Var, differentiate, parse
-from .numerics import Grid, GridFunction, default_grid, derivative, inner, sample
+from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, derivative,
+                       inner, sample)
 from .reporting import CheckResult
 from .susy import (
     SuperpotentialPair,
@@ -52,6 +56,7 @@ __all__ = [
     "hermite",
     "pb_polynomials",
     "harmonic_model",
+    "deformed_harmonic_model",
     "swanson_model",
     "black_scholes_model",
     "bs_classification",
@@ -59,7 +64,6 @@ __all__ = [
     "pseudo_bosonic_model",
     "pb_identities",
     "PBIdentityReport",
-    "register_model",
     "get_model",
     "models_list",
 ]
@@ -203,14 +207,6 @@ class ModelRecord:
         return generic_vacua(self.pair, grid or default_grid(), normalization)
 
 
-_REGISTRY: dict = {}
-
-
-def register_model(name: str, builder, schema: dict, description: str):
-    """Add a model builder to the registry (used by the deformation module too)."""
-    _REGISTRY[name] = {"builder": builder, "schema": schema, "description": description}
-
-
 def get_model(name: str, **params) -> ModelRecord:
     """Build a registered model; a parameter whose default is a number must
     be given a real number (not a string or a bool), and one whose default
@@ -218,18 +214,16 @@ def get_model(name: str, **params) -> ModelRecord:
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ModelError(f"unknown model {name!r}; registered: {known}")
-    entry = _REGISTRY[name]
-    unknown = set(params) - set(entry["schema"])
+    builder, defaults, _ = _REGISTRY[name]
+    unknown = set(params) - set(defaults)
     if unknown:
         raise ModelError(f"model {name!r} does not take parameters {sorted(unknown)}")
     for key, value in params.items():
-        if _is_number(entry["schema"][key]) and not _is_number(value):
+        if _is_number(defaults[key]) and not _is_number(value):
             raise ModelError(f"model {name!r} parameter {key!r} must be a number, got {value!r}")
-        if isinstance(entry["schema"][key], str) and not isinstance(value, str):
+        if isinstance(defaults[key], str) and not isinstance(value, str):
             raise ModelError(f"model {name!r} parameter {key!r} must be an expression string")
-    merged = dict(entry["schema"])
-    merged.update(params)
-    return entry["builder"](**merged)
+    return builder(**{**defaults, **params})
 
 
 def _is_number(value) -> bool:
@@ -244,8 +238,8 @@ def _one_level_down(gen):
 
 def models_list() -> list:
     return [
-        {"name": name, "params": entry["schema"], "description": entry["description"]}
-        for name, entry in sorted(_REGISTRY.items())
+        {"name": name, "params": defaults, "description": description}
+        for name, (_, defaults, description) in sorted(_REGISTRY.items())
     ]
 
 
@@ -271,6 +265,36 @@ def harmonic_model() -> ModelRecord:
         phi2=phi2,
         psi1=phi1,
         psi2=phi2,
+    )
+
+
+def deformed_harmonic_model(q: str = DEFAULT_DEFORMATION_Q) -> ModelRecord:
+    """The oscillator ladder conjugated by e^q: phi_n = e^q e_n and
+    psi_n = e^{-conj q} e_n over the Hermite functions e_n, eigenvalues 2n."""
+    d = build_deformation(q)
+    hermite_fn = _hermite_functions()
+
+    def base(n, grid):
+        return GridFunction(grid, hermite_fn(n, grid))
+
+    def phi1(n, grid):
+        return GridFunction(grid, d.multiplier_values(grid) * hermite_fn(n, grid))
+
+    def psi1(n, grid):
+        return GridFunction(grid, d.inverse_dual_values(grid) * hermite_fn(n, grid))
+
+    return ModelRecord(
+        name="deformed-harmonic",
+        params={"q": q},
+        pair=deformed_pair(d),
+        energy=lambda n: 2.0 * n,
+        phi1=phi1,
+        phi2=_one_level_down(phi1),
+        psi1=psi1,
+        psi2=_one_level_down(psi1),
+        constants={"m": d.m, "M": d.M},
+        notes=list(d.notes),
+        extras={"deformation": d, "base_eigenfunction": base},
     )
 
 
@@ -475,6 +499,12 @@ def pb_polynomials(k: float, n_max: int) -> list:
     return polys
 
 
+def _scaled(grid: Grid, values, log_scale, dlog, d2log) -> GridFunction:
+    """A scaled carrier; a log scale that overflows on the grid is a non-finite sample."""
+    _reject_non_finite(grid, ~np.isfinite(log_scale))
+    return GridFunction(grid, values, log_scale, dlog, d2log)
+
+
 def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
     """wA = k + e^x, wB = x - e^x: commuting ladder with spectrum 0, 1, 2, ...
 
@@ -499,7 +529,7 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
 
     def phi1(n, grid):
         xs = grid.x
-        return GridFunction(
+        return _scaled(
             grid,
             poly_values(n, xs).astype(np.complex128),
             -k * xs - np.exp(xs),
@@ -509,7 +539,7 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
 
     def psi1(n, grid):
         xs = grid.x
-        return GridFunction(
+        return _scaled(
             grid,
             n_psi * poly_values(n, xs).astype(np.complex128),
             np.exp(xs) - xs**2 / 2.0,
@@ -638,29 +668,19 @@ def pb_identities(k: float = -1.0, n_max: int = 12, grid: Grid | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# registry population
+# the registry: name -> (builder, parameter defaults, description)
 
-register_model(
-    "harmonic",
-    harmonic_model,
-    {},
-    "oscillator factorization wA = wB = x with Hermite eigenfunctions",
-)
-register_model(
-    "swanson",
-    swanson_model,
-    {"theta": math.pi / 8},
-    "rotated oscillator with complex-argument Hermite eigenfamilies",
-)
-register_model(
-    "black-scholes",
-    black_scholes_model,
-    {"r": 1.0, "v0": 1.0},
-    "rate-r generator factorization with closed-form vacua and classification",
-)
-register_model(
-    "pseudo-bosonic",
-    pseudo_bosonic_model,
-    {"k": -1.0},
-    "commuting-ladder pair wA = k + e^x, wB = x - e^x with polynomial eigenfamilies",
-)
+_REGISTRY = {
+    "harmonic": (harmonic_model, {},
+                 "oscillator factorization wA = wB = x with Hermite eigenfunctions"),
+    "deformed-harmonic": (deformed_harmonic_model, {"q": DEFAULT_DEFORMATION_Q},
+                          "oscillator ladder conjugated by a bounded multiplier e^q"),
+    "swanson": (swanson_model, {"theta": math.pi / 8},
+                "rotated oscillator with complex-argument Hermite eigenfamilies"),
+    "black-scholes": (
+        black_scholes_model, {"r": 1.0, "v0": 1.0},
+        "rate-r generator factorization with closed-form vacua and classification"),
+    "pseudo-bosonic": (
+        pseudo_bosonic_model, {"k": -1.0},
+        "commuting-ladder pair wA = k + e^x, wB = x - e^x with polynomial eigenfamilies"),
+}

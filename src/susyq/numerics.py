@@ -168,6 +168,13 @@ def _check_same_grid(f, g):
         raise ValueError(f"grid mismatch: {f.grid!r} vs {g.grid!r}")
 
 
+def _reject_non_finite(grid: Grid, bad: np.ndarray):
+    """PoleOnGridError naming the first grid node flagged in ``bad``, if any."""
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise PoleOnGridError(float(grid.x[j]), j, int(bad.sum()))
+
+
 class GridFunction:
     """Complex samples on a grid, optionally carried as ``values * exp(log_scale)``.
 
@@ -191,10 +198,7 @@ class GridFunction:
         with np.errstate(over="ignore", invalid="ignore"):
             total = values.sum()
         if not np.isfinite(total):
-            bad = ~np.isfinite(values)
-            if bad.any():
-                j = int(np.flatnonzero(bad)[0])
-                raise PoleOnGridError(float(grid.x[j]), j, int(bad.sum()))
+            _reject_non_finite(grid, ~np.isfinite(values))
         if log_scale is not None:
             log_scale = np.asarray(log_scale, dtype=float)
             if log_scale.shape != (grid.n_points,):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 
 def _gamma_average(f, big_gamma, rel_tol=1e-10, max_refine=18):
@@ -31,3 +32,7 @@ def _gamma_average(f, big_gamma, rel_tol=1e-10, max_refine=18):
 def gamma_average():
     """The angle average by quadrature: the oracle for gk's closed form."""
     return _gamma_average
+
+
+# ``--hypothesis-profile=long``: the long fuzz run of the command line
+settings.register_profile("long", max_examples=2000)

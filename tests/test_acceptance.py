@@ -9,7 +9,6 @@ import sys
 import numpy as np
 import pytest
 
-import susyq.deform  # noqa: F401  registers the deformed oscillator model
 from susyq.expr import differentiate, evaluate_array, parse
 from susyq.gk import (
     build_state,

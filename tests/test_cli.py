@@ -38,6 +38,22 @@ def test_models_list_prints_the_registry():
         "black-scholes", "deformed-harmonic", "harmonic",
         "pseudo-bosonic", "swanson",
     }
+    # the whole table, every parameter default and description, to the byte
+    table = [
+        {"name": "black-scholes", "params": {"r": 1.0, "v0": 1.0},
+         "description": "rate-r generator factorization with closed-form vacua "
+                        "and classification"},
+        {"name": "deformed-harmonic", "params": {"q": "0.5*tanh(x) + 0.6 + 0.3i*sin(x)"},
+         "description": "oscillator ladder conjugated by a bounded multiplier e^q"},
+        {"name": "harmonic", "params": {},
+         "description": "oscillator factorization wA = wB = x with Hermite eigenfunctions"},
+        {"name": "pseudo-bosonic", "params": {"k": -1.0},
+         "description": "commuting-ladder pair wA = k + e^x, wB = x - e^x with "
+                        "polynomial eigenfamilies"},
+        {"name": "swanson", "params": {"theta": math.pi / 8},
+         "description": "rotated oscillator with complex-argument Hermite eigenfamilies"},
+    ]
+    assert r.stdout == json.dumps(table, indent=2, sort_keys=True) + "\n"
 
 
 def test_potentials_real_model_emits_seven_columns(tmp_path):
@@ -261,6 +277,14 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     (["gk", "--model", "harmonic", "--j-max", "-1"], 2, "j_max must be positive"),
     (["gk", "--model", "harmonic", "--j-max", "nan"], 2, "j_max must be finite"),
     (["gk", "--model", "harmonic", "--j", "-1"], 4, "J must be nonnegative"),
+    (["gk", "--model", "harmonic", "--gamma", "1e308"], 4, "gamma=1e+308 is too large"),
+    # found by the CLI fuzzer: malformed [re, im] bindings, a constant subexpression
+    # that fails on the whole grid, a model parameter whose scaled family overflows
+    (["potentials", "--wA", "x + k", "--wB", "x", "--bind", 'k=["a",1]'], 2, "expected [re, im]"),
+    (["verify", "--wA", "x + k", "--wB", "x", "--bind", "k=[[1],2]"], 2, "expected [re, im]"),
+    (["gk", "--model", "deformed-harmonic", "--bind", "q=-(sin(0))^-3"], 2,
+     "zero raised to a negative power at every x"),
+    (["gk", "--model", "pseudo-bosonic", "--bind", "k=1e308"], 3, "non-finite sample"),
 ])
 def test_singular_and_overflowing_expressions_end_in_a_documented_exit(
         tmp_path, capsys, argv, code, message):

@@ -221,6 +221,7 @@ def test_swanson_families_share_one_envelope_slot_across_a_grid_switch():
 def test_registry_lists_all_builtin_models():
     names = {m["name"] for m in models_list()}
     assert {"harmonic", "swanson", "black-scholes", "pseudo-bosonic"} <= names
+    assert "deformed-harmonic" in names
 
 
 def test_registry_rejects_unknown_names_and_params():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import susyq.suites as suites_module
-from susyq import deform
+from susyq import models
 from susyq.models import ModelError, ModelRecord
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
@@ -137,8 +137,8 @@ def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
 
 def test_deformed_harmonic_suite_builds_its_pair_once(grid, monkeypatch):
     calls = []
-    build = deform.deformed_pair
-    monkeypatch.setattr(deform, "deformed_pair", lambda d: calls.append(d) or build(d))
+    build = models.deformed_pair
+    monkeypatch.setattr(models, "deformed_pair", lambda d: calls.append(d) or build(d))
     assert verify_model("deformed-harmonic", grid=grid).all_pass()
     assert len(calls) == 1
 
