@@ -172,8 +172,7 @@ def deformed_eigencheck(d: Deformation, pair: SuperpotentialPair, energies, phis
     def family_check(family, op, fns, evs):
         worst = 0.0
         for f, e_n in zip(fns, evs):
-            hf = op(pair, f)  # named: freeing it before the subtraction ran slower at large N
-            worst = max(worst, relative_residual(hf - e_n * f, f))
+            worst = max(worst, relative_residual((op(pair, f), e_n, f), f))
         return CheckResult.from_residual(f"{family}: eigen-residuals", worst, 1e-5)
 
     base2 = [apply_A(base_pair, base[n + 1]).values / math.sqrt(energies[n + 1])

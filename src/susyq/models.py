@@ -32,11 +32,12 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .deform import DEFAULT_DEFORMATION_Q, build_deformation, deformed_pair
+from .deform import DEFAULT_DEFORMATION_Q, _read_only, build_deformation, deformed_pair
 from .expr import Const, Exp, LogAbs, Var, differentiate, parse
 from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, derivative,
                        inner, sample)
@@ -183,7 +184,8 @@ class ModelRecord:
     eigenvalue* as level n of the first sector, or None when the level has
     no partner (the unbroken zero-mode).  Generators return plain carriers
     when the family is representable in doubles and scaled carriers when it
-    is not.
+    is not; the carriers of one family on one grid share read-only scale
+    arrays, so a level holds only its own values.
     """
 
     name: str
@@ -493,16 +495,27 @@ def pb_polynomials(k: float, n_max: int) -> list:
     """
     polys = [Polynomial([1.0])]
     shift = Polynomial([float(k), 1.0])
-    for n in range(1, n_max + 1):
-        prev = polys[-1]
-        polys.append((prev * shift - prev.deriv()) / math.sqrt(n))
+    # a k near double range overflows coefficients; the samples report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max + 1):
+            prev = polys[-1]
+            polys.append((prev * shift - prev.deriv()) / math.sqrt(n))
     return polys
 
 
-def _scaled(grid: Grid, values, log_scale, dlog, d2log) -> GridFunction:
-    """A scaled carrier; a log scale that overflows on the grid is a non-finite sample."""
-    _reject_non_finite(grid, ~np.isfinite(log_scale))
-    return GridFunction(grid, values, log_scale, dlog, d2log)
+def _scale_per_grid(make):
+    """A family's read-only ``(log_scale, dlog, d2log)`` from ``make(x, exp(x))``,
+    held for the last grid only and shared by the levels on it; a log scale
+    that overflows on the grid is a non-finite sample."""
+
+    @lru_cache(maxsize=1)
+    def scale(grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = make(grid.x, np.exp(grid.x))
+        _reject_non_finite(grid, ~np.isfinite(arrays[0]))
+        return tuple(map(_read_only, arrays))
+
+    return scale
 
 
 def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
@@ -527,25 +540,15 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
             raise ModelError(f"model built with n_max={n_max}; level {n} not available")
         return polys[n](xs)
 
+    phi_scale = _scale_per_grid(lambda xs, e: (-k * xs - e, -k - e, -e))
+    psi_scale = _scale_per_grid(lambda xs, e: (e - xs**2 / 2.0, e - xs, e - 1.0))
+
     def phi1(n, grid):
-        xs = grid.x
-        return _scaled(
-            grid,
-            poly_values(n, xs).astype(np.complex128),
-            -k * xs - np.exp(xs),
-            dlog=-k - np.exp(xs),
-            d2log=-np.exp(xs),
-        )
+        return GridFunction(grid, poly_values(n, grid.x).astype(np.complex128), *phi_scale(grid))
 
     def psi1(n, grid):
-        xs = grid.x
-        return _scaled(
-            grid,
-            n_psi * poly_values(n, xs).astype(np.complex128),
-            np.exp(xs) - xs**2 / 2.0,
-            dlog=np.exp(xs) - xs,
-            d2log=np.exp(xs) - 1.0,
-        )
+        return GridFunction(grid, n_psi * poly_values(n, grid.x).astype(np.complex128),
+                            *psi_scale(grid))
 
     return ModelRecord(
         name="pseudo-bosonic",

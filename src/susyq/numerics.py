@@ -184,6 +184,8 @@ class GridFunction:
     optionally carry exact derivatives of ``log_scale`` (available whenever
     the scale came from a known superpotential), and finite differences fill
     in when absent.  ``+`` and ``-`` need operands with the same scale.
+    The scale arrays are shared, not copied: by ``with_values`` and by the
+    levels of one model family, which hold them read-only.
     """
 
     # numpy operands defer to __rmul__ instead of broadcasting over the carrier
@@ -574,13 +576,40 @@ def norm(f) -> float:
 
 
 def interior_norm(f, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
-    """L2 norm over the interior, skipping edge points and marked poles."""
+    """L2 norm over the interior, skipping edge points and marked poles; ``f``
+    may be a residual given as its terms, as in :func:`relative_residual`."""
+    f = (_Difference(f) if isinstance(f, tuple) else f).materialize()
     mask = _interior_mask(f.grid, pad, exclude)
-    return float(_weighted_norms(f.grid, [f.materialize().values], mask)[0])
+    return float(_weighted_norms(f.grid, [f], mask)[0])
 
 
-def _weighted_norms(grid: Grid, arrays: list, mask: np.ndarray, shift=None) -> list:
-    """sqrt(sum(w * |v|**2 * e2)) for each v in ``arrays``.
+class _Difference:
+    """``a - c * b`` from the terms (a, c, b), or ``a - b`` from (a, b), formed a
+    block at a time with the bits of that carrier expression; a block that is
+    not finite builds the carrier, which reports it as the expression does."""
+
+    def __init__(self, terms):
+        self.a, self.c, self.b = terms if len(terms) == 3 else (terms[0], None, terms[1])
+        _check_same_carrier(self.a, self.b)
+        self.grid, self.log_scale = self.a.grid, self.a.log_scale
+
+    def carrier(self) -> GridFunction:
+        return self.a - (self.b if self.c is None else self.c * self.b)
+
+    def materialize(self):
+        return self if self.log_scale is None else self.carrier().materialize()
+
+    def block(self, sl: slice, out: np.ndarray) -> np.ndarray:
+        b = self.b.values[sl]
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = b if self.c is None else np.multiply(self.c, b, out=out)
+            if not np.isfinite(np.subtract(self.a.values[sl], b, out=out).sum()):
+                self.carrier()
+        return out
+
+
+def _weighted_norms(grid: Grid, funcs: list, mask: np.ndarray, shift=None) -> list:
+    """sqrt(sum(w * |v|**2 * e2)) for the values v of each of ``funcs``.
 
     w is the Simpson weights times ``mask``; e2 is
     exp(2 * clip(scale - top, -_LOG_HUGE, 0)) when ``shift`` gives
@@ -590,16 +619,18 @@ def _weighted_norms(grid: Grid, arrays: list, mask: np.ndarray, shift=None) -> l
     n = grid.n_points
     m = min(_BLOCK, n)
     sw, wb, e2 = grid.simpson_weights, np.empty(m), np.empty(m)
-    terms = np.empty((len(arrays), n))
+    d = np.empty(m, dtype=np.complex128)
+    terms = np.empty((len(funcs), n))
     for lo, hi in _blocks(n):
-        sl = slice(lo, hi)
-        w = np.multiply(sw[sl], mask[sl], out=wb[: hi - lo])
+        sl, k = slice(lo, hi), hi - lo
+        w = np.multiply(sw[sl], mask[sl], out=wb[:k])
         if shift is not None:
-            e = np.subtract(shift[0][sl], shift[1], out=e2[: hi - lo])
+            e = np.subtract(shift[0][sl], shift[1], out=e2[:k])
             np.clip(e, -_LOG_HUGE, 0.0, out=e)
             np.exp(np.multiply(2, e, out=e), out=e)
-        for row, v in zip(terms, arrays):
-            t = np.abs(v[sl], out=row[sl])
+        for row, f in zip(terms, funcs):
+            v = f.values[sl] if isinstance(f, GridFunction) else f.block(sl, d[:k])
+            t = np.abs(v, out=row[sl])
             np.square(t, out=t)
             np.multiply(w, t, out=t)
             if shift is not None:
@@ -631,7 +662,10 @@ def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None
 
     ``num`` and ``den`` must share their scale array, an unscaled carrier
     counting as scale zero (operator residuals are produced that way).
+    ``num`` may be given as its terms, (a, b) for ``a - b`` or (a, c, b) for
+    ``a - c * b``: it is then formed a block at a time, never as a whole array.
     """
+    num = _Difference(num) if isinstance(num, tuple) else num
     _check_same_grid(num, den)
     grid = num.grid
     mask = _interior_mask(grid, pad, exclude)
@@ -641,7 +675,7 @@ def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None
         if num.log_scale is not den.log_scale and not np.array_equal(scale, _log_scale(den)):
             raise ValueError("scaled residual requires a shared log_scale")
         shift = (scale, np.max(scale, where=mask, initial=0.0))
-    a, b = _weighted_norms(grid, [num.values, den.values], mask, shift)
+    a, b = _weighted_norms(grid, [num, den], mask, shift)
     if b == 0.0:
         return 0.0 if a == 0.0 else np.inf
     return float(a / b)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -151,7 +152,7 @@ def _ladder_sections(m, pair, phis):
     eigen = [
         CheckResult.from_residual(
             f"level {n} eigen-residual",
-            relative_residual(apply_H1(pair, fn) - m.energy(n) * fn, fn,
+            relative_residual((apply_H1(pair, fn), m.energy(n), fn), fn,
                               exclude=list(pair.singular_points)),
             1e-5,
         )
@@ -207,16 +208,15 @@ def _swanson_sections(m, pair, grid, own_in_l2):
     apply_h_dual = m.extras["apply_h_dual"]
     ham = []
     for n in range(5):
-        image = apply_h(phis[n])
         ham.append(CheckResult.from_residual(
             f"level {n} rotated-oscillator residual",
-            relative_residual(image - m.energy(n) * phis[n], phis[n]),
+            relative_residual((apply_h(phis[n]), m.energy(n), phis[n]), phis[n]),
             1e-4,
         ))
-        image = apply_h_dual(psis[n])
         ham.append(CheckResult.from_residual(
             f"level {n} adjoint-family residual",
-            relative_residual(image - np.conjugate(m.energy(n)) * psis[n], psis[n]),
+            relative_residual((apply_h_dual(psis[n]), np.conjugate(m.energy(n)), psis[n]),
+                              psis[n]),
             1e-4,
         ))
 
@@ -284,8 +284,9 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     base = m.extras["base_eigenfunction"]
 
     n_basis = 26
-    phis = [m.phi1(n, grid) for n in range(n_basis)]
-    psis = [m.psi1(n, grid) for n in range(n_basis)]
+    # phi_n and psi_n in turn share each Hermite step; only the states read past level 10
+    levels = ((m.phi1(n, grid), m.psi1(n, grid)) for n in range(n_basis))
+    phis, psis = map(list, zip(*islice(levels, 11)))
 
     basis_checks = deformed_basis_report(d, phis[:9], psis[:9])
     eig_checks = deformed_eigencheck(d, pair, [m.energy(n) for n in range(9)],
@@ -301,6 +302,9 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     algebra = superalgebra_check(pair, vectors, doublets=doublets, tol=1e-5)
 
     # state family over the model's own ladder
+    for phi, psi in levels:
+        phis.append(phi)
+        psis.append(psi)
     s = spectrum_from_formula(m.energy, n_basis)
     dom = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
     states = [CheckResult.from_residual(

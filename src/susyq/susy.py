@@ -264,7 +264,7 @@ def factorization_residual(p: SuperpotentialPair, f, sector: int = 1) -> float:
         direct = apply_H2(p, f)
     else:
         raise ValueError("sector must be 1 or 2")
-    return relative_residual(composed - direct, direct, exclude=list(p.singular_points))
+    return relative_residual((composed, direct), direct, exclude=list(p.singular_points))
 
 
 def potential_identity_residual(p: SuperpotentialPair, grid: Grid) -> float:
@@ -551,18 +551,18 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
         af, bg, h1f, h2g = apply_A(p, f), apply_B(p, g), apply_H1(p, f), apply_H2(p, g)
         scale = max(two_sector_norm(h1f, h2g), two_sector_norm(f, g), 1e-300)
         report.append(CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", 0.0, 1e-300))
-        r = two_sector_norm(apply_B(p, af) - h1f, apply_A(p, bg) - h2g) / scale
+        r = two_sector_norm((apply_B(p, af), h1f), (apply_A(p, bg), h2g)) / scale
         report.append(CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})", r, tol))
-        r = interior_norm(apply_H2(p, af) - apply_A(p, h1f), exclude=ex) / scale
+        r = interior_norm((apply_H2(p, af), apply_A(p, h1f)), exclude=ex) / scale
         report.append(CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})", r, tol))
-        r = interior_norm(apply_H1(p, bg) - apply_B(p, h2g), exclude=ex) / scale
+        r = interior_norm((apply_H1(p, bg), apply_B(p, h2g)), exclude=ex) / scale
         report.append(CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})", r, tol))
 
     for n, energy, phi1, phi2, alpha, beta in doublets or []:
         phi1, phi2 = phi1.materialize(), phi2.materialize()
-        for image, want, label in ((apply_A(p, phi1), alpha * phi2, "sector 1 -> 2 with alpha"),
-                                   (apply_B(p, phi2), beta * phi1, "sector 2 -> 1 with beta")):
-            r = relative_residual(image - want, image, exclude=ex) if norm(image) > 0 else 0.0
+        for image, c, want, label in ((apply_A(p, phi1), alpha, phi2, "sector 1 -> 2 with alpha"),
+                                      (apply_B(p, phi2), beta, phi1, "sector 2 -> 1 with beta")):
+            r = relative_residual((image, c, want), image, exclude=ex) if norm(image) > 0 else 0.0
             report.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
         report.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
     return report

@@ -297,6 +297,17 @@ def test_singular_and_overflowing_expressions_end_in_a_documented_exit(
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["potentials", "vacua", "verify", "gk"])
+def test_an_overflowing_pseudo_bosonic_parameter_writes_one_stderr_line(tmp_path, command):
+    # in a subprocess numpy's RuntimeWarnings reach stderr, where in-process
+    # runs hand them to pytest's warning capture
+    r = run_cli(command, "--model", "pseudo-bosonic", "--bind", "k=1e308", "--grid-n", "17",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 3
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr.startswith("susyq: non-finite sample")
+
+
 @pytest.mark.parametrize("command", ["potentials", "gk"])
 def test_rejected_deformation_is_a_configuration_error(command, tmp_path):
     r = run_cli(command, "--model", "deformed-harmonic", "--bind", "q=0.5*tanh(x)",

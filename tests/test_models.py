@@ -422,6 +422,24 @@ def test_pb_ladder_action(grid):
         assert relative_residual(diff, want) < 1e-6, n
 
 
+def test_pb_levels_share_read_only_scale_arrays_of_the_last_grid():
+    k = -1.0
+    m = get_model("pseudo-bosonic", k=k)
+    small, large = Grid(12.0, 33), Grid(12.0, 65)
+    for gen, formulas in [
+        (m.phi1, lambda x: (-k * x - np.exp(x), -k - np.exp(x), -np.exp(x))),
+        (m.psi1, lambda x: (np.exp(x) - x**2 / 2.0, np.exp(x) - x, np.exp(x) - 1.0)),
+    ]:
+        for g in (large, small):
+            a, b = gen(2, g), gen(5, g)
+            for name, want in zip(("log_scale", "dlog", "d2log"), formulas(g.x)):
+                assert getattr(a, name) is getattr(b, name), name
+                assert _same_bits(getattr(a, name), want), name
+                with pytest.raises(ValueError):
+                    getattr(a, name)[0] = 0.0
+        assert gen(1, large).log_scale is not a.log_scale
+
+
 def test_pb_biorthogonality(grid):
     m = get_model("pseudo-bosonic", k=-1.0)
     worst = 0.0

@@ -572,6 +572,57 @@ def test_blocked_norms_and_residuals_are_the_whole_array_sums_bit_for_bit(n):
             assert interior_norm(f, exclude=exclude) == want, case
 
 
+def _difference_oracle(a, c, b):
+    return a - (b if c is None else c * b)
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1])
+def test_a_residual_given_as_its_terms_is_the_carrier_expression_bit_for_bit(n):
+    from susyq.numerics import _Difference, _blocks
+
+    grid = Grid(12.0, n)
+    rng = np.random.default_rng(n + 2)
+    for case, b in _carriers(grid, rng).items():
+        a = b.with_values(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for c in [None, 2.0, np.float64(-1.5), 0.3 - 0.7j]:
+            terms = (a, b) if c is None else (a, c, b)
+            want = _difference_oracle(a, c, b)
+            # every block, the last one holding one point, has the expression's bits
+            d = _Difference(terms)
+            got = np.concatenate([d.block(slice(lo, hi), np.empty(hi - lo, complex))
+                                  for lo, hi in _blocks(n)])
+            assert np.array_equal(_bits(got), _bits(want.values)), (case, c)
+            for kw in ({}, {"pad": 0}, {"exclude": [0.3, -2.0]}):
+                assert relative_residual(terms, b, **kw) == relative_residual(want, b, **kw), \
+                    (case, c, kw)
+                assert interior_norm(terms, **kw) == interior_norm(want, **kw), (case, c, kw)
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])
+def test_a_non_finite_residual_is_reported_as_the_carrier_expression_reports_it(n):
+    grid = Grid(3.0, n)
+    a, b = np.ones(n, dtype=np.complex128), np.ones(n, dtype=np.complex128)
+    # the first offending point in the first block, one more in the last
+    a[_BLOCK - 3], b[_BLOCK - 3] = 1e308, -1e308
+    b[n - 1] = 1e308
+    for scale in (None, 0.1 * grid.x):
+        fa, fb = GridFunction(grid, a, scale), GridFunction(grid, b, scale)
+        for c in [None, 2.0, np.float64(1.5), 3.0 - 7.0j]:
+            terms = (fa, fb) if c is None else (fa, c, fb)
+            with np.errstate(all="ignore"):
+                with pytest.raises(PoleOnGridError) as expected:
+                    _difference_oracle(fa, c, fb)
+                for measure in (lambda t: relative_residual(t, fb), interior_norm):
+                    with pytest.raises(PoleOnGridError) as got:
+                        measure(terms)
+                    assert str(got.value) == str(expected.value), (scale is None, c)
+    # finite samples whose block sum overflows are a residual like any other
+    big = GridFunction(grid, np.where(np.isin(np.arange(n), [100, 102]), 1e308, 0.0))
+    zero = GridFunction(grid, np.zeros(n))
+    with np.errstate(all="ignore"):
+        assert interior_norm((big, zero)) == interior_norm(big) == math.inf
+
+
 def test_the_interior_mask_is_cached_and_read_only():
     from susyq.numerics import _interior_mask
 

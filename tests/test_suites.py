@@ -1,6 +1,7 @@
 """Aggregated per-model verification reports."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -128,11 +129,27 @@ def _count_families(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, n_calls", [("harmonic", 9), ("pseudo-bosonic", 22)])
+@pytest.mark.parametrize("name, n_calls", [("harmonic", 9), ("pseudo-bosonic", 22),
+                                           ("deformed-harmonic", 52)])
 def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
     calls = _count_families(monkeypatch)
     assert verify_model(name, grid=grid).all_pass()
     assert len(calls) == n_calls
+
+
+@pytest.mark.parametrize("name, limit", [("deformed-harmonic", 80), ("pseudo-bosonic", 50)])
+def test_suite_peak_memory_in_grid_arrays(name, limit):
+    grid = Grid(12.0, 16385)
+    verify_model(name, grid=Grid(12.0, 1025))  # one-time set-up stays out of the count
+    tracemalloc.start()
+    try:
+        assert verify_model(name, grid=grid).all_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in complex N-point arrays; all 26 deformed levels held from the first
+    # section (97), or a scale triple per pseudo-bosonic level (76), break it
+    assert peak / (16 * grid.n_points) <= limit
 
 
 def test_deformed_harmonic_suite_builds_its_pair_once(grid, monkeypatch):
