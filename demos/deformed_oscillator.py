@@ -46,7 +46,7 @@ for n in (1, 4, 8):
 
 pairs1 = [(2.0 * n, phis[n]) for n in range(9)]
 pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]
-recs = intertwine_check(m.pair, pairs1, pairs2, tol=1e-5)
+recs = intertwine_check(m.pair, pairs1, pairs2)
 for rec in recs[1:4]:
     print(f"level {rec.n}: alpha*beta = {rec.alpha * rec.beta:.6f}, "
           f"E = {rec.energy.real:.0f}, gap {rec.product_residual:.2e}")

@@ -140,20 +140,20 @@ def deformed_pair(d: Deformation) -> SuperpotentialPair:
     return build_pair(w_a, w_b, simplified={"q1": Const(2.0) * d.dq})
 
 
-def deformed_basis_report(d: Deformation, phis, psis, slack: float = 1e-10):
+def deformed_basis_report(d: Deformation, phis, psis):
     """Pairing-matrix and norm-bound checks for a deformed family.
 
     The norm bounds are the operator bounds |e^q| <= e^M, |e^{-q}| <= e^{-m}
     applied to unit vectors; quadrature can overshoot them only at rounding
-    level, which the slack absorbs.
+    level, which the tolerance of 1e-10 absorbs.
     """
     pairing = biorthogonality_defect(psis, phis)
     phi_excess = max((norm(phi) - math.exp(d.M)) for phi in phis)
     psi_excess = max((norm(psi) - math.exp(-d.m)) for psi in psis)
     return [
         CheckResult.from_residual("biorthogonal pairing matrix is the identity", pairing, 1e-8),
-        CheckResult.from_residual("deformed norms stay under e^M", max(phi_excess, 0.0), slack),
-        CheckResult.from_residual("dual norms stay under e^-m", max(psi_excess, 0.0), slack),
+        CheckResult.from_residual("deformed norms stay under e^M", max(phi_excess, 0.0), 1e-10),
+        CheckResult.from_residual("dual norms stay under e^-m", max(psi_excess, 0.0), 1e-10),
     ]
 
 

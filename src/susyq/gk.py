@@ -197,6 +197,9 @@ def _fit_norm_bound(norms, label: str):
     return a, r, m_limit, notes
 
 
+_DELTA_E_TOL = 1e-8  # largest settled gap between imaginary parts of eigenvalues
+
+
 @dataclass(eq=False)
 class GKDomain:
     """Certified J range: J < j_min keeps both coefficient series summable."""
@@ -216,11 +219,11 @@ class GKDomain:
     notes: tuple
 
 
-def gk_domain(s: Spectrum, phi_norms, psi_norms, delta_e_tol: float = 1e-8) -> GKDomain:
+def gk_domain(s: Spectrum, phi_norms, psi_norms) -> GKDomain:
     """Fit growth bounds for both families and intersect their J ranges.
 
     The imaginary parts of consecutive eigenvalues must settle (their gaps
-    fall below ``delta_e_tol`` on the tail); otherwise the angle dependence
+    fall below ``_DELTA_E_TOL`` on the tail); otherwise the angle dependence
     of the series bound is uncontrolled and the whole domain collapses to
     J_min = 0.
     """
@@ -236,12 +239,12 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms, delta_e_tol: float = 1e-8) -> G
     j_psi = side_limit(ml_psi, r_psi)
     j_min = min(s.radius, j_phi, j_psi)
     notes = list(n1) + list(n2)
-    delta_ok = s.delta_e_tail <= delta_e_tol
+    delta_ok = s.delta_e_tail <= _DELTA_E_TOL
     if not delta_ok:
         j_min = 0.0
         notes.append(
             f"imaginary-part gaps do not settle (tail value {s.delta_e_tail:.3g} "
-            f"> {delta_e_tol:g}); no positive J is certified"
+            f"> {_DELTA_E_TOL:g}); no positive J is certified"
         )
     return GKDomain(
         a_phi=a_phi,

@@ -39,8 +39,8 @@ from numpy.polynomial import Polynomial
 
 from .deform import DEFAULT_DEFORMATION_Q, _read_only, build_deformation, deformed_pair
 from .expr import Const, Exp, LogAbs, Var, differentiate, parse
-from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, derivative,
-                       inner, sample)
+from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, inner, sample,
+                       stencil_pass)
 from .reporting import CheckResult
 from .susy import (
     SuperpotentialPair,
@@ -309,9 +309,16 @@ def _swanson_applier(theta: float, rotation_sign: float):
     pot = cmath.exp(+2j * rotation_sign * theta)
 
     def apply_h(f):
-        d2 = derivative(f, 2)
-        values = 0.5 * sec * (-kin * d2.values + pot * f.grid.x**2 * f.values)
-        return GridFunction(f.grid, values)
+        """0.5 * sec * (-kin * f'' + pot * x**2 * f), operation by operation."""
+        x = f.grid.x
+
+        # no complex product is written over a factor (see stencil_pass)
+        def combine(sl, v, d2, out, t):
+            np.multiply(np.multiply(pot, np.square(x[sl]), out=t), v, out=out)
+            np.add(np.multiply(-kin, d2, out=t), out, out=d2)
+            np.multiply(0.5 * sec, d2, out=out)
+
+        return stencil_pass(f, (2,), combine)
 
     return apply_h
 

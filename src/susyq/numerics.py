@@ -26,17 +26,19 @@ which needs a -0.0 among a point's samples, or turn an overflow into a NaN;
 such points are recomputed with the complex expressions.  Real input (a log
 scale) is divided by d, as the real expression does.
 
-The kernels on the grid (derivatives, the operators built on them in
-``stencil_pass``, the scaled pairing and the interior norms) run block by
-block over slices of ``_BLOCK`` points, small enough that a block's operands
-and scratch stay in L2 cache; a whole-array expression would send each of
-its N-point temporaries through memory.  Elementwise work is blocked: every
-element goes through the same operations, in the same order and on the same
-operand types, as in the whole-array expression, so it gets the same bits.
-Reductions whose order sets the bits stay whole-array: the blocks write
-their terms into one N-point array and ``np.sum`` adds it once, with the
-pairwise order of the whole-array sum.  A maximum is exact in any order, so
-it is taken block by block.
+Every operator and every norm runs on the blocked kernels: each derivative,
+and each operator built on one, is a ``stencil_pass``; every plain norm,
+interior norm and residual is a ``_weighted_norms`` reduction; the scaled
+pairing, which a scaled norm takes, is a blocked pass of ``inner``.  They
+run block by block over slices of ``_BLOCK`` points, small enough that a
+block's operands and scratch stay in L2 cache; a whole-array expression
+would send each of its N-point temporaries through memory.  Elementwise
+work is blocked: every element goes through the same operations, in the
+same order and on the same operand types, as in the whole-array
+expression, so it gets the same bits.  Reductions whose order sets the
+bits stay whole-array: the blocks write their terms into one N-point array
+and ``np.sum`` adds it once, with the pairwise order of the whole-array
+sum.  A maximum is exact in any order, so it is taken block by block.
 """
 
 from __future__ import annotations
@@ -288,13 +290,9 @@ def as_scaled(f) -> GridFunction:
 # sampling and differentiation
 
 def sample(e: Expr, grid: Grid) -> GridFunction:
-    """Evaluate an expression on the grid; poles are reported, not returned."""
-    values = evaluate_array(e, grid.x)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        raise PoleOnGridError(float(grid.x[j]), j, int(bad.sum()))
-    return GridFunction(grid, values)
+    """Evaluate an expression on the grid; poles are reported, not returned
+    (the carrier raises PoleOnGridError for a non-finite sample)."""
+    return GridFunction(grid, evaluate_array(e, grid.x))
 
 
 @lru_cache(maxsize=64)
@@ -412,14 +410,6 @@ class _Stencil:
         return (near[:, None] + np.arange(-2, 3)).ravel()
 
 
-def _fd(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    stencil = _Stencil(values, h, (order,))
-    out = np.empty_like(stencil.v)
-    for lo, hi in _blocks(len(out)):
-        stencil.into(lo, hi, {order: out[lo:hi]})
-    return out
-
-
 def _fd_reference(v: np.ndarray, h: float, order: int, j: np.ndarray) -> np.ndarray:
     """The interior stencil at the points ``j`` as complex array expressions."""
     if order == 1:
@@ -486,11 +476,7 @@ def _copy(sl, v, d, out, t):
 
 
 def derivative(f, order: int = 1):
-    """4th-order finite-difference derivative, on the same scale as ``f``."""
-    if f.log_scale is None:
-        return f.with_values(_fd(f.values, f.grid.spacing, order))
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
+    """4th-order finite-difference derivative (order 1 or 2) on the scale of ``f``."""
     return stencil_pass(f, (order,), _copy)
 
 
@@ -571,7 +557,7 @@ def biorthogonality_defect(left, right) -> float:
 def norm(f) -> float:
     """L2 norm; for scaled carriers it may overflow; prefer residual ratios."""
     if f.log_scale is None:
-        return float(np.sqrt(np.sum(f.grid.simpson_weights * np.abs(f.values) ** 2)))
+        return interior_norm(f, pad=0)
     return float(np.sqrt(abs(inner(f, f))))
 
 
@@ -623,7 +609,8 @@ def _weighted_norms(grid: Grid, funcs: list, mask: np.ndarray, shift=None) -> li
     terms = np.empty((len(funcs), n))
     for lo, hi in _blocks(n):
         sl, k = slice(lo, hi), hi - lo
-        w = np.multiply(sw[sl], mask[sl], out=wb[:k])
+        inside = mask[sl]  # a block with every point inside keeps sw: sw * 1.0 is sw
+        w = sw[sl] if inside.all() else np.multiply(sw[sl], inside, out=wb[:k])
         if shift is not None:
             e = np.subtract(shift[0][sl], shift[1], out=e2[:k])
             np.clip(e, -_LOG_HUGE, 0.0, out=e)
@@ -698,11 +685,11 @@ class DecayFit:
         )
 
 
-def fitted_decay_exponents(f, fraction: float = DECAY_FIT_FRACTION) -> DecayFit:
+def fitted_decay_exponents(f) -> DecayFit:
     """Least-squares slope of log|f| vs outward distance on each tail."""
     log_mag = f.log_magnitude()
     n = f.grid.n_points
-    k = max(8, int(round(fraction * n)))
+    k = max(8, int(round(DECAY_FIT_FRACTION * n)))
     x = f.grid.x
 
     def slope(xs, ys):
@@ -720,19 +707,20 @@ def fitted_decay_exponents(f, fraction: float = DECAY_FIT_FRACTION) -> DecayFit:
 # ---------------------------------------------------------------------------
 # cumulative quadrature (for vacua built from superpotential antiderivatives)
 
-def cumulative_antiderivative(values: np.ndarray, grid: Grid, dvalues=None) -> np.ndarray:
+def cumulative_antiderivative(values: np.ndarray, grid: Grid, dvalues) -> np.ndarray:
     """W with W' = values and W = 0 at the grid point nearest x = 0.
 
-    Cumulative trapezoid plus the Euler-Maclaurin h^2/12 endpoint correction;
-    with exact end-derivatives supplied the result is 4th-order accurate,
-    which the downstream annihilation-residual checks rely on.
+    Cumulative trapezoid plus the Euler-Maclaurin h^2/12 endpoint correction,
+    which reads the exact derivative ``dvalues`` of ``values`` at the points;
+    the result is 4th-order accurate, which the downstream
+    annihilation-residual checks rely on.
     """
     values = np.asarray(values, dtype=np.complex128)
     h = grid.spacing
     t = np.empty(grid.n_points, dtype=np.complex128)
     t[0] = 0.0
     np.cumsum((values[1:] + values[:-1]) * (h / 2.0), out=t[1:])
-    dv = _fd(values, h, 1) if dvalues is None else np.asarray(dvalues)
+    dv = np.asarray(dvalues)
     w = t - (h * h / 12.0) * (dv - dv[0])
     j0 = int(np.argmin(np.abs(grid.x)))
     return w - w[j0]

@@ -129,7 +129,7 @@ def _intertwine_section(m, pair, phis, tol=1e-5):
     """Intertwining over the levels of the record's sector-1 list ``phis``;
     sector 2 is the same list one level down, as the record's ``phi2`` states."""
     pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, len(phis))]
-    recs = intertwine_check(pair, [(m.energy(n), f) for n, f in enumerate(phis)], pairs2, tol=tol)
+    recs = intertwine_check(pair, [(m.energy(n), f) for n, f in enumerate(phis)], pairs2)
     checks = []
     for rec in recs:
         if rec.alpha is None:

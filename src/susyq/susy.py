@@ -237,7 +237,7 @@ def apply_H2_dag(p: SuperpotentialPair, f):
 # ---------------------------------------------------------------------------
 # structural residual helpers
 
-def probe_function(grid: Grid, singular_points=(), width: float = 1.0) -> GridFunction:
+def probe_function(grid: Grid, singular_points=()) -> GridFunction:
     """Unit-height Gaussian placed as far as possible from the singularities.
 
     Finite-difference stencils cannot resolve a potential's pole, so
@@ -251,7 +251,7 @@ def probe_function(grid: Grid, singular_points=(), width: float = 1.0) -> GridFu
         center = float(candidates[int(np.argmax(gaps))])
     else:
         center = 0.0
-    return GridFunction(grid, np.exp(-((grid.x - center) ** 2) / (2.0 * width**2)))
+    return GridFunction(grid, np.exp(-((grid.x - center) ** 2) / 2.0))
 
 
 def factorization_residual(p: SuperpotentialPair, f, sector: int = 1) -> float:
@@ -450,27 +450,26 @@ class IntertwineRecord:
     residual_a: float
     residual_b: float
     product_residual: float | None
-    passed: bool
 
 
-def _projection(target, image, tol_floor=1e-13):
-    """coefficient c with image ~ c * target, plus the relative defect."""
+def _projection(target, image):
+    """coefficient c with image ~ c * target, plus the relative defect
+    ||image - c * target|| / ||image||, formed a block at a time."""
     den = inner(target, target)
     c = inner(target, image) / den
-    residual_num = norm(image - c * target)
     scale = norm(image)
-    if scale < tol_floor * np.sqrt(abs(den)):
+    if scale < 1e-13 * np.sqrt(abs(den)):
         return c, 0.0
-    return c, float(residual_num / scale)
+    return c, float(interior_norm((image, c, target), pad=0) / scale)
 
 
-def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2, tol: float = 1e-6):
-    """Verify that A and B map the two eigenfamilies onto each other.
+def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2):
+    """Extract the intertwining coefficients of the two eigenfamilies.
 
     ``eigpairs1`` is a list of (E_n, phi_n) for the first sector;
     ``eigpairs2`` aligns entry n with the *same eigenvalue* in the second
     sector, with None where no partner exists (a zero-mode).  Returns one
-    :class:`IntertwineRecord` per level.
+    :class:`IntertwineRecord` per level; the caller judges its residuals.
     """
     out = []
     for n, (energy, phi1) in enumerate(eigpairs1):
@@ -489,7 +488,6 @@ def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2, tol: float = 1
                     residual_a=residual_a,
                     residual_b=0.0,
                     product_residual=None,
-                    passed=residual_a < tol,
                 )
             )
             continue
@@ -500,9 +498,6 @@ def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2, tol: float = 1
             product_residual = None  # both maps annihilate at zero energy
         else:
             product_residual = abs(alpha * beta - complex(energy))
-        passed = residual_a < tol and residual_b < tol
-        if product_residual is not None:
-            passed = passed and product_residual < tol * max(1.0, abs(energy))
         out.append(
             IntertwineRecord(
                 n=n,
@@ -512,7 +507,6 @@ def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2, tol: float = 1
                 residual_a=residual_a,
                 residual_b=residual_b,
                 product_residual=product_residual,
-                passed=passed,
             )
         )
     return out

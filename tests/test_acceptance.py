@@ -195,7 +195,7 @@ def test_criterion_06_deformed_susy(grid, deformed):
 
     pairs1 = [(2.0 * n, phis[n]) for n in range(9)]
     pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]
-    recs = intertwine_check(m.pair, pairs1, pairs2, tol=1e-5)
+    recs = intertwine_check(m.pair, pairs1, pairs2)
     worst_prod = max(rec.product_residual for rec in recs
                      if rec.product_residual is not None)
 
@@ -209,7 +209,7 @@ def test_criterion_07_superalgebra(deformed):
     m, phis, _ = deformed
     pairs1 = [(2.0 * n, phis[n]) for n in range(11)]
     pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 11)]
-    recs = intertwine_check(m.pair, pairs1, pairs2, tol=1e-5)
+    recs = intertwine_check(m.pair, pairs1, pairs2)
     doublets = [(rec.n, rec.energy, phis[rec.n], phis[rec.n - 1],
                  rec.alpha, rec.beta)
                 for rec in recs if rec.n >= 1][:10]

@@ -18,7 +18,7 @@ from susyq.models import (
     pb_identities,
     pb_polynomials,
 )
-from susyq.numerics import Grid, GridFunction, inner, norm, relative_residual, sample
+from susyq.numerics import Grid, GridFunction, derivative, inner, norm, relative_residual, sample
 from susyq.susy import (
     apply_A,
     apply_B,
@@ -304,6 +304,38 @@ def test_swanson_dual_hamiltonian_on_dual_family(grid):
     hf = m.extras["apply_h_dual"](f)
     diff = GridFunction(grid, hf.values - m.energy(2) * f.values)
     assert relative_residual(diff, f) < 1e-5
+
+
+def _swanson_oracle(theta, rotation_sign):
+    """The Swanson Hamiltonian as the whole-array expression."""
+    sec = 1.0 / math.cos(2 * theta)
+    kin = cmath.exp(-2j * rotation_sign * theta)
+    pot = cmath.exp(+2j * rotation_sign * theta)
+
+    def apply_h(f):
+        # held in a name: numpy would write -kin * (a temporary) over its
+        # factor, with a loop whose last bit can differ
+        d2 = derivative(f, 2)
+        return 0.5 * sec * (-kin * d2.values + pot * f.grid.x**2 * f.values)
+
+    return apply_h
+
+
+@pytest.mark.parametrize("n", [16, 8191, 8192, 8193, 16387])
+@pytest.mark.parametrize("theta", [math.pi / 8, -math.pi / 8, 0.6])
+def test_swanson_hamiltonians_are_the_whole_array_expression_bit_for_bit(n, theta):
+    grid = Grid(12.0, n)
+    m = get_model("swanson", theta=theta)
+    rng = np.random.default_rng(n)
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(-grid.x**2 / 8)
+    z.real[::7] = -0.0
+    funcs = [m.phi1(k, grid) for k in range(5)] + [m.psi1(k, grid) for k in range(5)]
+    funcs.append(GridFunction(grid, z))
+    for name, sign in (("apply_h", +1.0), ("apply_h_dual", -1.0)):
+        oracle = _swanson_oracle(theta, sign)
+        for i, f in enumerate(funcs):
+            got = m.extras[name](f).values
+            assert np.array_equal(got.view(np.uint64), oracle(f).view(np.uint64)), (name, i)
 
 
 def test_swanson_energies_are_real_and_stretched():

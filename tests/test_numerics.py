@@ -30,7 +30,7 @@ from susyq.numerics import (
     sample,
 )
 from susyq import susy
-from susyq.numerics import _BLOCK, _EDGE_STENCILS, _LOG_HUGE, _fd, _one_sided_weights
+from susyq.numerics import _BLOCK, _EDGE_STENCILS, _LOG_HUGE, _Stencil, _blocks, _one_sided_weights
 
 
 def test_grid_spacing_and_endpoints():
@@ -317,17 +317,32 @@ def _stencil_inputs(n):
     }
 
 
+def _stencil_values(v, h, order):
+    """``_Stencil`` run over every block of ``v``, as ``stencil_pass`` runs it
+    on the samples and on a log scale whose derivatives it fits."""
+    stencil = _Stencil(v, h, (order,))
+    out = np.empty_like(stencil.v)
+    for lo, hi in _blocks(len(out)):
+        stencil.into(lo, hi, {order: out[lo:hi]})
+    return out
+
+
 # 8197 complex points make the float64 view span two 16384-double blocks
 @pytest.mark.parametrize("n", [16, 17, 4096, 4097, 8197])
 @pytest.mark.parametrize("order", [1, 2])
 def test_fd_interior_is_the_complex_expression_bit_for_bit(n, order):
-    for h in (24.0 / (n - 1), 0.3):
+    grid = Grid(12.0, n)
+    for h in (grid.spacing, 0.3):
         for case, v in _stencil_inputs(n).items():
             with np.errstate(over="ignore", invalid="ignore"):
-                got = _fd(v, h, order)[2:-2]
+                got = _stencil_values(v, h, order)[2:-2]
                 want = _fd_interior_oracle(v, h, order)
             assert got.dtype == v.dtype, case
             assert np.array_equal(_bits(got), _bits(want)), case
+            # a carrier's derivative is the same pass; it holds finite complex samples
+            if h == grid.spacing and v.dtype == np.complex128 and np.isfinite(want).all():
+                got = derivative(GridFunction(grid, v), order).values[2:-2]
+                assert np.array_equal(_bits(got), _bits(want)), case
 
 
 def _masked_inner(f, g):
@@ -468,7 +483,7 @@ def test_an_overflowing_stencil_is_reported_as_the_composed_expression_reports_i
                 with pytest.raises(PoleOnGridError) as got:
                     getattr(susy, f"apply_{op}")(p, f)
                 assert str(got.value) == str(expected.value), op
-            got = _fd(values, grid.spacing, 2)
+            got = _stencil_values(values, grid.spacing, 2)
             want = _fd_oracle(values, grid.spacing, 2)
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -566,10 +581,18 @@ def test_blocked_norms_and_residuals_are_the_whole_array_sums_bit_for_bit(n):
         g = f.with_values(f.values[::-1] + 0.25)
         got = relative_residual(g, f, exclude=exclude)
         assert got == _relative_residual_oracle(g, f, mask), case
+        # without exclusions a middle block has every point inside
+        got = relative_residual(g, f)
+        assert got == _relative_residual_oracle(g, f, _interior_mask(grid, 5, None)), case
         if f.log_scale is None:
             w = grid.simpson_weights * mask
             want = float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
             assert interior_norm(f, exclude=exclude) == want, case
+            # the plain norm is the interior norm with no point left out
+            want = float(np.sqrt(np.sum(grid.simpson_weights * np.abs(f.values) ** 2)))
+            assert norm(f) == interior_norm(f, pad=0) == want, case
+            assert norm(g) == interior_norm(g, pad=0), case
+            assert interior_norm((g, 0.3 - 0.7j, f), pad=0) == norm(g - (0.3 - 0.7j) * f), case
 
 
 def _difference_oracle(a, c, b):
@@ -578,7 +601,7 @@ def _difference_oracle(a, c, b):
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1])
 def test_a_residual_given_as_its_terms_is_the_carrier_expression_bit_for_bit(n):
-    from susyq.numerics import _Difference, _blocks
+    from susyq.numerics import _Difference
 
     grid = Grid(12.0, n)
     rng = np.random.default_rng(n + 2)

@@ -188,10 +188,11 @@ def test_intertwine_check_recovers_sqrt_energies():
     g = default_grid()
     p = harmonic_pair()
     fns1, pairs1, pairs2 = eig_families(g, 7)
-    recs = intertwine_check(p, pairs1, pairs2, tol=1e-6)
-    assert all(r.passed for r in recs)
+    recs = intertwine_check(p, pairs1, pairs2)
     assert recs[0].alpha is None and recs[0].product_residual is None
+    assert recs[0].residual_a < 1e-6
     for r in recs[1:]:
+        assert max(r.residual_a, r.residual_b) < 1e-6, r.n
         root = math.sqrt(2.0 * r.n)
         assert abs(r.alpha - root) < 1e-6 * root
         assert abs(r.beta - root) < 1e-6 * root
@@ -204,9 +205,30 @@ def test_intertwine_check_flags_wrong_partner():
     fns1, pairs1, pairs2 = eig_families(g, 5)
     broken = list(pairs2)
     broken[2] = (4.0, fns1[3])  # not proportional to A phi_2
-    recs = intertwine_check(p, pairs1, broken, tol=1e-6)
-    assert not recs[2].passed
+    recs = intertwine_check(p, pairs1, broken)
     assert recs[2].residual_a > 0.1
+    assert max(r.residual_a for r in recs[:2] + recs[3:]) < 1e-6
+
+
+@pytest.mark.parametrize("n_points", [4097, 8193])
+def test_projection_defect_is_the_carrier_residual_bit_for_bit(n_points):
+    from susyq.susy import _projection
+
+    g = Grid(12.0, n_points)
+    p = harmonic_pair()
+    fns1, _, _ = eig_families(g, 5)
+    cases = [(fns1[n - 1], apply_A(p, fns1[n])) for n in range(1, 5)]
+    cases.append((fns1[3], apply_A(p, fns1[2])))  # a wrong partner: an order-one defect
+    rng = np.random.default_rng(n_points)
+    noise = GridFunction(g, rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+    cases.append((noise, noise.with_values((0.5 - 2j) * noise.values + 0.1)))  # edges count
+    whole_norm = lambda v: np.sqrt(np.sum(g.simpson_weights * np.abs(v) ** 2))
+    for target, image in cases:
+        c, got = _projection(target, image)
+        assert c == inner(target, image) / inner(target, target)
+        want = float(whole_norm(image.values - c * target.values) / whole_norm(image.values))
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert got == float(norm(image - c * target) / norm(image))
 
 
 def test_superalgebra_on_harmonic_doublets():
