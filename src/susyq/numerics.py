@@ -26,19 +26,21 @@ which needs a -0.0 among a point's samples, or turn an overflow into a NaN;
 such points are recomputed with the complex expressions.  Real input (a log
 scale) is divided by d, as the real expression does.
 
-Every operator and every norm runs on the blocked kernels: each derivative,
-and each operator built on one, is a ``stencil_pass``; every plain norm,
+Every operator and every residual runs on the blocked kernels: each
+derivative, and each operator built on one, is a ``stencil_pass``; every
 interior norm and residual is a ``_weighted_norms`` reduction; the scaled
-pairing, which a scaled norm takes, is a blocked pass of ``inner``.  They
-run block by block over slices of ``_BLOCK`` points, small enough that a
-block's operands and scratch stay in L2 cache; a whole-array expression
-would send each of its N-point temporaries through memory.  Elementwise
-work is blocked: every element goes through the same operations, in the
-same order and on the same operand types, as in the whole-array
-expression, so it gets the same bits.  Reductions whose order sets the
-bits stay whole-array: the blocks write their terms into one N-point array
-and ``np.sum`` adds it once, with the pairwise order of the whole-array
-sum.  A maximum is exact in any order, so it is taken block by block.
+pairing, which a scaled norm takes, is a blocked pass of ``inner``.  The
+plain norm of an unscaled carrier stays one whole-array expression, which
+gives the blocked bits at less cost per call.  The kernels run block by
+block over slices of ``_BLOCK`` points, small enough that a block's
+operands and scratch stay in L2 cache; a whole-array expression would send
+each of its N-point temporaries through memory.  Elementwise work is
+blocked: every element goes through the same operations, in the same order
+and on the same operand types, as in the whole-array expression, so it
+gets the same bits.  Reductions whose order sets the bits stay
+whole-array: the blocks write their terms into one N-point array and
+``np.sum`` adds it once, with the pairwise order of the whole-array sum.
+A maximum is exact in any order, so it is taken block by block.
 """
 
 from __future__ import annotations
@@ -557,7 +559,7 @@ def biorthogonality_defect(left, right) -> float:
 def norm(f) -> float:
     """L2 norm; for scaled carriers it may overflow; prefer residual ratios."""
     if f.log_scale is None:
-        return interior_norm(f, pad=0)
+        return float(np.sqrt(np.sum(f.grid.simpson_weights * np.abs(f.values) ** 2)))
     return float(np.sqrt(abs(inner(f, f))))
 
 
@@ -609,8 +611,7 @@ def _weighted_norms(grid: Grid, funcs: list, mask: np.ndarray, shift=None) -> li
     terms = np.empty((len(funcs), n))
     for lo, hi in _blocks(n):
         sl, k = slice(lo, hi), hi - lo
-        inside = mask[sl]  # a block with every point inside keeps sw: sw * 1.0 is sw
-        w = sw[sl] if inside.all() else np.multiply(sw[sl], inside, out=wb[:k])
+        w = np.multiply(sw[sl], mask[sl], out=wb[:k])
         if shift is not None:
             e = np.subtract(shift[0][sl], shift[1], out=e2[:k])
             np.clip(e, -_LOG_HUGE, 0.0, out=e)

@@ -125,7 +125,7 @@ def _pair_sections(m, pair, grid):
     }, (tuple(rec.in_l2 for rec in v.records()) if own else None)
 
 
-def _intertwine_section(m, pair, phis, tol=1e-5):
+def _intertwine_section(m, pair, phis):
     """Intertwining over the levels of the record's sector-1 list ``phis``;
     sector 2 is the same list one level down, as the record's ``phi2`` states."""
     pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, len(phis))]
@@ -134,7 +134,7 @@ def _intertwine_section(m, pair, phis, tol=1e-5):
     for rec in recs:
         if rec.alpha is None:
             checks.append(CheckResult.from_residual(
-                f"level {rec.n} zero-mode is annihilated", rec.residual_a, tol,
+                f"level {rec.n} zero-mode is annihilated", rec.residual_a, 1e-5,
             ))
             continue
         worst = max(rec.residual_a, rec.residual_b,
@@ -142,7 +142,7 @@ def _intertwine_section(m, pair, phis, tol=1e-5):
         checks.append(CheckResult.from_residual(
             f"level {rec.n} intertwining and coefficient product",
             worst,
-            tol * max(1.0, abs(rec.energy)),
+            1e-5 * max(1.0, abs(rec.energy)),
         ))
     return checks, recs
 

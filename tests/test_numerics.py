@@ -581,7 +581,7 @@ def test_blocked_norms_and_residuals_are_the_whole_array_sums_bit_for_bit(n):
         g = f.with_values(f.values[::-1] + 0.25)
         got = relative_residual(g, f, exclude=exclude)
         assert got == _relative_residual_oracle(g, f, mask), case
-        # without exclusions a middle block has every point inside
+        # and with no point excluded
         got = relative_residual(g, f)
         assert got == _relative_residual_oracle(g, f, _interior_mask(grid, 5, None)), case
         if f.log_scale is None:
