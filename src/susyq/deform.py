@@ -38,11 +38,12 @@ from .numerics import (
     norm,
     relative_residual,
     sample,
+    stencil_pass,
 )
 from .reporting import CheckResult
 from .susy import (
     SuperpotentialPair,
-    apply_A,
+    _first_order,
     apply_H1,
     apply_H1_dag,
     apply_H2,
@@ -147,13 +148,18 @@ def deformed_basis_report(d: Deformation, phis, psis):
     applied to unit vectors; quadrature can overshoot them only at rounding
     level, which the tolerance of 1e-10 absorbs.
     """
-    pairing = biorthogonality_defect(psis, phis)
-    phi_excess = max((norm(phi) - math.exp(d.M)) for phi in phis)
-    psi_excess = max((norm(psi) - math.exp(-d.m)) for psi in psis)
+    return _basis_checks(d, biorthogonality_defect(psis, phis),
+                         [norm(phi) for phi in phis], [norm(psi) for psi in psis])
+
+
+def _basis_checks(d: Deformation, pairing: float, phi_norms, psi_norms):
+    """:func:`deformed_basis_report`'s checks from the pairing defect and the norms."""
     return [
         CheckResult.from_residual("biorthogonal pairing matrix is the identity", pairing, 1e-8),
-        CheckResult.from_residual("deformed norms stay under e^M", max(phi_excess, 0.0), 1e-10),
-        CheckResult.from_residual("dual norms stay under e^-m", max(psi_excess, 0.0), 1e-10),
+        CheckResult.from_residual("deformed norms stay under e^M",
+                                  max(max(r - math.exp(d.M) for r in phi_norms), 0.0), 1e-10),
+        CheckResult.from_residual("dual norms stay under e^-m",
+                                  max(max(r - math.exp(-d.m) for r in psi_norms), 0.0), 1e-10),
     ]
 
 
@@ -163,28 +169,37 @@ def deformed_eigencheck(d: Deformation, pair: SuperpotentialPair, energies, phis
     ``phis``/``psis`` are the sector-1 families T e_n, T^-* e_n of the base
     eigenfunctions ``base`` at E_n = ``energies[n]``, and ``pair`` supplies
     the operators.  Sector 2 is T and T^-* on the lowered base
-    A e_{n+1} / sqrt(E_{n+1}).  Returns four checks, one per family, each
-    holding the worst level's residual.
+    A e_{n+1} / sqrt(E_{n+1}).  The three families are read one level at a
+    time, so they may be generators.  Returns four checks, one per family,
+    each holding the worst level's residual.
     """
-    grid = base[0].grid
-    base_pair = build_pair(d.w, d.w)
+    worst, w = [0.0] * 4, None
+    for n, (phi, psi, e_n) in enumerate(zip(phis, psis, base)):
+        w = sample(d.w, phi.grid).values if w is None else w
+        _eigen_level(worst, d, pair, w, energies[n], phi, apply_H1(pair, phi), psi,
+                     e_n if n else None)
+    return _eigen_checks(worst)
 
-    def family_check(family, op, fns, evs):
-        worst = 0.0
-        for f, e_n in zip(fns, evs):
-            worst = max(worst, relative_residual((op(pair, f), e_n, f), f))
-        return CheckResult.from_residual(f"{family}: eigen-residuals", worst, 1e-5)
 
-    base2 = [apply_A(base_pair, base[n + 1]).values / math.sqrt(energies[n + 1])
-             for n in range(len(base) - 1)]
-    # built level by level as each check reads it: no sector-2 family is held whole
-    return [
-        family_check("h1 on phi1", apply_H1, phis, energies),
-        family_check("h1 adjoint on psi1", apply_H1_dag, psis, energies),
-        family_check("h2 on phi2", apply_H2,
-                     (GridFunction(grid, d.multiplier_values(grid) * e) for e in base2),
-                     energies[1:]),
-        family_check("h2 adjoint on psi2", apply_H2_dag,
-                     (GridFunction(grid, d.inverse_dual_values(grid) * e) for e in base2),
-                     energies[1:]),
-    ]
+def _eigen_level(worst: list, d: Deformation, pair: SuperpotentialPair, w, e: float,
+                 phi, h1_phi, psi, e_n):
+    """Fold one level's eigen-residuals at energy ``e`` into ``worst``: H1 on
+    phi (its image ``h1_phi`` given), the adjoint on psi, and, unless
+    ``e_n`` is None (level 0), H2 and its adjoint on T and T^-* of the base
+    level e_n lowered by d/dx + w, with ``w`` the samples of ``d.w``."""
+    worst[0] = max(worst[0], relative_residual((h1_phi, e, phi), phi))
+    worst[1] = max(worst[1], relative_residual((apply_H1_dag(pair, psi), e, psi), psi))
+    if e_n is not None:
+        grid = e_n.grid
+        lowered = stencil_pass(e_n, [_first_order(w, +1.0, False)])[0].values / math.sqrt(e)
+        for i, op, t in ((2, apply_H2, d.multiplier_values(grid)),
+                         (3, apply_H2_dag, d.inverse_dual_values(grid))):
+            f = GridFunction(grid, t * lowered)
+            worst[i] = max(worst[i], relative_residual((op(pair, f), e, f), f))
+
+
+def _eigen_checks(worst: list):
+    """:func:`deformed_eigencheck`'s four checks from the worst residuals."""
+    families = ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")
+    return [CheckResult.from_residual(f"{family}: eigen-residuals", r, 1e-5)
+            for family, r in zip(families, worst)]

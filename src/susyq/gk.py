@@ -115,16 +115,8 @@ def build_spectrum(energies) -> Spectrum:
     imag_gaps = np.abs(np.diff(e.imag))
     delta_e_tail = float(imag_gaps[-min(5, len(imag_gaps)):].max()) if len(imag_gaps) else 0.0
 
-    return Spectrum(
-        energies=e,
-        log_abs_rho=log_abs,
-        theta=theta,
-        sqrt_rho=sqrt_rho,
-        radius=radius,
-        min_gap=min_gap,
-        multiplicity_one=multiplicity_one,
-        delta_e_tail=delta_e_tail,
-    )
+    return Spectrum(energies=e, log_abs_rho=log_abs, theta=theta, sqrt_rho=sqrt_rho, radius=radius,
+                    min_gap=min_gap, multiplicity_one=multiplicity_one, delta_e_tail=delta_e_tail)
 
 
 def spectrum_from_formula(energy, n_terms: int) -> Spectrum:
@@ -246,21 +238,10 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms) -> GKDomain:
             f"imaginary-part gaps do not settle (tail value {s.delta_e_tail:.3g} "
             f"> {_DELTA_E_TOL:g}); no positive J is certified"
         )
-    return GKDomain(
-        a_phi=a_phi,
-        r_phi=r_phi,
-        m_phi_limit=ml_phi,
-        j_phi=j_phi,
-        a_psi=a_psi,
-        r_psi=r_psi,
-        m_psi_limit=ml_psi,
-        j_psi=j_psi,
-        radius=s.radius,
-        j_min=j_min,
-        delta_e_value=s.delta_e_tail,
-        delta_e_ok=delta_ok,
-        notes=tuple(notes),
-    )
+    return GKDomain(a_phi=a_phi, r_phi=r_phi, m_phi_limit=ml_phi, j_phi=j_phi,
+                    a_psi=a_psi, r_psi=r_psi, m_psi_limit=ml_psi, j_psi=j_psi,
+                    radius=s.radius, j_min=j_min, delta_e_value=s.delta_e_tail,
+                    delta_e_ok=delta_ok, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +249,10 @@ def gk_domain(s: Spectrum, phi_norms, psi_norms) -> GKDomain:
 
 @dataclass(eq=False)
 class GKState:
+    """A truncated coefficient series over a biorthogonal family, which it
+    does not keep; ``function`` is the series summed on the grid, or None for
+    an evolved state, which carries its coefficients only."""
+
     family: str
     j: float
     gamma: float
@@ -275,9 +260,8 @@ class GKState:
     k: float
     coefficients: np.ndarray
     tail: float
-    function: GridFunction
+    function: GridFunction | None
     spectrum: Spectrum = field(repr=False)
-    basis: tuple = field(repr=False)
     domain: GKDomain = field(repr=False)
     build_tol: float = field(repr=False)
 
@@ -386,11 +370,19 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
     if domain is None:
         norms = [norm(b) for b in basis[:n]]
         domain = gk_domain(s, norms, norms)
+    state = _series(s, family, j, gamma, tol, domain, n)
+    state.function = _combine(list(basis[:n]), state.coefficients)
+    return state
+
+
+def _series(s: Spectrum, family: str, j: float, gamma: float, tol: float,
+            domain: GKDomain, n: int) -> GKState:
+    """The state's n-term coefficient series and certified tail, with no
+    grid function: the coefficients depend only on (s, J, gamma, K)."""
     if not j < domain.j_min:
         raise GKError(
             f"J={j:g} is outside the certified domain J_min={domain.j_min:g}"
         )
-
     k = normalization_K(s, j)
     coeffs = _coefficient_vector(s, family, j, gamma, k, n)
     a, r = (domain.a_phi, domain.r_phi) if family == "phi" else (domain.a_psi, domain.r_psi)
@@ -400,21 +392,8 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
             f"basis of length {n} leaves a series tail {tail:.3g} above the "
             f"requested tolerance {tol:g}"
         )
-    fn = _combine(list(basis[:n]), coeffs)
-    return GKState(
-        family=family,
-        j=j,
-        gamma=gamma,
-        n_terms=n,
-        k=k,
-        coefficients=coeffs,
-        tail=float(tail),
-        function=fn,
-        spectrum=s,
-        basis=tuple(basis),
-        domain=domain,
-        build_tol=tol,
-    )
+    return GKState(family=family, j=j, gamma=gamma, n_terms=n, k=k, coefficients=coeffs,
+                   tail=float(tail), function=None, spectrum=s, domain=domain, build_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +487,8 @@ def moment_density(s: Spectrum) -> MomentDensity:
             True,
         )
     if np.max(np.abs(np.abs(e[1:]) - 1.0)) <= 1e-9:
-        return MomentDensity(
-            "unit-moments",
-            None,
-            None,
-            False,
-        )
-    return MomentDensity(
-        None,
-        None,
-        None,
-        False,
-    )
+        return MomentDensity("unit-moments", None, None, False)
+    return MomentDensity(None, None, None, False)
 
 
 def _finite_power_moments(density, powers, j_upper: float) -> list:
@@ -641,12 +610,16 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
         raise GKError("need at least two levels")
     if n > min(len(phi_basis), len(psi_basis), len(s)):
         raise GKError("truncation exceeds the available basis or spectrum")
-    j_max = max(10.0, 40.0 * s.min_gap)
+    return _resolution(np.array([inner(f, phi_basis[i]) for i in range(n)]),
+                       np.array([inner(psi_basis[i], g) for i in range(n)]), inner(f, g), s, md)
 
+
+def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensity):
+    """:func:`resolution_estimate` from the overlaps <f, phi_n> and
+    <psi_n, g> for n below the truncation, and the target <f, g>."""
+    n = len(f_coeff)
+    j_max = max(10.0, 40.0 * s.min_gap)
     e = s.energies[:n]
-    f_coeff = np.array([inner(f, phi_basis[i]) for i in range(n)])
-    g_coeff = np.array([inner(psi_basis[i], g) for i in range(n)])
-    target = inner(f, g)
 
     def weight_matrix(big_gamma):
         delta = e[None, :] - e[:, None]
@@ -690,13 +663,9 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
         val = estimate(final_gamma, t_full, levels)
         n_trace.append(ResolutionPoint(final_gamma, j_max, levels, val, *errors(val)))
 
-    return ResolutionReport(
-        target=target,
-        estimate=gamma_trace[-1].value,
-        gamma_trace=tuple(gamma_trace),
-        j_trace=tuple(j_trace),
-        n_trace=tuple(n_trace),
-    )
+    return ResolutionReport(target=target, estimate=gamma_trace[-1].value,
+                            gamma_trace=tuple(gamma_trace), j_trace=tuple(j_trace),
+                            n_trace=tuple(n_trace))
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +674,14 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
 def evolve(state: GKState, t: float) -> GKState:
     """Shift the angle label by t; H-evolution acts the same way.
 
-    The returned state is rebuilt at gamma + t and cross-checked against
-    the spectral phases applied to the existing coefficients (conjugated
-    for the psi family, matching evolution under the adjoint).
+    The returned state is the coefficient series rebuilt at gamma + t, with
+    no grid function, cross-checked against the spectral phases applied to
+    the existing coefficients (conjugated for the psi family, matching
+    evolution under the adjoint).
     """
     t = float(t)
-    fresh = build_state(
-        list(state.basis),
-        state.spectrum,
-        family=state.family,
-        j=state.j,
-        gamma=state.gamma + t,
-        tol=state.build_tol,
-        domain=state.domain,
-    )
+    fresh = _series(state.spectrum, state.family, state.j, state.gamma + t, state.build_tol,
+                    state.domain, state.n_terms)
     e = state.spectrum.energies[: state.n_terms]
     phases = np.exp(-1j * (e if state.family == "phi" else np.conjugate(e)) * t)
     direct = state.coefficients * phases

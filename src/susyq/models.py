@@ -318,7 +318,7 @@ def _swanson_applier(theta: float, rotation_sign: float):
             np.add(np.multiply(-kin, d2, out=t), out, out=d2)
             np.multiply(0.5 * sec, d2, out=out)
 
-        return stencil_pass(f, (2,), combine)
+        return stencil_pass(f, [((2,), combine)])[0]
 
     return apply_h
 

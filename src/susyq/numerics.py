@@ -27,14 +27,17 @@ such points are recomputed with the complex expressions.  Real input (a log
 scale) is divided by d, as the real expression does.
 
 Every operator and every residual runs on the blocked kernels: each
-derivative, and each operator built on one, is a ``stencil_pass``; every
-interior norm and residual is a ``_weighted_norms`` reduction; the scaled
-pairing, which a scaled norm takes, is a blocked pass of ``inner``.  The
-plain norm of an unscaled carrier stays one whole-array expression, which
-gives the blocked bits at less cost per call.  The kernels run block by
-block over slices of ``_BLOCK`` points, small enough that a block's
-operands and scratch stay in L2 cache; a whole-array expression would send
-each of its N-point temporaries through memory.  Elementwise work is
+derivative, and each operator built on one, is a job of a ``stencil_pass``,
+which runs the stencil once per block for all of its jobs (the images of
+one input under several operators) and gives each job a copy of the
+derivative block that it may overwrite; every interior norm and residual
+is a ``_weighted_norms`` reduction; the scaled pairing, which a scaled norm
+takes, is a blocked pass of ``inner``.  The plain norm of an unscaled
+carrier stays one whole-array expression, which gives the blocked bits at
+less cost per call.  The kernels run block by block over slices of
+``_BLOCK`` points, small enough that a block's operands and scratch stay in
+L2 cache; a whole-array expression would send each of its N-point
+temporaries through memory.  Elementwise work is
 blocked: every element goes through the same operations, in the same order
 and on the same operand types, as in the whole-array expression, so it
 gets the same bits.  Reductions whose order sets the bits stay
@@ -419,16 +422,18 @@ def _fd_reference(v: np.ndarray, h: float, order: int, j: np.ndarray) -> np.ndar
     return (-v[j - 2] + 16 * v[j - 1] - 30 * v[j] + 16 * v[j + 1] - v[j + 2]) / (12 * h * h)
 
 
-def stencil_pass(f, orders: tuple, combine) -> GridFunction:
-    """``f`` with new values from one cache-blocked pass over its samples.
+def stencil_pass(f, jobs) -> list:
+    """``f`` with new values from each job, all from one cache-blocked pass
+    over its samples; one carrier per job.
 
-    For each block of points, ``combine(sl, v, *d, out, t)`` writes the
+    A job is ``(orders, combine)``.  For each block of points, the stencil
+    runs once, and ``combine(sl, v, *d, out, t)`` of each job writes the
     block's values into ``out``: ``sl`` is the block's slice, ``v`` is
     ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]`` for each
-    k in ``orders`` (1, 2 or both), in scratch buffers the combine may
-    overwrite, as it may ``t``.  The scaled derivatives are formed as the
-    whole-array expressions of a scaled ``derivative`` form them, operation
-    by operation.
+    k in ``orders`` (1, 2 or both).  Each combine gets ``d`` in scratch
+    buffers of its own that it may overwrite, as it may ``t``.  The scaled
+    derivatives are formed as the whole-array expressions of a scaled
+    ``derivative`` form them, operation by operation.
 
     A complex product must not be written over one of its factors: on a
     one-point block numpy then takes a loop whose last bit can differ.
@@ -436,11 +441,14 @@ def stencil_pass(f, orders: tuple, combine) -> GridFunction:
     grid = f.grid
     n, h = grid.n_points, grid.spacing
     scale = f.log_scale
+    wanted = set().union(*(orders for orders, _ in jobs))
     # a scaled second derivative reads the first derivative of the values too
-    need = sorted(set(orders) | ({1} if scale is not None else set()))
+    need = sorted(wanted | ({1} if scale is not None else set()))
     stencil = _Stencil(f.values, h, need)
     m = min(_BLOCK, n)
     d = {k: np.empty(m, dtype=np.complex128) for k in need}
+    # every job but the last reads copies, so no combine sees another's writes
+    c = {k: np.empty(m, dtype=np.complex128) for k in wanted}
     t = np.empty(m, dtype=np.complex128)
     if scale is not None:
         given = {1: f.dlog, 2: f.d2log}
@@ -448,7 +456,7 @@ def stencil_pass(f, orders: tuple, combine) -> GridFunction:
         log_stencil = _Stencil(scale, h, fitted)
         sd = {k: np.empty(m) for k in fitted}
         r = np.empty(m)
-    out = np.empty(n, dtype=np.complex128)
+    outs = [np.empty(n, dtype=np.complex128) for _ in jobs]
     for lo, hi in _blocks(n):
         k = hi - lo
         sl = slice(lo, hi)
@@ -458,7 +466,7 @@ def stencil_pass(f, orders: tuple, combine) -> GridFunction:
             s = log_stencil.into(lo, hi, {j: sd[j][:k] for j in fitted})
             s.update((j, given[j][sl]) for j in need if j not in s)
             rb, tb = r[:k], t[:k]
-            if 2 in orders:  # v2 + 2 * s1 * v1 + (s2 + s1 * s1) * v
+            if 2 in wanted:  # v2 + 2 * s1 * v1 + (s2 + s1 * s1) * v
                 np.multiply(2, s[1], out=rb)
                 np.multiply(rb, db[1], out=tb)
                 db[2] += tb
@@ -466,11 +474,16 @@ def stencil_pass(f, orders: tuple, combine) -> GridFunction:
                 np.add(s[2], rb, out=rb)
                 np.multiply(rb, v, out=tb)
                 db[2] += tb
-            if 1 in orders:  # v1 + s1 * v
+            if 1 in wanted:  # v1 + s1 * v
                 np.multiply(s[1], v, out=tb)
                 db[1] += tb
-        combine(sl, v, *(db[j] for j in orders), out[sl], t[:k])
-    return f.with_values(out)
+        for i, ((orders, combine), out) in enumerate(zip(jobs, outs)):
+            own = [db[j] if i == len(jobs) - 1 else c[j][:k] for j in orders]
+            for j, buf in zip(orders, own):
+                if buf is not db[j]:
+                    buf[...] = db[j]
+            combine(sl, v, *own, out[sl], t[:k])
+    return [f.with_values(out) for out in outs]
 
 
 def _copy(sl, v, d, out, t):
@@ -479,7 +492,7 @@ def _copy(sl, v, d, out, t):
 
 def derivative(f, order: int = 1):
     """4th-order finite-difference derivative (order 1 or 2) on the scale of ``f``."""
-    return stencil_pass(f, (order,), _copy)
+    return stencil_pass(f, [((order,), _copy)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +561,21 @@ def inner(f, g) -> complex:
 
 
 def biorthogonality_defect(left, right) -> float:
-    """max |<l_a, r_b> - delta_ab| over every pair of the two families."""
+    """max |<l_a, r_b> - delta_ab| over every pair of the two families.
+
+    ``right`` is read once, in the outer loop, so it may be a generator:
+    only ``left`` is held whole.  A maximum is exact in any order.
+    """
+    left = list(left)
+    return max([0.0] + [_pairing_defect(left, b, r_b) for b, r_b in enumerate(right)])
+
+
+def _pairing_defect(left, b: int, r_b) -> float:
+    """max |<l_a, r_b> - delta_ab| over the family ``left``: column b of
+    :func:`biorthogonality_defect`."""
     worst = 0.0
     for a, l_a in enumerate(left):
-        for b, r_b in enumerate(right):
-            worst = max(worst, abs(inner(l_a, r_b) - (1.0 if a == b else 0.0)))
+        worst = max(worst, abs(inner(l_a, r_b) - (1.0 if a == b else 0.0)))
     return worst
 
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .deform import DeformationError, deformed_basis_report, deformed_eigencheck
+from .deform import DeformationError, _basis_checks, _eigen_checks, _eigen_level
 from .expr import differentiate, evaluate, parse, to_source
 from .gk import (
+    _coefficient_vector,
+    _resolution,
+    _series,
     action_identity,
-    build_state,
     evolve,
     gk_domain,
     lowering_defect,
@@ -31,7 +32,6 @@ from .gk import (
     moment_residuals,
     normalization_K,
     pair_norm,
-    resolution_estimate,
     spectrum_from_formula,
 )
 from .models import (
@@ -42,17 +42,21 @@ from .models import (
     get_model,
     pb_identities,
 )
-from .numerics import (Grid, NonConvergenceError, RepresentationError,
-                       biorthogonality_defect, inner, norm, relative_residual)
+from .numerics import (Grid, GridFunction, NonConvergenceError, RepresentationError,
+                       _pairing_defect, biorthogonality_defect, inner, norm, relative_residual,
+                       sample)
 from .reporting import CheckResult
 from .susy import (
+    _doublet_checks,
+    _intertwine_record,
+    _vector_checks,
     apply_H1,
+    apply_ops,
     build_pair,
-    factorization_residual,
+    factorization_residuals,
     intertwine_check,
     potential_identity_residual,
     probe_function,
-    superalgebra_check,
     vacua,
 )
 
@@ -114,8 +118,8 @@ def _pair_sections(m, pair, grid):
     core = [
         ("partner potentials differ by the derivative of the superpotential sum",
          potential_identity_residual(pair, grid)),
-        ("B after A reproduces the first Hamiltonian", factorization_residual(pair, probe, sector=1)),
-        ("A after B reproduces the second Hamiltonian", factorization_residual(pair, probe, sector=2)),
+        *zip(("B after A reproduces the first Hamiltonian",
+              "A after B reproduces the second Hamiltonian"), factorization_residuals(pair, probe)),
     ]
     return {
         "factorization": [CheckResult.from_residual(c, r, 1e-5) for c, r in core],
@@ -125,26 +129,14 @@ def _pair_sections(m, pair, grid):
     }, (tuple(rec.in_l2 for rec in v.records()) if own else None)
 
 
-def _intertwine_section(m, pair, phis):
-    """Intertwining over the levels of the record's sector-1 list ``phis``;
-    sector 2 is the same list one level down, as the record's ``phi2`` states."""
-    pairs2 = [None] + [(m.energy(n), phis[n - 1]) for n in range(1, len(phis))]
-    recs = intertwine_check(pair, [(m.energy(n), f) for n, f in enumerate(phis)], pairs2)
-    checks = []
-    for rec in recs:
-        if rec.alpha is None:
-            checks.append(CheckResult.from_residual(
-                f"level {rec.n} zero-mode is annihilated", rec.residual_a, 1e-5,
-            ))
-            continue
-        worst = max(rec.residual_a, rec.residual_b,
-                    rec.product_residual if rec.product_residual is not None else 0.0)
-        checks.append(CheckResult.from_residual(
-            f"level {rec.n} intertwining and coefficient product",
-            worst,
-            1e-5 * max(1.0, abs(rec.energy)),
-        ))
-    return checks, recs
+def _intertwine_result(rec):
+    """The intertwining check of one level's record."""
+    if rec.alpha is None:
+        return CheckResult.from_residual(f"level {rec.n} zero-mode is annihilated",
+                                         rec.residual_a, 1e-5)
+    worst = max(rec.residual_a, rec.residual_b, rec.product_residual or 0.0)
+    return CheckResult.from_residual(f"level {rec.n} intertwining and coefficient product",
+                                     worst, 1e-5 * max(1.0, abs(rec.energy)))
 
 
 def _ladder_sections(m, pair, phis):
@@ -160,7 +152,10 @@ def _ladder_sections(m, pair, phis):
     ]
     return {
         "eigenfunctions": eigen,
-        "intertwining": _intertwine_section(m, pair, phis[:9])[0],
+        # sector 2 is the same list one level down, as the record's phi2 states
+        "intertwining": [_intertwine_result(rec) for rec in intertwine_check(
+            pair, [(m.energy(n), f) for n, f in enumerate(phis[:9])],
+            [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 9)])],
     }
 
 
@@ -175,10 +170,10 @@ def _harmonic_sections(m, pair, grid, own_in_l2):
 def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
     n_pairing = 11
     phis = [m.phi1(n, grid) for n in range(n_pairing)]
-    psis = [m.psi1(n, grid) for n in range(n_pairing)]
+    # the duals are read once, one at a time, by the pairing matrix
     bio = [CheckResult.from_residual(
         "pairing matrix is the identity up to level 10",
-        biorthogonality_defect(phis, psis), 1e-7,
+        biorthogonality_defect(phis, (m.psi1(n, grid) for n in range(n_pairing))), 1e-7,
     )]
     identity_report = pb_identities(k=m.params["k"], n_max=12)
     return {
@@ -269,96 +264,96 @@ def _black_scholes_sections(m, pair, grid, own_in_l2):
     # the record's own vacua, also when a perturbed pair drives the other checks
     numeric = own_in_l2 if own_in_l2 is not None else bs_numeric_flags(m, grid).flags()
     agree = analytic.flags() == numeric
-    classification = [CheckResult(
-        "asymptotic-exponent classifier agrees with the case table",
-        0.0 if agree else 1.0,
-        0.5,
-        agree,
-    )]
+    classification = [CheckResult("asymptotic-exponent classifier agrees with the case table",
+                                  0.0 if agree else 1.0, 0.5, agree)]
 
     return {"assembly": assembly, "classification": classification}, ()
 
 
 def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
+    """Levels 0-25 walked once.  Each level's operator images come from one
+    stencil pass, go to every check that reads them and are dropped; only
+    duals 0-8, which the pairing matrix pairs with every level, are held
+    whole.  The states take each level's norms, its term of both state sums
+    (in ``_combine``'s order) and its overlaps.  The sections are assembled
+    in report order; each residual is a maximum over levels, exact in any
+    order."""
     d = m.extras["deformation"]
     base = m.extras["base_eigenfunction"]
-
-    n_basis = 26
-    # phi_n and psi_n in turn share each Hermite step; only the states read past level 10
-    levels = ((m.phi1(n, grid), m.psi1(n, grid)) for n in range(n_basis))
-    phis, psis = map(list, zip(*islice(levels, 11)))
-
-    basis_checks = deformed_basis_report(d, phis[:9], psis[:9])
-    eig_checks = deformed_eigencheck(d, pair, [m.energy(n) for n in range(9)],
-                                     phis[:9], psis[:9], [base(n, grid) for n in range(9)])
-
-    inter_checks, inter_recs = _intertwine_section(m, pair, phis[:11])
-
-    doublets = [
-        (rec.n, rec.energy, phis[rec.n], phis[rec.n - 1], rec.alpha, rec.beta)
-        for rec in inter_recs if rec.alpha is not None
-    ]
-    vectors = [(phis[n], phis[n - 1]) for n in range(1, 11)]
-    algebra = superalgebra_check(pair, vectors, doublets=doublets, tol=1e-5)
-
-    # state family over the model's own ladder
-    for phi, psi in levels:
-        phis.append(phi)
-        psis.append(psi)
+    n_basis, n_eigen, n_ops, n_res = 26, 9, 11, 12
     s = spectrum_from_formula(m.energy, n_basis)
-    dom = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
-    states = [CheckResult.from_residual(
-        "normalization matches the closed form for twice-spaced levels",
-        max(abs(normalization_K(s, j) - math.exp(-j / 4.0))
-            for j in np.linspace(0.0, 6.0, 25)),
-        1e-10,
-    )]
-    phi = build_state(phis, s, "phi", j=1.0, gamma=0.4, tol=1e-8, domain=dom)
-    psi = build_state(psis, s, "psi", j=1.0, gamma=0.4, tol=1e-8, domain=dom)
-    states.append(CheckResult.from_residual(
-        "state pairing is one (coefficient route)", abs(pair_norm(phi, psi) - 1.0), 1e-12,
-    ))
-    states.append(CheckResult.from_residual(
-        "state pairing is one (grid route)", abs(inner(phi.function, psi.function) - 1.0), 1e-7,
-    ))
-    states.append(CheckResult.from_residual(
-        "energy pairing returns the action label",
-        abs(action_identity(phi, psi) - phi.j), 1e-8,
-    ))
-    two_step = evolve(evolve(phi, 0.3), 0.4)
-    one_step = evolve(phi, 0.7)
-    states.append(CheckResult.from_residual(
-        "evolution composes",
-        float(np.max(np.abs(two_step.coefficients - one_step.coefficients))),
-        1e-12,
-    ))
-    states.append(CheckResult.from_residual(
-        "states are lowering-operator eigenvectors", lowering_defect(phi), 1e-8,
-    ))
+    # the state coefficients depend only on the spectrum and the labels
+    k = normalization_K(s, 1.0)
+    coeffs = [_coefficient_vector(s, family, 1.0, 0.4, k, n_basis) for family in ("phi", "psi")]
+    sums = [np.zeros(grid.n_points, dtype=np.complex128) for _ in coeffs]
+    norms, overlaps = ([], []), ([], [])
+    psis = [m.psi1(n, grid) for n in range(n_eigen)]
+    w = sample(d.w, grid).values
+    pairing, eigen, inter, vectors, doublets = 0.0, [0.0] * 4, [], [], []
+    down = b_down = h2_down = None  # the level below, with its B and H2 images
+    for n in range(n_basis):
+        phi = m.phi1(n, grid)
+        psi = psis[n] if n < n_eigen else m.psi1(n, grid)
+        for i, f in enumerate((phi, psi)):
+            norms[i].append(norm(f))
+            sums[i] += coeffs[i][n] * f.values
+        if n == 0:
+            phi0 = phi
+        if n < n_res:
+            overlaps[0].append(inner(phi0, phi))
+            overlaps[1].append(inner(psi, phi0))
+        if n >= n_ops:
+            continue
+        # A and H1 of every level; B and H2 are read as the next level's partner
+        a, h1, *partner = apply_ops(pair, phi, ["A", "H1"] + (["B", "H2"] if n < n_ops - 1 else []))
+        if n < n_eigen:
+            pairing = max(pairing, _pairing_defect(psis, n, phi))
+            _eigen_level(eigen, d, pair, w, m.energy(n), phi, h1, psi, base(n, grid) if n else None)
+        # sector 2 is the same family one level down: level 0 has no partner
+        rec = _intertwine_record(n, m.energy(n), phi, down, a, b_down, pair.singular_points)
+        inter.append(_intertwine_result(rec))
+        if n > 0:
+            vectors += _vector_checks(pair, f"vector {n - 1}", phi, down, a, h1, b_down, h2_down)
+            doublets += _doublet_checks(pair, n, phi, down, a, b_down, rec.alpha, rec.beta)
+        down, (b_down, h2_down) = phi, partner or (None, None)
 
+    dom = gk_domain(s, *norms)
+    phi, psi = (_series(s, family, 1.0, 0.4, 1e-8, dom, n_basis) for family in ("phi", "psi"))
+    phi.function, psi.function = (GridFunction(grid, v) for v in sums)
+    two_step, one_step = evolve(evolve(phi, 0.3), 0.4), evolve(phi, 0.7)
     md = moment_density(s)
-    states.extend(moment_residuals(s, md, n_max=10))
-
-    rep = resolution_estimate(phis[0], phis[0], phis[:12], psis[:12], s, md,
-                              n_trunc=12)
+    rep = _resolution(np.array(overlaps[0]), np.array(overlaps[1]), inner(phi0, phi0), s, md)
     errs = [p.abs_error for p in rep.gamma_trace]
     worsened = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
-    states.append(CheckResult(
-        "identity-resolution error improves along the angle-window trace",
-        float(worsened), 2.0, worsened <= 1,
-    ))
-    states.append(CheckResult.from_residual(
-        "identity-resolution error at the widest window",
-        rep.gamma_trace[-1].rel_error
-        if rep.gamma_trace[-1].rel_error is not None else math.inf,
-        0.05,
-    ))
+    widest = rep.gamma_trace[-1].rel_error
+    states = [
+        CheckResult.from_residual(
+            "normalization matches the closed form for twice-spaced levels",
+            max(abs(normalization_K(s, j) - math.exp(-j / 4.0)) for j in np.linspace(0.0, 6.0, 25)),
+            1e-10),
+        CheckResult.from_residual("state pairing is one (coefficient route)",
+                                  abs(pair_norm(phi, psi) - 1.0), 1e-12),
+        CheckResult.from_residual("state pairing is one (grid route)",
+                                  abs(inner(phi.function, psi.function) - 1.0), 1e-7),
+        CheckResult.from_residual("energy pairing returns the action label",
+                                  abs(action_identity(phi, psi) - phi.j), 1e-8),
+        CheckResult.from_residual(
+            "evolution composes",
+            float(np.max(np.abs(two_step.coefficients - one_step.coefficients))), 1e-12),
+        CheckResult.from_residual("states are lowering-operator eigenvectors",
+                                  lowering_defect(phi), 1e-8),
+        *moment_residuals(s, md, n_max=10),
+        CheckResult("identity-resolution error improves along the angle-window trace",
+                    float(worsened), 2.0, worsened <= 1),
+        CheckResult.from_residual("identity-resolution error at the widest window",
+                                  widest if widest is not None else math.inf, 0.05),
+    ]
 
     return {
-        "deformation": basis_checks,
-        "eigenfunctions": eig_checks,
-        "intertwining": inter_checks,
-        "superalgebra": algebra,
+        "deformation": _basis_checks(d, pairing, norms[0][:n_eigen], norms[1][:n_eigen]),
+        "eigenfunctions": _eigen_checks(eigen),
+        "intertwining": inter,
+        "superalgebra": vectors + doublets,
         "states": states,
     }, ()
 

@@ -48,6 +48,7 @@ __all__ = [
     "VacuumRecord",
     "IntertwineRecord",
     "build_pair",
+    "apply_ops",
     "apply_A",
     "apply_B",
     "apply_A_dag",
@@ -60,7 +61,7 @@ __all__ = [
     "finalize_vacua",
     "intertwine_check",
     "superalgebra_check",
-    "factorization_residual",
+    "factorization_residuals",
     "potential_identity_residual",
     "probe_function",
 ]
@@ -166,40 +167,19 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
 # ---------------------------------------------------------------------------
 # operator application
 
-def _first_order(p, f, w_name, deriv_sign, conj_w):
-    """deriv_sign * f' + w f, with w conjugated for an adjoint."""
-    w = p.samples(f.grid)[w_name]
+def _first_order(w, deriv_sign, conj_w):
+    """The stencil job of deriv_sign * f' + w f, with w conjugated for an adjoint."""
 
     def combine(sl, v, d1, out, t):
         np.multiply(deriv_sign, d1, out=out)
         np.multiply(np.conjugate(w[sl], out=d1) if conj_w else w[sl], v, out=t)
         out += t
 
-    return stencil_pass(f, (1,), combine)
+    return (1,), combine
 
 
-def apply_A(p: SuperpotentialPair, f):
-    """A f = f' + wA f."""
-    return _first_order(p, f, "w_a", +1.0, False)
-
-
-def apply_B(p: SuperpotentialPair, f):
-    """B f = -f' + wB f."""
-    return _first_order(p, f, "w_b", -1.0, False)
-
-
-def apply_A_dag(p: SuperpotentialPair, f):
-    """Adjoint of A: -f' + conj(wA) f."""
-    return _first_order(p, f, "w_a", -1.0, True)
-
-
-def apply_B_dag(p: SuperpotentialPair, f):
-    """Adjoint of B: f' + conj(wB) f."""
-    return _first_order(p, f, "w_b", +1.0, True)
-
-
-def _second_order(f, drift, potential, dual=False):
-    """-f'' + q f' + V f; with ``dual`` the drift is -conj(drift)."""
+def _second_order(drift, potential, dual):
+    """The stencil job of -f'' + q f' + V f; with ``dual`` the drift is -conj(drift)."""
 
     def combine(sl, v, d1, d2, out, t):
         np.negative(d2, out=out)
@@ -209,29 +189,49 @@ def _second_order(f, drift, potential, dual=False):
         np.multiply(potential[sl], v, out=t)
         out += t
 
-    return stencil_pass(f, (1, 2), combine)
+    return (1, 2), combine
 
 
-def apply_H1(p: SuperpotentialPair, f):
-    """H1 f through the closed-form potential, not by composing A then B."""
+# each operator's stencil job from the pair's samples; H1 and H2 go through
+# their closed-form potentials, not by composing the factors
+_OPERATORS = {
+    "A": lambda s: _first_order(s["w_a"], +1.0, False),
+    "B": lambda s: _first_order(s["w_b"], -1.0, False),
+    "A_dag": lambda s: _first_order(s["w_a"], -1.0, True),
+    "B_dag": lambda s: _first_order(s["w_b"], +1.0, True),
+    "H1": lambda s: _second_order(s["q1"], s["v1"], False),
+    "H2": lambda s: _second_order(s["q1"], s["v2"], False),
+    "H1_dag": lambda s: _second_order(s["q1"], s["v1_dual"], True),
+    "H2_dag": lambda s: _second_order(s["q1"], s["v2_dual"], True),
+}
+
+
+def apply_ops(p: SuperpotentialPair, f, names) -> list:
+    """The images of ``f`` under the named operators (A, B, H1, H2 and their
+    adjoints A_dag, B_dag, H1_dag, H2_dag), all from one stencil pass."""
     s = p.samples(f.grid)
-    return _second_order(f, s["q1"], s["v1"])
+    return stencil_pass(f, [_OPERATORS[name](s) for name in names])
 
 
-def apply_H2(p: SuperpotentialPair, f):
-    s = p.samples(f.grid)
-    return _second_order(f, s["q1"], s["v2"])
+def _one_operator(name: str, doc: str):
+    """``apply_<name>(p, f)``: the image of ``f`` under one named operator."""
+
+    def apply(p: SuperpotentialPair, f):
+        return apply_ops(p, f, [name])[0]
+
+    apply.__name__ = apply.__qualname__ = f"apply_{name}"
+    apply.__doc__ = doc
+    return apply
 
 
-def apply_H1_dag(p: SuperpotentialPair, f):
-    """Adjoint of H1: drift flips to -conj(q1), potential to the dual."""
-    s = p.samples(f.grid)
-    return _second_order(f, s["q1"], s["v1_dual"], dual=True)
-
-
-def apply_H2_dag(p: SuperpotentialPair, f):
-    s = p.samples(f.grid)
-    return _second_order(f, s["q1"], s["v2_dual"], dual=True)
+apply_A = _one_operator("A", "A f = f' + wA f.")
+apply_B = _one_operator("B", "B f = -f' + wB f.")
+apply_A_dag = _one_operator("A_dag", "Adjoint of A: -f' + conj(wA) f.")
+apply_B_dag = _one_operator("B_dag", "Adjoint of B: f' + conj(wB) f.")
+apply_H1 = _one_operator("H1", "H1 f = -f'' + q1 f' + V1 f.")
+apply_H2 = _one_operator("H2", "H2 f = -f'' + q1 f' + V2 f.")
+apply_H1_dag = _one_operator("H1_dag", "Adjoint of H1: drift -conj(q1), potential v1_dual.")
+apply_H2_dag = _one_operator("H2_dag", "Adjoint of H2: drift -conj(q1), potential v2_dual.")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +254,13 @@ def probe_function(grid: Grid, singular_points=()) -> GridFunction:
     return GridFunction(grid, np.exp(-((grid.x - center) ** 2) / 2.0))
 
 
-def factorization_residual(p: SuperpotentialPair, f, sector: int = 1) -> float:
-    """Interior residual of the composed factors against the closed form."""
-    if sector == 1:
-        composed = apply_B(p, apply_A(p, f))
-        direct = apply_H1(p, f)
-    elif sector == 2:
-        composed = apply_A(p, apply_B(p, f))
-        direct = apply_H2(p, f)
-    else:
-        raise ValueError("sector must be 1 or 2")
-    return relative_residual((composed, direct), direct, exclude=list(p.singular_points))
+def factorization_residuals(p: SuperpotentialPair, f) -> tuple:
+    """Interior residuals of the composed factors against the closed forms,
+    B A f against H1 f and A B f against H2 f; the four images of ``f`` come
+    from one pass."""
+    af, bf, h1f, h2f = apply_ops(p, f, ["A", "B", "H1", "H2"])
+    return tuple(relative_residual((composed, direct), direct, exclude=list(p.singular_points))
+                 for composed, direct in ((apply_B(p, af), h1f), (apply_A(p, bf), h2f)))
 
 
 def potential_identity_residual(p: SuperpotentialPair, grid: Grid) -> float:
@@ -463,6 +459,19 @@ def _projection(target, image):
     return c, float(interior_norm((image, c, target), pad=0) / scale)
 
 
+def _intertwine_record(n: int, energy, phi1, phi2, a_image, b_image, exclude=()):
+    """Level n's record from A phi1 and, when the level has a partner phi2
+    (None for a zero-mode, which A must annihilate), B phi2."""
+    if phi2 is None:
+        return IntertwineRecord(n, complex(energy), None, None,
+                                relative_residual(a_image, phi1, exclude=list(exclude)), 0.0, None)
+    alpha, residual_a = _projection(phi2, a_image)
+    beta, residual_b = _projection(phi1, b_image)
+    # both maps annihilate at zero energy
+    product = None if n == 0 and abs(energy) < 1e-12 else abs(alpha * beta - complex(energy))
+    return IntertwineRecord(n, complex(energy), alpha, beta, residual_a, residual_b, product)
+
+
 def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2):
     """Extract the intertwining coefficients of the two eigenfamilies.
 
@@ -474,46 +483,52 @@ def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2):
     out = []
     for n, (energy, phi1) in enumerate(eigpairs1):
         phi1 = phi1.materialize()
-        partner = eigpairs2[n] if n < len(eigpairs2) else None
         a_image = apply_A(p, phi1)
-        if partner is None:
-            # zero-mode: A must annihilate, no coefficients to extract
-            residual_a = relative_residual(a_image, phi1, exclude=list(p.singular_points))
-            out.append(
-                IntertwineRecord(
-                    n=n,
-                    energy=complex(energy),
-                    alpha=None,
-                    beta=None,
-                    residual_a=residual_a,
-                    residual_b=0.0,
-                    product_residual=None,
-                )
-            )
-            continue
-        phi2 = partner[1].materialize()
-        alpha, residual_a = _projection(phi2, a_image)
-        beta, residual_b = _projection(phi1, apply_B(p, phi2))
-        if n == 0 and abs(energy) < 1e-12:
-            product_residual = None  # both maps annihilate at zero energy
-        else:
-            product_residual = abs(alpha * beta - complex(energy))
-        out.append(
-            IntertwineRecord(
-                n=n,
-                energy=complex(energy),
-                alpha=alpha,
-                beta=beta,
-                residual_a=residual_a,
-                residual_b=residual_b,
-                product_residual=product_residual,
-            )
-        )
+        partner = eigpairs2[n] if n < len(eigpairs2) else None
+        phi2 = None if partner is None else partner[1].materialize()
+        out.append(_intertwine_record(n, energy, phi1, phi2, a_image,
+                                     None if phi2 is None else apply_B(p, phi2), p.singular_points))
     return out
 
 
 # ---------------------------------------------------------------------------
 # 2x2 superalgebra
+
+def _vector_checks(p: SuperpotentialPair, tag: str, f, g, af, h1f, bg, h2g, tol: float = 1e-5):
+    """The superalgebra checks of the test vector (f, g), given its images
+    A f, H1 f, B g and H2 g; see :func:`superalgebra_check`."""
+    ex = list(p.singular_points)
+
+    def two_sector_norm(a, b):
+        return float(np.hypot(interior_norm(a, exclude=ex), interior_norm(b, exclude=ex)))
+
+    scale = max(two_sector_norm(h1f, h2g), two_sector_norm(f, g), 1e-300)
+    b_af, h2_af = apply_ops(p, af, ["B", "H2"])
+    a_bg, h1_bg = apply_ops(p, bg, ["A", "H1"])
+    return [
+        CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", 0.0, 1e-300),
+        CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})",
+                                  two_sector_norm((b_af, h1f), (a_bg, h2g)) / scale, tol),
+        CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})",
+                                  interior_norm((h2_af, apply_A(p, h1f)), exclude=ex) / scale, tol),
+        CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})",
+                                  interior_norm((h1_bg, apply_B(p, h2g)), exclude=ex) / scale, tol),
+    ]
+
+
+def _doublet_checks(p: SuperpotentialPair, n: int, phi1, phi2, a_image, b_image, alpha, beta,
+                   tol: float = 1e-5):
+    """The checks of the doublet (phi1, phi2) at level n, given A phi1 and
+    B phi2; see :func:`superalgebra_check`."""
+    ex = list(p.singular_points)
+    report = []
+    for image, c, want, label in ((a_image, alpha, phi2, "sector 1 -> 2 with alpha"),
+                                  (b_image, beta, phi1, "sector 2 -> 1 with beta")):
+        r = relative_residual((image, c, want), image, exclude=ex) if norm(image) > 0 else 0.0
+        report.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
+    report.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
+    return report
+
 
 def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: float = 1e-5):
     """Verify the matrix superalgebra on two-component test vectors.
@@ -531,32 +546,16 @@ def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: 
     0.  ``doublets`` entries (n, E_n, phi1, phi2, alpha, beta) verify the
     mapping relations A phi1 = alpha phi2 and B phi2 = beta phi1; that each
     charge annihilates the opposite doublet is again block structure, also
-    reported as 0.  Returns a list of CheckResult.
+    reported as 0.  Each input takes one stencil pass for all of its images.
+    Returns a list of CheckResult.
     """
-    ex = list(p.singular_points)
-
-    def two_sector_norm(a, b):
-        return float(np.hypot(interior_norm(a, exclude=ex), interior_norm(b, exclude=ex)))
-
     report = []
     for i, (f, g) in enumerate(test_vectors):
         f, g = f.materialize(), g.materialize()
-        tag = f"vector {i}"
-        af, bg, h1f, h2g = apply_A(p, f), apply_B(p, g), apply_H1(p, f), apply_H2(p, g)
-        scale = max(two_sector_norm(h1f, h2g), two_sector_norm(f, g), 1e-300)
-        report.append(CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", 0.0, 1e-300))
-        r = two_sector_norm((apply_B(p, af), h1f), (apply_A(p, bg), h2g)) / scale
-        report.append(CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})", r, tol))
-        r = interior_norm((apply_H2(p, af), apply_A(p, h1f)), exclude=ex) / scale
-        report.append(CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})", r, tol))
-        r = interior_norm((apply_H1(p, bg), apply_B(p, h2g)), exclude=ex) / scale
-        report.append(CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})", r, tol))
-
+        report += _vector_checks(p, f"vector {i}", f, g, *apply_ops(p, f, ["A", "H1"]),
+                                *apply_ops(p, g, ["B", "H2"]), tol)
     for n, energy, phi1, phi2, alpha, beta in doublets or []:
         phi1, phi2 = phi1.materialize(), phi2.materialize()
-        for image, c, want, label in ((apply_A(p, phi1), alpha, phi2, "sector 1 -> 2 with alpha"),
-                                      (apply_B(p, phi2), beta, phi1, "sector 2 -> 1 with beta")):
-            r = relative_residual((image, c, want), image, exclude=ex) if norm(image) > 0 else 0.0
-            report.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
-        report.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
+        report += _doublet_checks(p, n, phi1, phi2, apply_A(p, phi1), apply_B(p, phi2),
+                                 alpha, beta, tol)
     return report

@@ -34,5 +34,25 @@ def gamma_average():
     return _gamma_average
 
 
+@pytest.fixture
+def stencil_passes(monkeypatch):
+    """Counts of the stencil passes that ``susy`` and ``deform`` run and of
+    the images they form, from the moment the fixture is set up."""
+    import susyq.deform
+    import susyq.numerics
+    import susyq.susy
+
+    counts = {"passes": 0, "images": 0}
+
+    def counted(f, jobs):
+        counts["passes"] += 1
+        counts["images"] += len(jobs)
+        return susyq.numerics.stencil_pass(f, jobs)
+
+    for module in (susyq.susy, susyq.deform):
+        monkeypatch.setattr(module, "stencil_pass", counted)
+    return counts
+
+
 # ``--hypothesis-profile=long``: the long fuzz run of the command line
 settings.register_profile("long", max_examples=2000)

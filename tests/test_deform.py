@@ -16,7 +16,8 @@ from susyq.deform import (
 from susyq.expr import evaluate, parse
 from susyq.models import get_model
 from susyq.numerics import Grid, GridFunction, inner, norm, relative_residual, sample
-from susyq.susy import apply_H1, intertwine_check
+from susyq.susy import (apply_A, apply_H1, apply_H1_dag, apply_H2, apply_H2_dag, build_pair,
+                        intertwine_check)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,27 @@ def test_eigencheck_harmonic_base(d, base, families):
         f"{family}: eigen-residuals" for family in
         ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")]
     assert all(c.passed for c in checks), [c.check for c in checks if not c.passed]
+
+
+def test_eigencheck_lowers_the_base_as_the_base_pair_did_bit_for_bit(d, base, families):
+    # the sector-2 base used to be A e_{n+1} / sqrt(E_{n+1}) with A from
+    # build_pair(d.w, d.w), whose w_a samples are sample(d.w, grid); each
+    # family's worst residual, built that way, is the oracle
+    pair, (phis, psis) = deformed_pair(d), families
+    energies = [2.0 * n for n in range(9)]
+    grid = base[0].grid
+    base_pair = build_pair(d.w, d.w)
+    base2 = [apply_A(base_pair, base[n + 1]).values / math.sqrt(energies[n + 1]) for n in range(8)]
+    sector2 = {"phi2": [GridFunction(grid, d.multiplier_values(grid) * e) for e in base2],
+               "psi2": [GridFunction(grid, d.inverse_dual_values(grid) * e) for e in base2]}
+    want = [max(relative_residual((op(pair, f), e, f), f) for f, e in zip(fns, evs))
+            for op, fns, evs in ((apply_H1, phis, energies), (apply_H1_dag, psis, energies),
+                                 (apply_H2, sector2["phi2"], energies[1:]),
+                                 (apply_H2_dag, sector2["psi2"], energies[1:]))]
+    # generators: the check reads each family one level at a time
+    got = deformed_eigencheck(d, pair, energies, iter(phis), iter(psis), iter(base))
+    assert np.array_equal(np.array([c.residual for c in got]).view(np.uint64),
+                          np.array(want).view(np.uint64))
 
 
 def test_intertwining_coefficients_sqrt_e(d, families):

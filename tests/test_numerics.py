@@ -29,8 +29,9 @@ from susyq.numerics import (
     relative_residual,
     sample,
 )
-from susyq import susy
-from susyq.numerics import _BLOCK, _EDGE_STENCILS, _LOG_HUGE, _Stencil, _blocks, _one_sided_weights
+from susyq import numerics, susy
+from susyq.numerics import (_BLOCK, _EDGE_STENCILS, _LOG_HUGE, _Stencil, _blocks, _copy,
+                             _one_sided_weights)
 
 
 def test_grid_spacing_and_endpoints():
@@ -466,6 +467,53 @@ def test_blocked_operators_are_the_composed_expressions_bit_for_bit(n):
         for order in (1, 2):
             got = derivative(f, order).values
             assert np.array_equal(_bits(got), _bits(_derivative_oracle(f, order))), (case, order)
+
+
+_ALL_OPERATORS = ["A_dag", "H1_dag", "A", "H2", "B_dag", "H2_dag", "B", "H1"]
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+def test_a_shared_pass_gives_each_job_the_bits_of_its_own_pass(n):
+    # the adjoint combines overwrite their derivative scratch, so a job that
+    # read another's scratch would differ; _BLOCK + 1 ends in a one-point
+    # block, where a complex product written over a factor changes bits
+    grid = Grid(3.0, n)
+    p = susy.build_pair(parse("x + 0.3i * cos(x)"), parse("x - 0.5 * tanh(x)"))
+    for case, f in _carriers(grid, np.random.default_rng(n)).items():
+        alone = {op: getattr(susy, f"apply_{op}")(p, f).values for op in _ALL_OPERATORS}
+        for ops in (_ALL_OPERATORS, _ALL_OPERATORS[::-1], ["H1", "A"], ["B", "H2"], ["A_dag"]):
+            got = susy.apply_ops(p, f, ops)
+            assert len(got) == len(ops)
+            for op, image in zip(ops, got):
+                assert np.array_equal(_bits(image.values), _bits(alone[op])), (case, ops, op)
+                assert image.log_scale is f.log_scale, (case, op)
+        # derivative jobs beside operator jobs, the last of them reading the
+        # derivative block itself
+        s = p.samples(grid)
+        jobs = [susy._OPERATORS["H1_dag"](s), ((2,), _copy), ((1,), _copy),
+                susy._OPERATORS["B_dag"](s)]
+        h1_dag, d2, d1, b_dag = numerics.stencil_pass(f, jobs)
+        for got, want in ((h1_dag, alone["H1_dag"]), (b_dag, alone["B_dag"]),
+                          (d1, derivative(f, 1).values), (d2, derivative(f, 2).values)):
+            assert np.array_equal(_bits(got.values), _bits(want)), case
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])
+def test_a_shared_pass_reports_the_first_job_whose_image_overflows(n):
+    grid = Grid(3.0, n)
+    p = susy.build_pair(parse("x"), parse("x + 1"))
+    values = np.ones(n, dtype=np.complex128)
+    # first derivatives stay finite, second ones overflow
+    values[_BLOCK - 5 : _BLOCK] = [1e303, -1e303, 1e303, -1e303, 1e303]
+    for f in (GridFunction(grid, values), GridFunction(grid, values, 0.1 * grid.x)):
+        with np.errstate(all="ignore"):
+            for ops in (["A", "H1", "B", "H2_dag"], ["B_dag", "H2", "H1"], _ALL_OPERATORS):
+                assert np.isfinite(getattr(susy, f"apply_{ops[0]}")(p, f).values).all()
+                with pytest.raises(PoleOnGridError) as expected:
+                    getattr(susy, f"apply_{ops[1]}")(p, f)
+                with pytest.raises(PoleOnGridError) as got:
+                    susy.apply_ops(p, f, ops)
+                assert str(got.value) == str(expected.value), ops
 
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])

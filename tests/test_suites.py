@@ -137,7 +137,20 @@ def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
     assert len(calls) == n_calls
 
 
-@pytest.mark.parametrize("name, limit", [("deformed-harmonic", 80), ("pseudo-bosonic", 50)])
+# The deformed-harmonic level walk at its widest, in complex N-point arrays:
+#    9  pair samples (w_a, w_b, their slopes, q1, v1, v2 and both duals)
+#    2  deformation multipliers e^q and e^{-conj q}
+#    9  duals psi_0..psi_8, which the pairing matrix pairs with every level
+#    3  the two state sums and phi_0, which the overlaps read
+#    2  phi_n and the samples of the base superpotential, which lowers e_n
+#    7  A, H1, B and H2 of phi_n; phi_{n-1} with its B and H2 images
+#    3  real arrays at half size: x, Simpson weights, the Hermite ladder's two
+#       levels and its envelope
+#    7  one superalgebra vector's own work: its four second-level images,
+#       A H1 phi_n, and the norm rows and pass buffers
+#   -- 42 arrays (42.6 measured), and 48 leaves 15% of headroom.  Holding
+#   levels 0-10 of both families through every section needs 72.
+@pytest.mark.parametrize("name, limit", [("deformed-harmonic", 48), ("pseudo-bosonic", 50)])
 def test_suite_peak_memory_in_grid_arrays(name, limit):
     grid = Grid(12.0, 16385)
     verify_model(name, grid=Grid(12.0, 1025))  # one-time set-up stays out of the count
@@ -147,9 +160,17 @@ def test_suite_peak_memory_in_grid_arrays(name, limit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # in complex N-point arrays; all 26 deformed levels held from the first
-    # section (97), or a scale triple per pseudo-bosonic level (76), break it
+    # in complex N-point arrays; a scale triple per pseudo-bosonic level (76)
+    # breaks the pseudo-bosonic bound
     assert peak / (16 * grid.n_points) <= limit
+
+
+def test_deformed_harmonic_forms_each_operator_image_once(grid, stencil_passes):
+    assert verify_model("deformed-harmonic", grid=grid).all_pass()
+    # 145 distinct images, counted by content hash, of 91 distinct inputs:
+    # one pass per input forms all of its images
+    assert stencil_passes["images"] == 145
+    assert stencil_passes["passes"] <= 91
 
 
 def test_deformed_harmonic_suite_builds_its_pair_once(grid, monkeypatch):
