@@ -62,6 +62,10 @@ _EXIT_DOMAIN = 4
 
 _R_VALUES_DEFAULT = (2.0, 1.0, 0.5, -0.5, -1.0, -2.0)
 _TOLERANCE_NAMES = ("state",)  # the named tolerances some command reads
+# config keys that hold a string; null, where allowed, means the key is not given
+_STRING_KEYS = ("model", "wA", "wB", "out", "format", "family", "spectrum_file",
+                "normalization", "perturb_wb")
+_NULLABLE_KEYS = ("model", "wA", "wB", "spectrum_file", "perturb_wb")
 
 
 class ConfigError(ValueError):
@@ -146,15 +150,24 @@ def _merge_config(args) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    def pick(flag_name, key, default):
+    def pick(flag_name, key, default, source=file_cfg):
         flag = getattr(args, flag_name, None)
         if flag is not None:
             return flag
-        return file_cfg.get(key, default)
+        return source.get(key, default)
 
-    grid_cfg = file_cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("config key 'grid' must be an object with L and N")
+    def section(key):
+        value = file_cfg.get(key, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {key!r} must be an object")
+        return dict(value)
+
+    for key in _STRING_KEYS:  # the flags for these are strings already
+        value = file_cfg.get(key, "")
+        if not (isinstance(value, str) or value is None and key in _NULLABLE_KEYS):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+
+    grid_cfg = section("grid")
     if getattr(args, "grid_n", None) is not None:
         grid_n = args.grid_n
     elif os.environ.get("SUSYQ_GRID_N"):
@@ -165,15 +178,12 @@ def _merge_config(args) -> RunConfig:
     else:
         grid_n = grid_cfg.get("N", 4097)
 
-    bind = dict(file_cfg.get("bind", {}))
+    bind = section("bind")
     for token in getattr(args, "bind", None) or []:
         name, value = _parse_bind_token(token)
         bind[name] = value
 
-    tolerances = file_cfg.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("config key 'tolerances' must be an object")
-    tolerances = dict(tolerances)
+    tolerances = section("tolerances")
     for token in getattr(args, "tol", None) or []:
         name, value = _parse_bind_token(token)
         tolerances[name] = value
@@ -209,7 +219,7 @@ def _merge_config(args) -> RunConfig:
         w_a=pick("wA", "wA", None),
         w_b=pick("wB", "wB", None),
         bind=bind,
-        grid_l=_number(float, "grid.L", pick("grid_l", "_ignored_", grid_cfg.get("L", 12.0))),
+        grid_l=_number(float, "grid.L", pick("grid_l", "L", 12.0, grid_cfg)),
         grid_n=_number(int, "grid.N", grid_n),
         tolerances=tolerances,
         out=pick("out", "out", "susyq-out"),

@@ -621,10 +621,6 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
     j_max = max(10.0, 40.0 * s.min_gap)
     e = s.energies[:n]
 
-    def weight_matrix(big_gamma):
-        delta = e[None, :] - e[:, None]
-        return _sinc(big_gamma * delta)
-
     def t_matrix(upper):
         powers = _finite_power_moments(md.density, [0.5 * p for p in range(2 * n - 1)], upper)
         t = np.empty((n, n), dtype=np.complex128)
@@ -633,35 +629,23 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
                 t[a, b] = powers[a + b] / (s.sqrt_rho[a] * np.conjugate(s.sqrt_rho[b]))
         return t
 
-    def errors(value):
-        abs_err = abs(value - target)
-        rel = abs_err / abs(target) if abs(target) > 1e-8 else None
-        return abs_err, rel
-
-    def estimate(big_gamma, t, levels):
-        fa = f_coeff[:levels]
-        ga = g_coeff[:levels]
-        w = weight_matrix(big_gamma)[:levels, :levels]
-        return complex(np.einsum("a,ab,b->", fa, w * t[:levels, :levels], ga))
+    def point(big_gamma, upper, levels, t):
+        """The estimate over the first ``levels`` levels in the angle window
+        big_gamma, with ``t`` the T-matrix up to J = upper, and its errors."""
+        w = _sinc(big_gamma * (e[None, :] - e[:, None]))[:levels, :levels]
+        val = complex(np.einsum("a,ab,b->", f_coeff[:levels], w * t[:levels, :levels],
+                                g_coeff[:levels]))
+        abs_err = abs(val - target)
+        return ResolutionPoint(big_gamma, upper, levels, val, abs_err,
+                               abs_err / abs(target) if abs(target) > 1e-8 else None)
 
     t_full = t_matrix(j_max)
-    gamma_trace = []
-    for gv in _GAMMA_LIMITS:
-        val = estimate(gv, t_full, n)
-        gamma_trace.append(ResolutionPoint(gv, j_max, n, val, *errors(val)))
-
     final_gamma = _GAMMA_LIMITS[-1]
-    j_trace = []
-    for frac in (0.25, 0.5, 1.0):
-        upper = j_max * frac
-        t = t_full if frac == 1.0 else t_matrix(upper)
-        val = estimate(final_gamma, t, n)
-        j_trace.append(ResolutionPoint(final_gamma, upper, n, val, *errors(val)))
-
-    n_trace = []
-    for levels in sorted({max(2, n // 2), max(2, (3 * n) // 4), n}):
-        val = estimate(final_gamma, t_full, levels)
-        n_trace.append(ResolutionPoint(final_gamma, j_max, levels, val, *errors(val)))
+    gamma_trace = [point(gv, j_max, n, t_full) for gv in _GAMMA_LIMITS]
+    j_trace = [point(final_gamma, j_max * frac, n, t_full if frac == 1.0 else t_matrix(j_max * frac))
+               for frac in (0.25, 0.5, 1.0)]
+    n_trace = [point(final_gamma, j_max, levels, t_full)
+               for levels in sorted({max(2, n // 2), max(2, (3 * n) // 4), n})]
 
     return ResolutionReport(target=target, estimate=gamma_trace[-1].value,
                             gamma_trace=tuple(gamma_trace), j_trace=tuple(j_trace),

@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -313,10 +314,10 @@ def _swanson_applier(theta: float, rotation_sign: float):
         x = f.grid.x
 
         # no complex product is written over a factor (see stencil_pass)
-        def combine(sl, v, d2, out, t):
+        def combine(sl, v, d2, out, t, u):
             np.multiply(np.multiply(pot, np.square(x[sl]), out=t), v, out=out)
-            np.add(np.multiply(-kin, d2, out=t), out, out=d2)
-            np.multiply(0.5 * sec, d2, out=out)
+            np.add(np.multiply(-kin, d2, out=t), out, out=u)
+            np.multiply(0.5 * sec, u, out=out)
 
         return stencil_pass(f, [((2,), combine)])[0]
 
@@ -482,13 +483,7 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
 def bs_numeric_flags(record: ModelRecord, grid: Grid | None = None) -> BSRow:
     """Classification row re-derived from fitted decay exponents on the grid."""
     v = record.vacua(grid or default_grid())
-    return BSRow(
-        r=record.params["r"],
-        phi0_1=v.phi0_1.in_l2,
-        phi0_2=v.phi0_2.in_l2,
-        psi0_1=v.psi0_1.in_l2,
-        psi0_2=v.psi0_2.in_l2,
-    )
+    return BSRow(record.params["r"], *(rec.in_l2 for rec in v.records()))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +520,10 @@ def _scale_per_grid(make):
     return scale
 
 
+# the largest |k| whose dual normalization exp(-k^2/2)/sqrt(2 pi) is a normal double
+_PB_DUAL_K_LIMIT = math.sqrt(-2.0 * math.log(sys.float_info.min * math.sqrt(2.0 * math.pi)))
+
+
 def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
     """wA = k + e^x, wB = x - e^x: commuting ladder with spectrum 0, 1, 2, ...
 
@@ -554,6 +553,9 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
         return GridFunction(grid, poly_values(n, grid.x).astype(np.complex128), *phi_scale(grid))
 
     def psi1(n, grid):
+        if n_psi < sys.float_info.min:
+            raise ModelError(f"dual levels need |k| < {_PB_DUAL_K_LIMIT:.4f}: at k={k!r} "
+                             "their normalization exp(-k^2/2)/sqrt(2 pi) underflows")
         return GridFunction(grid, n_psi * poly_values(n, grid.x).astype(np.complex128),
                             *psi_scale(grid))
 

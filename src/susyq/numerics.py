@@ -29,12 +29,12 @@ scale) is divided by d, as the real expression does.
 Every operator and every residual runs on the blocked kernels: each
 derivative, and each operator built on one, is a job of a ``stencil_pass``,
 which runs the stencil once per block for all of its jobs (the images of
-one input under several operators) and gives each job a copy of the
-derivative block that it may overwrite; every interior norm and residual
-is a ``_weighted_norms`` reduction; the scaled pairing, which a scaled norm
-takes, is a blocked pass of ``inner``.  The plain norm of an unscaled
-carrier stays one whole-array expression, which gives the blocked bits at
-less cost per call.  The kernels run block by block over slices of
+one input under several operators); every job reads the same derivative
+block and writes only its own output and scratch.  Every interior norm and
+residual is a ``_weighted_norms`` reduction; the scaled pairing, which a
+scaled norm takes, is a blocked pass of ``inner``.  The plain norm of an
+unscaled carrier stays one whole-array expression, which gives the blocked
+bits at less cost per call.  The kernels run block by block over slices of
 ``_BLOCK`` points, small enough that a block's operands and scratch stay in
 L2 cache; a whole-array expression would send each of its N-point
 temporaries through memory.  Elementwise work is
@@ -427,13 +427,14 @@ def stencil_pass(f, jobs) -> list:
     over its samples; one carrier per job.
 
     A job is ``(orders, combine)``.  For each block of points, the stencil
-    runs once, and ``combine(sl, v, *d, out, t)`` of each job writes the
+    runs once, and ``combine(sl, v, *d, out, t, u)`` of each job writes the
     block's values into ``out``: ``sl`` is the block's slice, ``v`` is
     ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]`` for each
-    k in ``orders`` (1, 2 or both).  Each combine gets ``d`` in scratch
-    buffers of its own that it may overwrite, as it may ``t``.  The scaled
-    derivatives are formed as the whole-array expressions of a scaled
-    ``derivative`` form them, operation by operation.
+    k in ``orders`` (1, 2 or both).  Every job reads the same derivative
+    block, so a combine must not write into ``v`` or ``d``; ``t`` and ``u``
+    are scratch it may overwrite.  The scaled derivatives are formed as the
+    whole-array expressions of a scaled ``derivative`` form them, operation
+    by operation.
 
     A complex product must not be written over one of its factors: on a
     one-point block numpy then takes a loop whose last bit can differ.
@@ -447,9 +448,7 @@ def stencil_pass(f, jobs) -> list:
     stencil = _Stencil(f.values, h, need)
     m = min(_BLOCK, n)
     d = {k: np.empty(m, dtype=np.complex128) for k in need}
-    # every job but the last reads copies, so no combine sees another's writes
-    c = {k: np.empty(m, dtype=np.complex128) for k in wanted}
-    t = np.empty(m, dtype=np.complex128)
+    t, u = np.empty((2, m), dtype=np.complex128)
     if scale is not None:
         given = {1: f.dlog, 2: f.d2log}
         fitted = [k for k in need if given[k] is None]
@@ -477,16 +476,12 @@ def stencil_pass(f, jobs) -> list:
             if 1 in wanted:  # v1 + s1 * v
                 np.multiply(s[1], v, out=tb)
                 db[1] += tb
-        for i, ((orders, combine), out) in enumerate(zip(jobs, outs)):
-            own = [db[j] if i == len(jobs) - 1 else c[j][:k] for j in orders]
-            for j, buf in zip(orders, own):
-                if buf is not db[j]:
-                    buf[...] = db[j]
-            combine(sl, v, *own, out[sl], t[:k])
+        for (orders, combine), out in zip(jobs, outs):
+            combine(sl, v, *(db[j] for j in orders), out[sl], t[:k], u[:k])
     return [f.with_values(out) for out in outs]
 
 
-def _copy(sl, v, d, out, t):
+def _copy(sl, v, d, out, t, u):
     out[...] = d
 
 

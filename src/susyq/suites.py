@@ -7,14 +7,18 @@ sections (eigen-residuals, intertwining, biorthogonality, polynomial
 identities, classification tables, state-family identities) and notes.
 Each suite builds each of the record's families once and hands the same
 lists to every section; the second sector is read as the first one level
-down.  A user pair runs the same runner with no sections of its own.  The
-verify command renders these reports and turns them into exit codes.
+down.  The three ladder suites read one level walk, ``_ladder_walk``, in
+which one stencil pass per level carrier forms every image the level's
+checks read.  A user pair runs the same runner with no sections of its
+own.  The verify command renders these reports and turns them into exit
+codes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,11 +54,9 @@ from .susy import (
     _doublet_checks,
     _intertwine_record,
     _vector_checks,
-    apply_H1,
     apply_ops,
     build_pair,
     factorization_residuals,
-    intertwine_check,
     potential_identity_residual,
     probe_function,
     vacua,
@@ -139,24 +141,43 @@ def _intertwine_result(rec):
                                      worst, 1e-5 * max(1.0, abs(rec.energy)))
 
 
-def _ladder_sections(m, pair, phis):
+def _ladder_walk(pair, energy, level, n_levels, h2=False):
+    """Levels 0..n_levels-1 of sector 1, ``level(n)`` giving level n, walked
+    once; sector 2 is the same family one level down.  One stencil pass per
+    carrier forms A, H1 and, below the top level, B (and H2 with ``h2``); a
+    scaled level takes H1 on its carrier and the rest on its materialized
+    values.  Yields one namespace, updated in place so that a level's images
+    are dropped before the next pass: ``n``, ``phi``, its images ``a`` and
+    ``h1``, its intertwining record ``rec``, and its partner ``down`` (the
+    level below, materialized) with the images ``b_down`` and ``h2_down``."""
+    lv = SimpleNamespace(down=None, b_down=None, h2_down=None)
+    for n in range(n_levels):
+        lv.n, lv.phi, lv.a, lv.h1 = n, level(n), None, None
+        flat = lv.phi.materialize()
+        ops = ["A"] if n == n_levels - 1 else ["A", "B", "H2"] if h2 else ["A", "B"]
+        if flat is lv.phi:
+            lv.h1, lv.a, *up = apply_ops(pair, flat, ["H1"] + ops)
+        else:  # H1 on the scaled carrier, the rest on its values
+            lv.h1 = apply_ops(pair, lv.phi, ["H1"])[0]
+            lv.a, *up = apply_ops(pair, flat, ops)
+        lv.rec = _intertwine_record(n, energy(n), flat, lv.down, lv.a, lv.b_down,
+                                    pair.singular_points)
+        yield lv
+        lv.down, lv.b_down, lv.h2_down = flat, *(up + [None, None])[:2]
+
+
+def _ladder_sections(m, pair, level):
     """Eigen-residuals and intertwining over the model's first nine levels."""
-    eigen = [
-        CheckResult.from_residual(
-            f"level {n} eigen-residual",
-            relative_residual((apply_H1(pair, fn), m.energy(n), fn), fn,
+    eigen, inter = [], []
+    for lv in _ladder_walk(pair, m.energy, level, 9):
+        eigen.append(CheckResult.from_residual(
+            f"level {lv.n} eigen-residual",
+            relative_residual((lv.h1, m.energy(lv.n), lv.phi), lv.phi,
                               exclude=list(pair.singular_points)),
             1e-5,
-        )
-        for n, fn in enumerate(phis[:9])
-    ]
-    return {
-        "eigenfunctions": eigen,
-        # sector 2 is the same list one level down, as the record's phi2 states
-        "intertwining": [_intertwine_result(rec) for rec in intertwine_check(
-            pair, [(m.energy(n), f) for n, f in enumerate(phis[:9])],
-            [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 9)])],
-    }
+        ))
+        inter.append(_intertwine_result(lv.rec))
+    return {"eigenfunctions": eigen, "intertwining": inter}
 
 
 # Each model's own sections: (record, pair, grid) -> (sections, notes).  The
@@ -164,7 +185,7 @@ def _ladder_sections(m, pair, phis):
 # targets and closed forms always come from the record.
 
 def _harmonic_sections(m, pair, grid, own_in_l2):
-    return _ladder_sections(m, pair, [m.phi1(n, grid) for n in range(9)]), ()
+    return _ladder_sections(m, pair, lambda n: m.phi1(n, grid)), ()
 
 
 def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
@@ -178,7 +199,7 @@ def _pseudo_bosonic_sections(m, pair, grid, own_in_l2):
     identity_report = pb_identities(k=m.params["k"], n_max=12)
     return {
         "biorthogonality": bio,
-        **_ladder_sections(m, pair, phis),
+        **_ladder_sections(m, pair, phis.__getitem__),
         "identities": list(identity_report.checks),
     }, tuple(identity_report.notes)
 
@@ -271,8 +292,8 @@ def _black_scholes_sections(m, pair, grid, own_in_l2):
 
 
 def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
-    """Levels 0-25 walked once.  Each level's operator images come from one
-    stencil pass, go to every check that reads them and are dropped; only
+    """Levels 0-25 walked once, levels 0-10 with the ladder walk's images,
+    which go to every check that reads them and are dropped; only
     duals 0-8, which the pairing matrix pairs with every level, are held
     whole.  The states take each level's norms, its term of both state sums
     (in ``_combine``'s order) and its overlaps.  The sections are assembled
@@ -290,9 +311,11 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     psis = [m.psi1(n, grid) for n in range(n_eigen)]
     w = sample(d.w, grid).values
     pairing, eigen, inter, vectors, doublets = 0.0, [0.0] * 4, [], [], []
-    down = b_down = h2_down = None  # the level below, with its B and H2 images
+
+    walk = _ladder_walk(pair, m.energy, lambda n: m.phi1(n, grid), n_ops, h2=True)
     for n in range(n_basis):
-        phi = m.phi1(n, grid)
+        lv = next(walk, None)  # levels past the walk give only their state terms
+        phi = m.phi1(n, grid) if lv is None else lv.phi
         psi = psis[n] if n < n_eigen else m.psi1(n, grid)
         for i, f in enumerate((phi, psi)):
             norms[i].append(norm(f))
@@ -302,20 +325,18 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
         if n < n_res:
             overlaps[0].append(inner(phi0, phi))
             overlaps[1].append(inner(psi, phi0))
-        if n >= n_ops:
+        if lv is None:
             continue
-        # A and H1 of every level; B and H2 are read as the next level's partner
-        a, h1, *partner = apply_ops(pair, phi, ["A", "H1"] + (["B", "H2"] if n < n_ops - 1 else []))
         if n < n_eigen:
             pairing = max(pairing, _pairing_defect(psis, n, phi))
-            _eigen_level(eigen, d, pair, w, m.energy(n), phi, h1, psi, base(n, grid) if n else None)
-        # sector 2 is the same family one level down: level 0 has no partner
-        rec = _intertwine_record(n, m.energy(n), phi, down, a, b_down, pair.singular_points)
-        inter.append(_intertwine_result(rec))
+            _eigen_level(eigen, d, pair, w, m.energy(n), phi, lv.h1, psi,
+                         base(n, grid) if n else None)
+        inter.append(_intertwine_result(lv.rec))
         if n > 0:
-            vectors += _vector_checks(pair, f"vector {n - 1}", phi, down, a, h1, b_down, h2_down)
-            doublets += _doublet_checks(pair, n, phi, down, a, b_down, rec.alpha, rec.beta)
-        down, (b_down, h2_down) = phi, partner or (None, None)
+            vectors += _vector_checks(pair, f"vector {n - 1}", phi, lv.down, lv.a, lv.h1,
+                                      lv.b_down, lv.h2_down)
+            doublets += _doublet_checks(pair, n, phi, lv.down, lv.a, lv.b_down,
+                                        lv.rec.alpha, lv.rec.beta)
 
     dom = gk_domain(s, *norms)
     phi, psi = (_series(s, family, 1.0, 0.4, 1e-8, dom, n_basis) for family in ("phi", "psi"))

@@ -87,23 +87,14 @@ class SuperpotentialPair:
         self.singular_points = tuple(float(s) for s in singular_points)
         self._cache = {}
 
+    # the sampled fields, in the order a pole among them is reported
+    _SAMPLED = ("w_a", "w_b", "dw_a", "dw_b", "q1", "v1", "v2", "v1_dual", "v2_dual")
+
     def samples(self, grid: Grid) -> dict:
         """Potential and superpotential arrays on the grid, cached."""
         if grid not in self._cache:
-            self._cache[grid] = {
-                name: sample(e, grid).values
-                for name, e in [
-                    ("w_a", self.w_a),
-                    ("w_b", self.w_b),
-                    ("dw_a", self.dw_a),
-                    ("dw_b", self.dw_b),
-                    ("q1", self.q1),
-                    ("v1", self.v1),
-                    ("v2", self.v2),
-                    ("v1_dual", self.v1_dual),
-                    ("v2_dual", self.v2_dual),
-                ]
-            }
+            self._cache[grid] = {name: sample(getattr(self, name), grid).values
+                                 for name in self._SAMPLED}
         return self._cache[grid]
 
     def __repr__(self):
@@ -170,9 +161,9 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
 def _first_order(w, deriv_sign, conj_w):
     """The stencil job of deriv_sign * f' + w f, with w conjugated for an adjoint."""
 
-    def combine(sl, v, d1, out, t):
+    def combine(sl, v, d1, out, t, u):
         np.multiply(deriv_sign, d1, out=out)
-        np.multiply(np.conjugate(w[sl], out=d1) if conj_w else w[sl], v, out=t)
+        np.multiply(np.conjugate(w[sl], out=u) if conj_w else w[sl], v, out=t)
         out += t
 
     return (1,), combine
@@ -181,9 +172,9 @@ def _first_order(w, deriv_sign, conj_w):
 def _second_order(drift, potential, dual):
     """The stencil job of -f'' + q f' + V f; with ``dual`` the drift is -conj(drift)."""
 
-    def combine(sl, v, d1, d2, out, t):
+    def combine(sl, v, d1, d2, out, t, u):
         np.negative(d2, out=out)
-        q = np.negative(np.conjugate(drift[sl], out=d2), out=d2) if dual else drift[sl]
+        q = np.negative(np.conjugate(drift[sl], out=u), out=u) if dual else drift[sl]
         np.multiply(q, d1, out=t)
         out += t
         np.multiply(potential[sl], v, out=t)
@@ -417,14 +408,7 @@ def finalize_vacua(records: dict, normalization: str) -> Vacua:
     elif normalization == "paired":
         _normalize_paired(records["phi0_1"], records["psi0_1"], notes)
         _normalize_paired(records["phi0_2"], records["psi0_2"], notes)
-    return Vacua(
-        phi0_1=records["phi0_1"],
-        phi0_2=records["phi0_2"],
-        psi0_1=records["psi0_1"],
-        psi0_2=records["psi0_2"],
-        normalization=normalization,
-        notes=notes,
-    )
+    return Vacua(**records, normalization=normalization, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,11 @@ def test_config_errors_exit_two(tmp_path):
      "'q' must be an expression string"),
     (["potentials", "--model", "deformed-harmonic"], {"bind": {"q": 2}},
      "'q' must be an expression string"),
+    (["potentials", "--model", "harmonic"], {"bind": [1, 2]}, "'bind' must be an object"),
+    (["verify"], {"wA": 5, "wB": "x"}, "wA must be a string, got 5"),
+    (["potentials"], {"model": ["harmonic"]}, "model must be a string"),
+    (["gk", "--model", "harmonic"], {"spectrum_file": 7}, "spectrum_file must be a string"),
+    (["potentials", "--model", "harmonic"], {"out": None}, "out must be a string, got None"),
 ])
 def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, config, message):
     from susyq import cli
@@ -285,6 +290,10 @@ def test_verify_suite_that_cannot_build_exits_one(tmp_path):
     (["gk", "--model", "deformed-harmonic", "--bind", "q=-(sin(0))^-3"], 2,
      "zero raised to a negative power at every x"),
     (["gk", "--model", "pseudo-bosonic", "--bind", "k=1e308"], 3, "non-finite sample"),
+    # duals whose normalization underflows are a representation limit, not a failed pairing
+    (["verify", "--model", "pseudo-bosonic", "--bind", "k=-80"], 2, "dual levels need |k| < 37.6"),
+    (["gk", "--model", "pseudo-bosonic", "--bind", "k=-80", "--n-terms", "10"], 2,
+     "at k=-80.0 their normalization"),
 ])
 def test_singular_and_overflowing_expressions_end_in_a_documented_exit(
         tmp_path, capsys, argv, code, message):
@@ -438,6 +447,7 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
         "model": "black-scholes",
         "bind": {"r": 2.0, "v0": 1.0},
         "grid": {"L": 10.0, "N": 257},
+        "_ignored_": 5, "grid_l": 6,  # only grid.L sets the half-width
         "out": str(tmp_path / "from-config"),
     }))
     r = run_cli("potentials", "--config", str(cfg))
@@ -446,11 +456,20 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert meta["params"] == {"r": 2.0, "v0": 1.0}
     assert meta["grid"] == {"L": 10.0, "N": 257}
 
-    r = run_cli("potentials", "--config", str(cfg), "--bind", "r=0.5",
+    r = run_cli("potentials", "--config", str(cfg), "--bind", "r=0.5", "--grid-l", "9",
                 "--out", str(tmp_path / "flag-wins"))
     assert r.returncode == 0
     meta = read_json(tmp_path / "flag-wins" / "potentials-meta.json")
     assert meta["params"]["r"] == 0.5
+    assert meta["grid"] == {"L": 9.0, "N": 257}
+
+
+@pytest.mark.parametrize("command", ["potentials", "vacua"])
+def test_tables_do_not_read_the_pseudo_bosonic_duals(tmp_path, command):
+    # a k past the dual limit still has the pair and its vacua
+    r = run_cli(command, "--model", "pseudo-bosonic", "--bind", "k=-80", "--grid-n", "65",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
 
 
 def test_vacua_report_and_log_table(tmp_path):

@@ -488,6 +488,20 @@ def test_pb_norms_stay_in_range(grid):
         assert 1e-3 < v < 1e6, (n, v)
 
 
+@pytest.mark.parametrize("k", [-38.0, 38.0, -80.0])
+def test_pb_duals_past_the_normal_range_are_a_model_error(k):
+    grid = Grid(12.0, 33)
+    m = get_model("pseudo-bosonic", k=k)
+    assert np.isfinite(m.phi1(3, grid).values).all()  # the first sector stays
+    with pytest.raises(ModelError, match=rf"\|k\| < 37\.6159: at k={k!r} "):
+        m.psi1(0, grid)
+
+
+def test_pb_duals_up_to_the_limit_are_normal_doubles():
+    m = get_model("pseudo-bosonic", k=-37.6158)
+    assert np.abs(m.psi1(0, Grid(12.0, 33)).values).max() >= np.finfo(float).tiny
+
+
 def test_pb_partner_shift(grid):
     m = get_model("pseudo-bosonic", k=-1.0)
     assert m.phi2(0, grid) is None

@@ -474,8 +474,8 @@ _ALL_OPERATORS = ["A_dag", "H1_dag", "A", "H2", "B_dag", "H2_dag", "B", "H1"]
 
 @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
 def test_a_shared_pass_gives_each_job_the_bits_of_its_own_pass(n):
-    # the adjoint combines overwrite their derivative scratch, so a job that
-    # read another's scratch would differ; _BLOCK + 1 ends in a one-point
+    # every job reads the same derivative block, so a combine that wrote
+    # into it would change the jobs after it; _BLOCK + 1 ends in a one-point
     # block, where a complex product written over a factor changes bits
     grid = Grid(3.0, n)
     p = susy.build_pair(parse("x + 0.3i * cos(x)"), parse("x - 0.5 * tanh(x)"))
@@ -487,8 +487,7 @@ def test_a_shared_pass_gives_each_job_the_bits_of_its_own_pass(n):
             for op, image in zip(ops, got):
                 assert np.array_equal(_bits(image.values), _bits(alone[op])), (case, ops, op)
                 assert image.log_scale is f.log_scale, (case, op)
-        # derivative jobs beside operator jobs, the last of them reading the
-        # derivative block itself
+        # derivative jobs beside operator jobs, all reading one derivative block
         s = p.samples(grid)
         jobs = [susy._OPERATORS["H1_dag"](s), ((2,), _copy), ((1,), _copy),
                 susy._OPERATORS["B_dag"](s)]

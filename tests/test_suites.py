@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import astuple
 
 import pytest
 
@@ -10,6 +11,7 @@ from susyq import models
 from susyq.models import ModelError, ModelRecord
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
+from susyq.susy import intertwine_check
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,28 @@ def test_deformed_harmonic_forms_each_operator_image_once(grid, stencil_passes):
     # one pass per input forms all of its images
     assert stencil_passes["images"] == 145
     assert stencil_passes["passes"] <= 91
+
+
+@pytest.mark.parametrize("name, passes", [("harmonic", 16), ("pseudo-bosonic", 25)])
+def test_ladder_suites_take_one_pass_per_level_carrier(grid, stencil_passes, name, passes):
+    assert verify_model(name, grid=grid).all_pass()
+    # 7 for the pair sections (3 factorization, 4 vacua) and one per level of
+    # the nine-level walk; a scaled pseudo-bosonic level takes two, H1 on its
+    # carrier and A and B on its materialized values
+    assert stencil_passes["passes"] == passes
+
+
+@pytest.mark.parametrize("name", ["harmonic", "pseudo-bosonic"])
+def test_ladder_walk_records_are_those_of_intertwine_check(grid, suites, name):
+    m = models.get_model(name)
+    phis = [m.phi1(n, grid) for n in range(9)]
+    want = intertwine_check(m.pair, [(m.energy(n), f) for n, f in enumerate(phis)],
+                            [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 9)])
+    got = [lv.rec for lv in suites_module._ladder_walk(m.pair, m.energy, phis.__getitem__, 9)]
+    # repr keeps every bit of a float, the sign of a zero included
+    assert [repr(astuple(r)) for r in got] == [repr(astuple(r)) for r in want]
+    assert suites[name].sections["intertwining"] == [
+        suites_module._intertwine_result(r) for r in want]
 
 
 def test_deformed_harmonic_suite_builds_its_pair_once(grid, monkeypatch):
