@@ -14,6 +14,7 @@ as an internal error with exit 2, after its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -129,6 +130,14 @@ def _number(kind, key: str, value):
         raise ConfigError(f"{key} must be a number, got {value!r}") from e
 
 
+def _integer(key: str, value) -> int:
+    """``int(value)``; a bool or a float with a fraction is a configuration
+    error, not a count of 1 or a truncated one."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return _number(int, key, value)
+
+
 def _finite(key: str, value) -> float:
     """``float(value)``, which must be finite."""
     v = _number(float, key, value)
@@ -206,6 +215,10 @@ def _merge_config(args) -> RunConfig:
             raise ConfigError("r_values must be a list of numbers or a comma-separated string")
         r_values = tuple(_number(float, "r_values entry", t) for t in r_values)
 
+    numeric = pick("numeric", "numeric", None)
+    if numeric is not None and not isinstance(numeric, bool):
+        raise ConfigError(f"numeric must be true, false or null, got {numeric!r}")
+
     fmt = pick("fmt", "format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r} (csv or json)")
@@ -220,20 +233,20 @@ def _merge_config(args) -> RunConfig:
         w_b=pick("wB", "wB", None),
         bind=bind,
         grid_l=_number(float, "grid.L", pick("grid_l", "L", 12.0, grid_cfg)),
-        grid_n=_number(int, "grid.N", grid_n),
+        grid_n=_integer("grid.N", grid_n),
         tolerances=tolerances,
         out=pick("out", "out", "susyq-out"),
         fmt=fmt,
         j=_finite("J", pick("j", "J", 1.0)),
         gamma=_finite("gamma", pick("gamma", "gamma", 0.0)),
         family=family,
-        n_terms=_number(int, "n_terms", pick("n_terms", "n_terms", 26)),
+        n_terms=_integer("n_terms", pick("n_terms", "n_terms", 26)),
         j_max=pick("j_max", "j_max", None),
         spectrum_file=pick("spectrum_file", "spectrum_file", None),
         normalization=pick("normalization", "normalization", "raw"),
         perturb_wb=pick("perturb_wb", "perturb_wb", None),
         r_values=r_values,
-        numeric=bool(pick("numeric", "numeric", False)),
+        numeric=bool(numeric),
     )
     if cfg.j_max is not None:
         cfg.j_max = _finite("j_max", cfg.j_max)
@@ -300,7 +313,9 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-_BLOCK_ROWS = 8192  # rows formatted at once; bounds the memory a table needs
+# rows formatted at once: bounds the memory a table needs, and keeps a wide
+# block's byte matrix near the cache
+_BLOCK_ROWS = 4096
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
@@ -311,23 +326,6 @@ def _csv_text(s: str) -> str:
     return s
 
 
-def _each_distinct(fmt, col) -> list:
-    """``fmt`` of every cell of a block, called once per distinct value.
-
-    Floats are told apart by bit pattern, so -0.0 and 0.0 stay apart and a
-    NaN equals only its own bits; a block of all-distinct floats is
-    formatted directly.  str and bool cells go through a dict.
-    """
-    if isinstance(col, np.ndarray):
-        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        if len(bits) == len(col):
-            return list(map(fmt, col.tolist()))
-        cells, keys = list(map(fmt, bits.view(np.float64).tolist())), inverse.tolist()
-    else:
-        cells, keys = {v: fmt(v) for v in set(col)}, col
-    return list(map(cells.__getitem__, keys))
-
-
 def _csv_cell(v) -> str:
     return ("true" if v else "false") if isinstance(v, bool) else _csv_text(v)
 
@@ -336,25 +334,59 @@ def _json_cell(v) -> str:
     return ("true" if v else "false") if isinstance(v, bool) else encode_basestring_ascii(v)
 
 
-def _csv_cells(col) -> list:
-    return _each_distinct("{:.17g}".format if isinstance(col, np.ndarray) else _csv_cell, col)
+def _column_cells(col, style: str, one_column: bool) -> tuple:
+    """(uint8 matrix, first, end): cell i of a block's column is
+    ``matrix[i, first[i]:end[i]]``.
 
-
-def _json_cells(col) -> list:
+    A float column goes through ``floattext.cells``; each distinct str or
+    bool cell is formatted once.  csv.writer quotes a lone empty field,
+    which would otherwise read as a blank line, so a one-column CSV writes "".
+    """
     if isinstance(col, np.ndarray):
-        cells = _each_distinct(float.__repr__, col)
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            cells[i] = f'"{cells[i]}"'  # inf, -inf and nan as strings
-        return cells
-    return _each_distinct(_json_cell, col)
+        # imported here, so that only the commands that write a table load it
+        from . import floattext
+
+        return floattext.cells(col, style)
+    cell = _json_cell if style == "json" else (
+        (lambda v: _csv_cell(v) or '""') if one_column else _csv_cell)
+    index = {v: i for i, v in enumerate(dict.fromkeys(col))}
+    data = [cell(v).encode("utf-8") for v in index]
+    sizes = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    width = max(int(sizes.max(initial=0)), 1)
+    table = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width)
+    codes = np.fromiter(map(index.__getitem__, col), dtype=np.intp, count=len(col))
+    return table[codes], 0, sizes[codes]
 
 
-def _json_row_template(header) -> str:
-    """One row object with sorted keys and a {} slot per value, laid out as
-    json.dump(..., indent=2, sort_keys=True) lays out a list element."""
-    keys = (encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}")
-            for k in sorted(header))
-    return "  {{\n" + ",\n".join(f"    {k}: {{}}" for k in keys) + "\n  }}"
+@functools.lru_cache(maxsize=32)
+def _span_masks(width: int) -> np.ndarray:
+    """Row ``first * (width + 1) + end`` is True from ``first`` to ``end``."""
+    first, end = np.divmod(np.arange(2 * (width + 1)), width + 1)
+    j = np.arange(width)
+    return (j >= first[:, None]) & (j < end[:, None])
+
+
+def _rows(literals, cells) -> np.ndarray:
+    """The bytes of each row, ``literals[0] cell_0 literals[1] ... cell_last
+    literals[-1]``, one after the other.
+
+    The block is one uint8 matrix, literals and padded cells side by side,
+    compacted by the cells' spans: string cells may hold any byte, NUL too.
+    """
+    n_rows = len(cells[0][0])
+    width = sum(map(len, literals)) + sum(m.shape[1] for m, _, _ in cells)
+    text = np.empty((n_rows, width), dtype=np.uint8)
+    keep = np.ones((n_rows, width), dtype=bool)
+    at = 0
+    for literal, (matrix, first, end) in zip(literals, cells):
+        text[:, at:at + len(literal)] = np.frombuffer(literal, dtype=np.uint8)
+        at += len(literal)
+        w = matrix.shape[1]
+        text[:, at:at + w] = matrix
+        keep[:, at:at + w] = np.take(_span_masks(w), first * (w + 1) + end, axis=0)
+        at += w
+    text[:, at:] = np.frombuffer(literals[-1], dtype=np.uint8)
+    return text[keep]
 
 
 def _blocks(columns):
@@ -363,47 +395,43 @@ def _blocks(columns):
         yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
-def _csv_lines(rows, n_columns: int) -> str:
-    """Rows of cell strings as CSV lines, each ended by a newline.
-
-    csv.writer quotes a lone empty field, which would otherwise read as a
-    blank line; only a one-column row can join to "".
-    """
-    lines = map(",".join, rows)
-    if n_columns == 1:
-        lines = (line or '""' for line in lines)
-    return "\n".join(lines) + "\n"
-
-
 def _write_csv_table(fh, header, columns) -> None:
-    fh.write(_csv_lines([map(_csv_text, header)], len(header)))
+    fh.write(((",".join(map(_csv_text, header)) or '""') + "\n").encode("utf-8"))
+    literals = [b""] + [b","] * (len(header) - 1) + [b"\n"]
     for block in _blocks(columns):
-        fh.write(_csv_lines(zip(*map(_csv_cells, block)), len(block)))
+        fh.write(_rows(literals, [_column_cells(c, "csv", len(block) == 1) for c in block]))
 
 
 def _write_json_table(fh, header, columns) -> None:
+    """A list of row objects laid out as json.dump(..., indent=2,
+    sort_keys=True) lays it out."""
     if not len(columns[0]):
-        fh.write("[]\n")
+        fh.write(b"[]\n")
         return
     order = sorted(range(len(header)), key=header.__getitem__)
-    row = _json_row_template(header).format
-    sep = "[\n"
+    keys = [encode_basestring_ascii(header[j]).encode("ascii") for j in order]
+    # each row opens with the comma that ends the row before it
+    literals = ([b",\n  {\n    " + keys[0] + b": "]
+                + [b",\n    " + key + b": " for key in keys[1:]] + [b"\n  }"])
+    skip = 1  # the first row's comma
+    fh.write(b"[")
     for block in _blocks(columns):
-        fh.write(sep + ",\n".join(map(row, *(_json_cells(block[j]) for j in order))))
-        sep = ",\n"
-    fh.write("\n]\n")
+        fh.write(_rows(literals, [_column_cells(block[j], "json", False) for j in order])[skip:])
+        skip = 0
+    fh.write(b"\n]\n")
 
 
 def _write_table(path: str, header, columns) -> str:
     """One table as CSV, or as a JSON list of row objects for a .json path.
 
     ``columns`` holds one entry per header name: a 1-D float array for a
-    numeric column, a list of str or bool otherwise.  Columns are formatted
-    whole, a block of rows at a time, each distinct cell of a block once,
-    and then joined into rows.
+    numeric column, a list of str or bool otherwise.  Each block of
+    ``_BLOCK_ROWS`` rows is formatted a column at a time and written in one
+    piece.  The numbers are the text of ``"{:.17g}".format`` in CSV and of
+    ``repr`` in JSON, byte for byte.
     """
     write = _write_json_table if path.endswith(".json") else _write_csv_table
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         write(fh, header, columns)
     return path
 

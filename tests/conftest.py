@@ -54,5 +54,6 @@ def stencil_passes(monkeypatch):
     return counts
 
 
-# ``--hypothesis-profile=long``: the long fuzz run of the command line
+# ``--hypothesis-profile=long``: the long fuzz runs of the command line and of
+# the float formatter
 settings.register_profile("long", max_examples=2000)

@@ -140,6 +140,14 @@ def test_config_errors_exit_two(tmp_path):
     (["potentials"], {"model": ["harmonic"]}, "model must be a string"),
     (["gk", "--model", "harmonic"], {"spectrum_file": 7}, "spectrum_file must be a string"),
     (["potentials", "--model", "harmonic"], {"out": None}, "out must be a string, got None"),
+    (["potentials", "--model", "harmonic"], {"grid": {"N": 65.9, "L": 8}},
+     "grid.N must be an integer, got 65.9"),
+    (["potentials", "--model", "harmonic"], {"grid": {"N": True}},
+     "grid.N must be an integer, got True"),
+    (["gk", "--model", "harmonic"], {"n_terms": 26.5}, "n_terms must be an integer, got 26.5"),
+    (["gk", "--model", "harmonic"], {"n_terms": True}, "n_terms must be an integer, got True"),
+    (["bs-classify"], {"numeric": "false"}, "numeric must be true, false or null, got 'false'"),
+    (["bs-classify"], {"numeric": 1}, "numeric must be true, false or null, got 1"),
 ])
 def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, config, message):
     from susyq import cli
@@ -152,6 +160,26 @@ def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, conf
     err = capsys.readouterr().err
     assert "internal error" not in err and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("numeric, columns", [(None, 5), (False, 5), (True, 6)])
+def test_numeric_takes_a_json_boolean_or_null(tmp_path, numeric, columns):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"numeric": numeric, "r_values": [1.5]}))
+    out = tmp_path / "o"
+    r = run_cli("bs-classify", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    header = (out / "bs-classification.csv").read_text().splitlines()[0].split(",")
+    assert len(header) == columns
+
+
+def test_an_integral_float_is_a_grid_size(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"N": 65.0, "L": 8}}))
+    out = tmp_path / "o"
+    r = run_cli("potentials", "--model", "harmonic", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads((out / "potentials-meta.json").read_text())["grid"] == {"L": 8.0, "N": 65}
 
 
 def test_unknown_tolerance_names_exit_two(tmp_path):

@@ -8,12 +8,13 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyq import cli
+from susyq import cli, floattext
 
 CASES = {
     "potentials-harmonic": ["potentials", "--model", "harmonic"],
@@ -450,3 +451,17 @@ def test_repeated_cells_across_block_edges(n):
     for fmt in ("csv", "json"):
         assert_same_text(emitted_table(fmt, header, columns),
                          reference_table(fmt, header, columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tables(), repeating_tables()))
+def test_the_array_kernel_matches_the_row_writer(table):
+    """The drawn tables are shorter than floattext._KERNEL_ROWS, so the
+    tests above format their numbers in Python; here every float column
+    takes the array kernel, next to string cells that hold NUL, non-ASCII
+    and quotes."""
+    header, columns = table
+    with mock.patch.object(floattext, "_KERNEL_ROWS", 1):
+        for fmt in ("csv", "json"):
+            assert_same_text(emitted_table(fmt, header, columns),
+                             reference_table(fmt, header, columns))
