@@ -30,15 +30,17 @@ from .deform import DeformationError
 from .expr import ExprError, parse
 from .gk import (
     GKError,
+    _resolution,
+    _series,
+    _state_coefficients,
+    _walk,
     action_identity,
     build_spectrum,
-    build_state,
     gk_domain,
     lowering_defect,
     moment_density,
     normalization_K,
     pair_norm,
-    resolution_estimate,
     spectrum_from_formula,
 )
 from .models import (
@@ -49,7 +51,7 @@ from .models import (
     get_model,
     models_list,
 )
-from .numerics import Grid, PoleOnGridError, RepresentationError, inner, norm
+from .numerics import Grid, PoleOnGridError, RepresentationError, inner
 from .suites import verify_model, verify_pair
 from .susy import build_pair
 
@@ -526,23 +528,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     return [path], suite.all_pass()
 
 
-def _spectral_basis(cfg: RunConfig, grid: Grid):
-    m = get_model(cfg.model, **cfg.bind)
-    if m.phi1 is None or m.psi1 is None or m.energy is None:
-        raise ConfigError(
-            f"model {cfg.model!r} does not provide both eigenfamilies and a spectrum")
-    if cfg.n_terms < 2:
-        raise ConfigError("need at least two basis terms")
-    try:
-        phis = [m.phi1(n, grid) for n in range(cfg.n_terms)]
-        psis = [m.psi1(n, grid) for n in range(cfg.n_terms)]
-    except ModelError as e:
-        raise ConfigError(str(e)) from e
-    return m, phis, psis
-
-
 def _load_spectrum_file(path: str) -> list:
-    """JSON list of eigenvalues, each a number or an [re, im] pair."""
+    """JSON list of eigenvalues, each a finite number or an [re, im] pair of them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -554,14 +541,13 @@ def _load_spectrum_file(path: str) -> list:
         raise ConfigError("spectrum file must hold a list of two or more eigenvalues")
     energies = []
     for item in data:
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            energies.append(complex(item))
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(v, (int, float)) for v in item)):
-            energies.append(complex(item[0], item[1]))
-        else:
+        parts = item if isinstance(item, list) and len(item) == 2 else [item]
+        # no bool, NaN, infinity or integer past the float range
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and abs(v) <= sys.float_info.max for v in parts):
             raise ConfigError(
-                f"bad spectrum entry {item!r}: expected a number or [re, im]")
+                f"bad spectrum entry {item!r}: expected a finite number or [re, im]")
+        energies.append(complex(*parts))
     return energies
 
 
@@ -574,26 +560,41 @@ def _cmd_gk(cfg: RunConfig) -> list:
         # the file fixes both the eigenvalues and the basis truncation
         file_energies = _load_spectrum_file(cfg.spectrum_file)
         cfg.n_terms = len(file_energies)
-    m, phis, psis = _spectral_basis(cfg, grid)
+    m = get_model(cfg.model, **cfg.bind)
+    if m.phi1 is None or m.psi1 is None or m.energy is None:
+        raise ConfigError(
+            f"model {cfg.model!r} does not provide both eigenfamilies and a spectrum")
+    if cfg.n_terms < 2:
+        raise ConfigError("need at least two basis terms")
     energy, name, params, notes = m.energy, m.name, m.params, list(m.notes)
-    del m  # the generators' per-grid buffers are not needed past this point
     if file_energies is not None:
         s = build_spectrum(file_energies)
     else:
         s = spectrum_from_formula(energy, cfg.n_terms)
+    md = moment_density(s)
+    n_overlaps = cfg.n_terms if md.solved else 0  # read by the resolution trace only
 
+    # phi whole before psi: a level the model cannot build is reported before
+    # a norm that overflows, and the families never take turns on one generator
     try:
-        domain = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
+        phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
+            (m.phi1(n, grid) for n in range(cfg.n_terms)),
+            _state_coefficients(s, "phi", cfg.j, cfg.gamma, cfg.n_terms), inner, n_overlaps)
+        psi_norms, psi_sum, psi_overlaps, _ = _walk(
+            (m.psi1(n, grid) for n in range(cfg.n_terms)),
+            _state_coefficients(s, "psi", cfg.j, cfg.gamma, cfg.n_terms),
+            lambda _, psi: inner(psi, phi0), n_overlaps)
     except RepresentationError as e:
         raise GKError(
             "a family exceeds double range on this grid, so its norm growth "
             f"cannot be certified: {e}") from e
+    del m  # the generators' per-grid buffers are not needed past this point
+    domain = gk_domain(s, phi_norms, psi_norms)
 
     tol = cfg.tolerances.get("state", 1e-8)
-    phi_state = build_state(phis, s, "phi", j=cfg.j, gamma=cfg.gamma,
-                            tol=tol, domain=domain)
-    psi_state = build_state(psis, s, "psi", j=cfg.j, gamma=cfg.gamma,
-                            tol=tol, domain=domain)
+    phi_state, psi_state = (_series(s, family, cfg.j, cfg.gamma, tol, domain, cfg.n_terms)
+                            for family in ("phi", "psi"))
+    phi_state.function, psi_state.function = phi_sum, psi_sum
     state, partner = ((phi_state, psi_state) if cfg.family == "phi"
                       else (psi_state, phi_state))
 
@@ -626,12 +627,12 @@ def _cmd_gk(cfg: RunConfig) -> list:
     curve_path = _write_table(os.path.join(cfg.out, "gk-kcurve.csv"), ["J", "K"],
                               list(np.array(curve, dtype=float).reshape(-1, 2).T))
 
-    md = moment_density(s)
     res_header = ["stage", "gamma_limit", "j_max", "n_trunc",
                   "value_re", "value_im", "abs_error", "rel_error"]
     stages, points, res_note = [], [], None
     if md.solved:
-        rep = resolution_estimate(phis[0], phis[0], phis, psis, s, md)
+        rep = _resolution(np.array(phi_overlaps), np.array(psi_overlaps), inner(phi0, phi0),
+                          s, md)
         for stage, trace in (("gamma", rep.gamma_trace), ("j", rep.j_trace),
                              ("n", rep.n_trace)):
             stages.extend([stage] * len(trace))

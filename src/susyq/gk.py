@@ -9,7 +9,8 @@ solves the moment problem for recognized spectra, estimates how well the
 family resolves the identity (its J moments refined on nodes shared by all
 powers, each power keeping its own Simpson sum and stop test), evolves
 states in time, and realizes the gamma-dependent lowering operators under
-which each state is an eigenvector with eigenvalue sqrt(J).
+which each state is an eigenvector with eigenvalue sqrt(J).  ``_walk``
+reads a family once, level by level, so no family is held whole.
 """
 
 from __future__ import annotations
@@ -306,15 +307,39 @@ def _coefficient_vector(s: Spectrum, family: str, j: float, gamma: float,
     return out
 
 
-def _combine(basis, coefficients):
-    """Sum c_n v_n; the basis must share one log_scale array, or have none."""
-    first = basis[0]
-    if not all(_same_scale(b, first) for b in basis[1:]):
-        raise GKError("basis functions must share one log_scale; rescale to one form")
-    acc = np.zeros(first.grid.n_points, dtype=np.complex128)
-    for c, b in zip(coefficients, basis):
-        acc += c * b.values
-    return first.with_values(acc)
+def _state_coefficients(s: Spectrum, family: str, j: float, gamma: float, n: int):
+    """The n coefficients :func:`_series` forms, or None where K(J) or the
+    vector raises; ``_series`` raises the same error after its domain check."""
+    try:
+        return _coefficient_vector(s, family, j, gamma, normalization_K(s, j), n)
+    except GKError:
+        return None
+
+
+def _walk(levels, coefficients, overlap=None, n_overlaps=0):
+    """Read a family once, level by level, dropping each level once read.
+
+    Returns the levels' norms; the state sum c_n v_n over ``coefficients``,
+    added in level order on the levels' shared log_scale (None for no
+    coefficients); ``overlap(v_0, v_n)`` for the first ``n_overlaps``
+    levels; and level 0 itself.
+    """
+    norms, overlaps, first, total = [], [], None, None
+    for n, f in enumerate(levels):
+        if n == 0:
+            first = f
+            if coefficients is not None:
+                total = np.zeros(f.grid.n_points, dtype=np.complex128)
+        elif f.grid is not first.grid and not np.array_equal(f.grid.x, first.grid.x):
+            raise GKError("basis functions live on different grids")
+        elif not _same_scale(f, first):
+            raise GKError("basis functions must share one log_scale; rescale to one form")
+        norms.append(norm(f))
+        if total is not None:
+            total += coefficients[n] * f.values
+        if n < n_overlaps:
+            overlaps.append(overlap(first, f))
+    return norms, None if total is None else first.with_values(total), overlaps, first
 
 
 def _tail_bound(s: Spectrum, a: float, r: float, family: str,
@@ -350,28 +375,23 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
                 domain: GKDomain | None = None) -> GKState:
     """Truncate the coefficient series over ``basis`` and sum it on the grid.
 
-    With no explicit domain the certification is one-sided: the growth
-    bound is fitted from this basis alone and used for both slots.  The
-    basis must come with the spectrum that actually labels it; nothing here
-    re-derives the shift between partner sectors.
+    A list adapter over the family walk ``_walk``, which reads the basis
+    once.  With no explicit domain the certification is one-sided: the
+    growth bound is fitted from this basis alone and used for both slots.
+    The basis must come with the spectrum that actually labels it; nothing
+    here re-derives the shift between partner sectors.
     """
     if family not in ("phi", "psi"):
         raise GKError("family must be 'phi' or 'psi'")
     if not basis:
         raise GKError("empty basis")
-    grid = basis[0].grid
-    for b in basis[1:]:
-        if b.grid is not grid and not np.array_equal(b.grid.x, grid.x):
-            raise GKError("basis functions live on different grids")
-    j = float(j)
-    gamma = float(gamma)
-
+    j, gamma = float(j), float(gamma)
     n = min(len(basis), len(s))
+    norms, function, _, _ = _walk(basis[:n], _state_coefficients(s, family, j, gamma, n))
     if domain is None:
-        norms = [norm(b) for b in basis[:n]]
         domain = gk_domain(s, norms, norms)
     state = _series(s, family, j, gamma, tol, domain, n)
-    state.function = _combine(list(basis[:n]), state.coefficients)
+    state.function = function
     return state
 
 
@@ -598,13 +618,6 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
     limit: each level's nodes and density values are computed once, and each
     power keeps the arithmetic and stop test of a refinement of its own.
     """
-    if not md.solved:
-        raise GKError("resolution estimate needs a solved moment density")
-    if not s.multiplicity_one:
-        raise GKError(
-            f"spectrum has (near-)coincident eigenvalues (min gap {s.min_gap:.3g}); "
-            "the angle average cannot separate them"
-        )
     n = n_trunc if n_trunc is not None else min(len(phi_basis), len(psi_basis), len(s))
     if n < 2:
         raise GKError("need at least two levels")
@@ -617,6 +630,13 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
 def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensity):
     """:func:`resolution_estimate` from the overlaps <f, phi_n> and
     <psi_n, g> for n below the truncation, and the target <f, g>."""
+    if not md.solved:
+        raise GKError("resolution estimate needs a solved moment density")
+    if not s.multiplicity_one:
+        raise GKError(
+            f"spectrum has (near-)coincident eigenvalues (min gap {s.min_gap:.3g}); "
+            "the angle average cannot separate them"
+        )
     n = len(f_coeff)
     j_max = max(10.0, 40.0 * s.min_gap)
     e = s.energies[:n]

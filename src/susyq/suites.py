@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,9 +26,10 @@ import numpy as np
 from .deform import DeformationError, _basis_checks, _eigen_checks, _eigen_level
 from .expr import differentiate, evaluate, parse, to_source
 from .gk import (
-    _coefficient_vector,
     _resolution,
     _series,
+    _state_coefficients,
+    _walk,
     action_identity,
     evolve,
     gk_domain,
@@ -46,9 +48,8 @@ from .models import (
     get_model,
     pb_identities,
 )
-from .numerics import (Grid, GridFunction, NonConvergenceError, RepresentationError,
-                       _pairing_defect, biorthogonality_defect, inner, norm, relative_residual,
-                       sample)
+from .numerics import (Grid, NonConvergenceError, RepresentationError, _pairing_defect,
+                       biorthogonality_defect, inner, relative_residual, sample)
 from .reporting import CheckResult
 from .susy import (
     _doublet_checks,
@@ -292,58 +293,50 @@ def _black_scholes_sections(m, pair, grid, own_in_l2):
 
 
 def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
-    """Levels 0-25 walked once, levels 0-10 with the ladder walk's images,
-    which go to every check that reads them and are dropped; only
-    duals 0-8, which the pairing matrix pairs with every level, are held
-    whole.  The states take each level's norms, its term of both state sums
-    (in ``_combine``'s order) and its overlaps.  The sections are assembled
-    in report order; each residual is a maximum over levels, exact in any
-    order."""
+    """Levels 0-25 of each family read once by ``_walk``, phi first.  Each of
+    phi levels 0-10 comes from the ladder walk and runs its ladder checks
+    once ``_walk`` has read it; its images are then dropped.  Only duals 0-8,
+    which the pairing matrix pairs with every level, are held whole.  The
+    sections are assembled in report order; each residual is a maximum over
+    levels, exact in any order."""
     d = m.extras["deformation"]
     base = m.extras["base_eigenfunction"]
     n_basis, n_eigen, n_ops, n_res = 26, 9, 11, 12
     s = spectrum_from_formula(m.energy, n_basis)
-    # the state coefficients depend only on the spectrum and the labels
-    k = normalization_K(s, 1.0)
-    coeffs = [_coefficient_vector(s, family, 1.0, 0.4, k, n_basis) for family in ("phi", "psi")]
-    sums = [np.zeros(grid.n_points, dtype=np.complex128) for _ in coeffs]
-    norms, overlaps = ([], []), ([], [])
     psis = [m.psi1(n, grid) for n in range(n_eigen)]
     w = sample(d.w, grid).values
     pairing, eigen, inter, vectors, doublets = 0.0, [0.0] * 4, [], [], []
 
-    walk = _ladder_walk(pair, m.energy, lambda n: m.phi1(n, grid), n_ops, h2=True)
-    for n in range(n_basis):
-        lv = next(walk, None)  # levels past the walk give only their state terms
-        phi = m.phi1(n, grid) if lv is None else lv.phi
-        psi = psis[n] if n < n_eigen else m.psi1(n, grid)
-        for i, f in enumerate((phi, psi)):
-            norms[i].append(norm(f))
-            sums[i] += coeffs[i][n] * f.values
-        if n == 0:
-            phi0 = phi
-        if n < n_res:
-            overlaps[0].append(inner(phi0, phi))
-            overlaps[1].append(inner(psi, phi0))
-        if lv is None:
-            continue
-        if n < n_eigen:
-            pairing = max(pairing, _pairing_defect(psis, n, phi))
-            _eigen_level(eigen, d, pair, w, m.energy(n), phi, lv.h1, psi,
-                         base(n, grid) if n else None)
-        inter.append(_intertwine_result(lv.rec))
-        if n > 0:
-            vectors += _vector_checks(pair, f"vector {n - 1}", phi, lv.down, lv.a, lv.h1,
-                                      lv.b_down, lv.h2_down)
-            doublets += _doublet_checks(pair, n, phi, lv.down, lv.a, lv.b_down,
-                                        lv.rec.alpha, lv.rec.beta)
+    def phi_levels():
+        nonlocal pairing
+        for lv in _ladder_walk(pair, m.energy, lambda n: m.phi1(n, grid), n_ops, h2=True):
+            n, phi = lv.n, lv.phi
+            yield phi
+            if n < n_eigen:
+                pairing = max(pairing, _pairing_defect(psis, n, phi))
+                _eigen_level(eigen, d, pair, w, m.energy(n), phi, lv.h1, psis[n],
+                             base(n, grid) if n else None)
+            inter.append(_intertwine_result(lv.rec))
+            if n > 0:
+                vectors.extend(_vector_checks(pair, f"vector {n - 1}", phi, lv.down, lv.a,
+                                              lv.h1, lv.b_down, lv.h2_down))
+                doublets.extend(_doublet_checks(pair, n, phi, lv.down, lv.a, lv.b_down,
+                                                lv.rec.alpha, lv.rec.beta))
+        yield from (m.phi1(n, grid) for n in range(n_ops, n_basis))
 
-    dom = gk_domain(s, *norms)
+    # the coefficients depend only on the spectrum and the labels
+    phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
+        phi_levels(), _state_coefficients(s, "phi", 1.0, 0.4, n_basis), inner, n_res)
+    psi_norms, psi_sum, psi_overlaps, _ = _walk(
+        chain(psis, (m.psi1(n, grid) for n in range(n_eigen, n_basis))),
+        _state_coefficients(s, "psi", 1.0, 0.4, n_basis), lambda _, psi: inner(psi, phi0), n_res)
+
+    dom = gk_domain(s, phi_norms, psi_norms)
     phi, psi = (_series(s, family, 1.0, 0.4, 1e-8, dom, n_basis) for family in ("phi", "psi"))
-    phi.function, psi.function = (GridFunction(grid, v) for v in sums)
+    phi.function, psi.function = phi_sum, psi_sum
     two_step, one_step = evolve(evolve(phi, 0.3), 0.4), evolve(phi, 0.7)
     md = moment_density(s)
-    rep = _resolution(np.array(overlaps[0]), np.array(overlaps[1]), inner(phi0, phi0), s, md)
+    rep = _resolution(np.array(phi_overlaps), np.array(psi_overlaps), inner(phi0, phi0), s, md)
     errs = [p.abs_error for p in rep.gamma_trace]
     worsened = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
     widest = rep.gamma_trace[-1].rel_error
@@ -371,7 +364,7 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     ]
 
     return {
-        "deformation": _basis_checks(d, pairing, norms[0][:n_eigen], norms[1][:n_eigen]),
+        "deformation": _basis_checks(d, pairing, phi_norms[:n_eigen], psi_norms[:n_eigen]),
         "eigenfunctions": _eigen_checks(eigen),
         "intertwining": inter,
         "superalgebra": vectors + doublets,

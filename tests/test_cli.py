@@ -6,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -413,6 +415,75 @@ def test_gk_is_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_gk_matches_the_list_route_bit_for_bit(tmp_path):
+    # no frozen digest covers deformed-harmonic gk; the oracle holds both
+    # families in lists and sums, norms and pairs them from there
+    from susyq import cli
+    from susyq.gk import (_series, gk_domain, moment_density, resolution_estimate,
+                          spectrum_from_formula)
+    from susyq.models import get_model
+    from susyq.numerics import Grid, GridFunction, inner, norm
+
+    out = tmp_path / "o"
+    assert cli.main(["gk", "--model", "deformed-harmonic", "--j", "1.5", "--gamma", "0.5",
+                     "--n-terms", "20", "--grid-n", "1025", "--out", str(out)]) == 0
+    rep = read_json(out / "gk-state.json")
+
+    m, grid = get_model("deformed-harmonic"), Grid(12.0, 1025)
+    phis = [m.phi1(n, grid) for n in range(20)]
+    psis = [m.psi1(n, grid) for n in range(20)]
+    s = spectrum_from_formula(m.energy, 20)
+    domain = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
+    states, sums = [], []
+    for family, basis in (("phi", phis), ("psi", psis)):
+        states.append(_series(s, family, 1.5, 0.5, 1e-8, domain, 20))
+        acc = np.zeros(grid.n_points, dtype=np.complex128)
+        for c, b in zip(states[-1].coefficients, basis):
+            acc += c * b.values
+        sums.append(GridFunction(grid, acc))
+    # json.dumps writes each float with repr, so equal text is equal bits
+    assert json.dumps([rep["state"], rep["partner"]], sort_keys=True) == json.dumps(
+        cli._jsonable([st.payload() for st in states]), sort_keys=True)
+    assert json.dumps(rep["values"]["pair_norm_grid"]) == json.dumps(
+        cli._jsonable(inner(*sums)))
+
+    trace = resolution_estimate(phis[0], phis[0], phis, psis, s, moment_density(s))
+    want = [[stage, cli._fmt(p.gamma_limit), cli._fmt(p.j_max), str(p.n_trunc),
+             cli._fmt(p.value.real), cli._fmt(p.value.imag), cli._fmt(p.abs_error),
+             "" if p.rel_error is None else cli._fmt(p.rel_error)]
+            for stage, points in (("gamma", trace.gamma_trace), ("j", trace.j_trace),
+                                  ("n", trace.n_trace)) for p in points]
+    assert read_csv(out / "gk-resolution.csv")[1:] == want
+
+
+# gk at its widest, in the psi walk, in complex N-point arrays:
+#    2  phi_0, which the overlaps read, and the phi state sum
+#    3  psi_n, the term c_n psi_n being added, and the psi state sum
+#    2  the overlap <psi_n, phi_0>: conj(psi_n) and its weighted product
+#    1  real arrays at half size: x and the Simpson weights
+#    3  the family's own buffers: for swanson the complex Hermite ladder's two
+#       levels and its envelope (deformed-harmonic: its two multipliers and a
+#       real ladder at half size; harmonic: the real ladder alone)
+#    1  the ladder restarting on the dual rotation while its old levels live
+#   -- 12 arrays (9.2 to 12.2 measured), and 16 leaves 30% of headroom.
+#   Holding both 26-level families whole needs 52 and more (57.7 measured).
+@pytest.mark.parametrize("name", ["harmonic", "swanson", "deformed-harmonic"])
+def test_gk_peak_memory_in_grid_arrays(tmp_path, name):
+    from susyq import cli
+
+    n_points = 16385
+    # one-time set-up stays out of the count
+    assert cli.main(["gk", "--model", name, "--grid-n", "1025", "--out", str(tmp_path / "w")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["gk", "--model", name, "--grid-n", str(n_points),
+                         "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * n_points) <= 16
+
+
 def test_gk_domain_rejections_exit_four(tmp_path):
     out = str(tmp_path / "o")
     # basis too short for the requested label
@@ -450,6 +521,24 @@ def test_gk_spectrum_file_gives_a_finite_domain(tmp_path):
     r = run_cli("gk", "--model", "deformed-harmonic", "--spectrum-file",
                 str(bad), "--out", str(tmp_path / "o3"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("entries", [
+    [[True, 0], 2, 4],  # a bool inside a pair, as a top-level bool, is no number
+    [0, [2, False], 4],
+    [0, float("nan"), 4],  # json writes NaN and Infinity, and reads them back
+    [0, 2, [4, float("-inf")]],
+    [0, 10**400, 4],  # an integer that no double holds
+], ids=["bool-re", "bool-im", "nan", "infinity", "huge-integer"])
+def test_gk_spectrum_file_refuses_bools_and_non_finite_numbers(tmp_path, capsys, entries):
+    from susyq import cli
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(entries))
+    assert cli.main(["gk", "--model", "harmonic", "--spectrum-file", str(spec),
+                     "--grid-n", "257", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("susyq: bad spectrum entry")
 
 
 def test_gk_needs_a_model(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyq.expr import parse
-from susyq.gk import GKError, _combine
+from susyq.gk import GKError, _walk
 from susyq.models import get_model
 from susyq.numerics import (
     DecayFit,
@@ -179,8 +179,8 @@ def test_mismatched_scales_are_rejected():
     with pytest.raises(ValueError):
         relative_residual(plain, shifted)
     with pytest.raises(GKError):
-        _combine([plain, scaled], np.array([1.0, 1.0]))
-    assert _combine([scaled, scaled], np.array([1.0, 2.0])).log_scale is scaled.log_scale
+        _walk([plain, scaled], np.array([1.0, 1.0]))
+    assert _walk([scaled, scaled], np.array([1.0, 2.0]))[1].log_scale is scaled.log_scale
 
 
 def test_scalar_products_keep_the_operand_order():

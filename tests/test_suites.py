@@ -143,14 +143,14 @@ def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
 #    9  pair samples (w_a, w_b, their slopes, q1, v1, v2 and both duals)
 #    2  deformation multipliers e^q and e^{-conj q}
 #    9  duals psi_0..psi_8, which the pairing matrix pairs with every level
-#    3  the two state sums and phi_0, which the overlaps read
+#    2  the phi state sum and phi_0, which the psi walk's overlaps read
 #    2  phi_n and the samples of the base superpotential, which lowers e_n
 #    7  A, H1, B and H2 of phi_n; phi_{n-1} with its B and H2 images
 #    3  real arrays at half size: x, Simpson weights, the Hermite ladder's two
 #       levels and its envelope
 #    7  one superalgebra vector's own work: its four second-level images,
 #       A H1 phi_n, and the norm rows and pass buffers
-#   -- 42 arrays (42.6 measured), and 48 leaves 15% of headroom.  Holding
+#   -- 41 arrays (40.6 measured), and 48 leaves 18% of headroom.  Holding
 #   levels 0-10 of both families through every section needs 72.
 @pytest.mark.parametrize("name, limit", [("deformed-harmonic", 48), ("pseudo-bosonic", 50)])
 def test_suite_peak_memory_in_grid_arrays(name, limit):
