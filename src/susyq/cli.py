@@ -392,16 +392,40 @@ def _rows(literals, cells) -> np.ndarray:
 
 
 def _blocks(columns):
-    """The table in slices of _BLOCK_ROWS rows, each a list of column slices."""
+    """The table in slices of _BLOCK_ROWS rows, each a list of column slices;
+    a column given twice is sliced once, so its two slices are one object."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        yield [col[start:start + _BLOCK_ROWS] for col in columns]
+        part = {id(col): col[start:start + _BLOCK_ROWS] for col in columns}
+        yield [part[id(col)] for col in columns]
+
+
+def _block_rows(literals, block, style: str):
+    """``_rows`` of one block, after the two column rules of ``_write_table``."""
+    one_column = len(block) == 1
+    merged, cells, floats = [literals[0]], [], []
+    for col, literal in zip(block, literals[1:]):
+        bits = col.view(np.uint64) if isinstance(col, np.ndarray) else None
+        # str == bool never holds, so equal str or bool cells share a type too
+        if (bits == bits[0]).all() if bits is not None else col.count(col[0]) == len(col):
+            cell = _rows([b"", b""], [_column_cells(col[:1], style, one_column)])
+            merged[-1] += cell.tobytes() + literal
+            continue
+        if bits is None:
+            cells.append(_column_cells(col, style, one_column))
+        else:
+            same = [c for prev, b, c in floats
+                    if prev is col or b[0] == bits[0] and np.array_equal(b, bits)]
+            cells.append(same[0] if same else _column_cells(col, style, one_column))
+            floats.append((col, bits, cells[-1]))
+        merged.append(literal)
+    return _rows(merged, cells) if cells else merged[0] * len(block[0])
 
 
 def _write_csv_table(fh, header, columns) -> None:
     fh.write(((",".join(map(_csv_text, header)) or '""') + "\n").encode("utf-8"))
     literals = [b""] + [b","] * (len(header) - 1) + [b"\n"]
     for block in _blocks(columns):
-        fh.write(_rows(literals, [_column_cells(c, "csv", len(block) == 1) for c in block]))
+        fh.write(_block_rows(literals, block, "csv"))
 
 
 def _write_json_table(fh, header, columns) -> None:
@@ -418,7 +442,7 @@ def _write_json_table(fh, header, columns) -> None:
     skip = 1  # the first row's comma
     fh.write(b"[")
     for block in _blocks(columns):
-        fh.write(_rows(literals, [_column_cells(block[j], "json", False) for j in order])[skip:])
+        fh.write(_block_rows(literals, [block[j] for j in order], "json")[skip:])
         skip = 0
     fh.write(b"\n]\n")
 
@@ -426,11 +450,13 @@ def _write_json_table(fh, header, columns) -> None:
 def _write_table(path: str, header, columns) -> str:
     """One table as CSV, or as a JSON list of row objects for a .json path.
 
-    ``columns`` holds one entry per header name: a 1-D float array for a
+    ``columns`` holds one entry per header name: a 1-D float64 array for a
     numeric column, a list of str or bool otherwise.  Each block of
     ``_BLOCK_ROWS`` rows is formatted a column at a time and written in one
-    piece.  The numbers are the text of ``"{:.17g}".format`` in CSV and of
-    ``repr`` in JSON, byte for byte.
+    piece.  A column constant over a block, floats bit for bit, is formatted
+    once and folded into the text between cells; a float column bitwise
+    equal to an earlier one reuses its cells.  The numbers are the text of
+    ``"{:.17g}".format`` in CSV and of ``repr`` in JSON, byte for byte.
     """
     write = _write_json_table if path.endswith(".json") else _write_csv_table
     with open(path, "wb") as fh:
@@ -789,7 +815,11 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         if cfg.command != "models-list":
-            os.makedirs(cfg.out, exist_ok=True)
+            try:
+                os.makedirs(cfg.out, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(
+                    f"cannot create output directory {cfg.out!r}: {e.strerror}") from e
         if cfg.command == "verify":
             paths, passed = _cmd_verify(cfg)
             code = _EXIT_OK if passed else _EXIT_VERIFY_FAILED

@@ -91,9 +91,16 @@ class SuperpotentialPair:
     _SAMPLED = ("w_a", "w_b", "dw_a", "dw_b", "q1", "v1", "v2", "v1_dual", "v2_dual")
 
     def samples(self, grid: Grid) -> dict:
-        """Potential and superpotential arrays on the grid, cached."""
+        """Potential and superpotential arrays on the grid, cached and
+        read-only; fields that hold one expression object share one array."""
         if grid not in self._cache:
-            self._cache[grid] = {name: sample(getattr(self, name), grid).values
+            by_expr = {}
+            for name in self._SAMPLED:
+                e = getattr(self, name)
+                if id(e) not in by_expr:
+                    by_expr[id(e)] = sample(e, grid).values
+                    by_expr[id(e)].flags.writeable = False
+            self._cache[grid] = {name: by_expr[id(getattr(self, name))]
                                  for name in self._SAMPLED}
         return self._cache[grid]
 

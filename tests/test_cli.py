@@ -220,6 +220,17 @@ def test_internal_error_prints_its_traceback(monkeypatch, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")])
+def test_an_out_path_through_a_file_is_a_configuration_error(tmp_path, sub, reason):
+    blocker = tmp_path / "f"
+    blocker.write_text("kept\n")
+    out = str(blocker / sub) if sub else str(blocker)
+    r = run_cli("potentials", "--wA", "x", "--wB", "x", "--out", out)
+    assert r.returncode == 2
+    assert r.stderr == f"susyq: cannot create output directory {out!r}: {reason}\n"
+    assert r.stdout == "" and blocker.read_text() == "kept\n"
+
+
 def test_verify_model_passes_and_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("verify", "--model", "harmonic", "--out", str(out1))

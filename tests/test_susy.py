@@ -74,6 +74,26 @@ def test_opposite_superpotentials_share_potentials():
     assert np.max(np.abs(s["v1"] - s["v2"])) < 1e-14
 
 
+def test_a_field_repeated_in_a_pair_is_sampled_once(monkeypatch):
+    from susyq import numerics
+    from susyq.models import get_model
+
+    p = get_model("black-scholes", r=-0.7).pair  # v2_dual is v2's expression
+    assert p.v2_dual is p.v2
+    grid = Grid(12.0, 4097)
+    calls = []
+    evaluate_array = numerics.evaluate_array
+    monkeypatch.setattr(numerics, "evaluate_array",
+                        lambda e, x: calls.append(e) or evaluate_array(e, x))
+    s = p.samples(grid)
+    assert len(calls) == 8
+    assert s["v2_dual"] is s["v2"] and not s["v2"].flags.writeable
+    monkeypatch.undo()
+    for name in p._SAMPLED:
+        want = sample(getattr(p, name), grid).values
+        assert np.array_equal(s[name].view(np.uint64), want.view(np.uint64)), name
+
+
 def test_potential_identity_residual_small_for_models():
     g = default_grid()
     assert potential_identity_residual(harmonic_pair(), g) < 1e-12

@@ -465,3 +465,96 @@ def test_the_array_kernel_matches_the_row_writer(table):
         for fmt in ("csv", "json"):
             assert_same_text(emitted_table(fmt, header, columns),
                              reference_table(fmt, header, columns))
+
+
+# ---------------------------------------------------------------------------
+# constant columns, folded into the row literals, and repeated float
+# columns, which reuse the cells of an earlier one
+
+_NAN_PAYLOAD = _float_with_bits(0x7FF8000000000001)
+_CONSTANT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), _NAN_PAYLOAD, float("inf"), float("-inf"),
+                     5e-324]),
+    st.floats(width=64),
+)
+_CONSTANT_TEXT = st.one_of(st.sampled_from(["", ",", '"', "\r", "\n", "\x00", 'a,"b"\r\n']),
+                           _TEXT)
+# the bits of each value that has a partner differing from it only in a
+# zero's sign or a NaN's payload, and that partner
+_PARTNER = {np.float64(v).view(np.uint64).item(): w
+            for v, w in [(0.0, -0.0), (-0.0, 0.0), (float("nan"), _NAN_PAYLOAD),
+                         (_NAN_PAYLOAD, float("nan"))]}
+
+
+@st.composite
+def column_rule_tables(draw):
+    """(header, columns) whose columns are constant, repeat an earlier float
+    column bit for bit, differ from one only in a zero's sign or a NaN
+    payload, or vary; row counts straddle the kernel's and the block's
+    thresholds."""
+    n_rows = draw(st.sampled_from([1, 2, floattext._KERNEL_ROWS - 1, floattext._KERNEL_ROWS,
+                                   floattext._KERNEL_ROWS + 1, cli._BLOCK_ROWS - 1,
+                                   cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1]))
+    n_cols = draw(st.integers(1, 5))
+    header = draw(st.lists(_TEXT, min_size=n_cols, max_size=n_cols, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(n_cols):
+        floats = [c for c in columns if isinstance(c, np.ndarray)]
+        kind = draw(st.sampled_from(["constant", "varied"]
+                                    + ["repeat", "near repeat"] * bool(floats)))
+        if kind == "constant":
+            value = draw(st.one_of(_CONSTANT_FLOATS, _CONSTANT_TEXT, st.booleans()))
+            col = np.full(n_rows, value) if isinstance(value, float) else [value] * n_rows
+        elif kind == "varied" and draw(st.booleans()):
+            pool = draw(st.lists(_CONSTANT_TEXT, min_size=2, max_size=4, unique=True))
+            col = [pool[i] for i in rng.integers(len(pool), size=n_rows)]
+        elif kind == "varied":
+            pool = np.array(draw(st.lists(_POOL_FLOATS, min_size=1, max_size=4))
+                            + [0.0, -0.0, float("nan"), _NAN_PAYLOAD])
+            col = np.where(rng.random(n_rows) < 0.5, pool[rng.integers(len(pool), size=n_rows)],
+                           rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows))
+        else:
+            base = draw(st.sampled_from(floats))
+            col = base if kind == "repeat" and draw(st.booleans()) else base.copy()
+            if kind == "near repeat":
+                # flip some of the base's zeros and NaNs, or plant one pair
+                bits = base.view(np.uint64)
+                rows = np.flatnonzero(np.isin(bits, list(_PARTNER)))
+                if not len(rows):
+                    rows = [draw(st.integers(0, n_rows - 1))]
+                    base[rows[0]] = draw(st.sampled_from([0.0, -0.0, float("nan")]))
+                for i in rows[:draw(st.integers(1, len(rows)))]:
+                    col[i] = _PARTNER[int(bits[i])]
+        columns.append(col)
+    return header, columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(column_rule_tables())
+def test_constant_and_repeated_columns_match_the_row_writer(table):
+    header, columns = table
+    want = {fmt: reference_table(fmt, header, columns) for fmt in ("csv", "json")}
+    for kernel_rows in (floattext._KERNEL_ROWS, 1):
+        with mock.patch.object(floattext, "_KERNEL_ROWS", kernel_rows):
+            for fmt in ("csv", "json"):
+                assert_same_text(emitted_table(fmt, header, columns), want[fmt])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_constant_column_is_formatted_once_a_block_and_a_repeat_never(fmt):
+    n = 2 * cli._BLOCK_ROWS + 5
+    x = np.linspace(-1.0, 1.0, n)
+    header = ["a_x", "b_constant", "c_repeat"]
+    columns = [x, np.full(n, 0.1), x.copy()]
+    rows = []
+    cells = floattext.cells
+
+    def counted(values, style):
+        rows.append(len(values))
+        return cells(values, style)
+
+    with mock.patch.object(floattext, "cells", counted):
+        got = emitted_table(fmt, header, columns)
+    assert rows == [cli._BLOCK_ROWS, 1, cli._BLOCK_ROWS, 1, 5, 1]
+    assert_same_text(got, reference_table(fmt, header, columns))
