@@ -30,18 +30,14 @@ from .deform import DeformationError
 from .expr import ExprError, parse
 from .gk import (
     GKError,
-    _resolution,
-    _series,
-    _state_coefficients,
-    _walk,
     action_identity,
     build_spectrum,
-    gk_domain,
     lowering_defect,
     moment_density,
     normalization_K,
     pair_norm,
     spectrum_from_formula,
+    state_pair,
 )
 from .models import (
     ModelError,
@@ -63,7 +59,6 @@ _EXIT_CONFIG = 2
 _EXIT_POLE = 3
 _EXIT_DOMAIN = 4
 
-_R_VALUES_DEFAULT = (2.0, 1.0, 0.5, -0.5, -1.0, -2.0)
 _TOLERANCE_NAMES = ("state",)  # the named tolerances some command reads
 # config keys that hold a string; null, where allowed, means the key is not given
 _STRING_KEYS = ("model", "wA", "wB", "out", "format", "family", "spectrum_file",
@@ -101,7 +96,7 @@ class RunConfig:
     spectrum_file: str | None = None
     normalization: str = "raw"
     perturb_wb: str | None = None
-    r_values: tuple = _R_VALUES_DEFAULT
+    r_values: tuple = (2.0, 1.0, 0.5, -0.5, -1.0, -2.0)
     numeric: bool = False
 
     def grid(self) -> Grid:
@@ -187,7 +182,7 @@ def _merge_config(args) -> RunConfig:
         except ValueError as e:
             raise ConfigError(f"SUSYQ_GRID_N is not an integer: {e}") from e
     else:
-        grid_n = grid_cfg.get("N", 4097)
+        grid_n = grid_cfg.get("N", RunConfig.grid_n)
 
     bind = section("bind")
     for token in getattr(args, "bind", None) or []:
@@ -208,23 +203,21 @@ def _merge_config(args) -> RunConfig:
         raise ConfigError(f"bad tolerance value: {e}") from e
 
     r_values = pick("r_values", "r_values", None)
-    if r_values is None:
-        r_values = _R_VALUES_DEFAULT
-    else:
-        if isinstance(r_values, str):
-            r_values = [t for t in r_values.split(",") if t.strip()]
-        elif not isinstance(r_values, list):
-            raise ConfigError("r_values must be a list of numbers or a comma-separated string")
-        r_values = tuple(_number(float, "r_values entry", t) for t in r_values)
+    if isinstance(r_values, str):
+        r_values = [t for t in r_values.split(",") if t.strip()]
+    elif r_values is not None and not isinstance(r_values, list):
+        raise ConfigError("r_values must be a list of numbers or a comma-separated string")
+    r_values = (RunConfig.r_values if r_values is None
+                else tuple(_number(float, "r_values entry", t) for t in r_values))
 
     numeric = pick("numeric", "numeric", None)
     if numeric is not None and not isinstance(numeric, bool):
         raise ConfigError(f"numeric must be true, false or null, got {numeric!r}")
 
-    fmt = pick("fmt", "format", "csv")
+    fmt = pick("fmt", "format", RunConfig.fmt)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r} (csv or json)")
-    family = pick("family", "family", "phi")
+    family = pick("family", "family", RunConfig.family)
     if family not in ("phi", "psi"):
         raise ConfigError(f"unknown state family {family!r} (phi or psi)")
 
@@ -234,18 +227,18 @@ def _merge_config(args) -> RunConfig:
         w_a=pick("wA", "wA", None),
         w_b=pick("wB", "wB", None),
         bind=bind,
-        grid_l=_number(float, "grid.L", pick("grid_l", "L", 12.0, grid_cfg)),
+        grid_l=_number(float, "grid.L", pick("grid_l", "L", RunConfig.grid_l, grid_cfg)),
         grid_n=_integer("grid.N", grid_n),
         tolerances=tolerances,
-        out=pick("out", "out", "susyq-out"),
+        out=pick("out", "out", RunConfig.out),
         fmt=fmt,
-        j=_finite("J", pick("j", "J", 1.0)),
-        gamma=_finite("gamma", pick("gamma", "gamma", 0.0)),
+        j=_finite("J", pick("j", "J", RunConfig.j)),
+        gamma=_finite("gamma", pick("gamma", "gamma", RunConfig.gamma)),
         family=family,
-        n_terms=_integer("n_terms", pick("n_terms", "n_terms", 26)),
+        n_terms=_integer("n_terms", pick("n_terms", "n_terms", RunConfig.n_terms)),
         j_max=pick("j_max", "j_max", None),
         spectrum_file=pick("spectrum_file", "spectrum_file", None),
-        normalization=pick("normalization", "normalization", "raw"),
+        normalization=pick("normalization", "normalization", RunConfig.normalization),
         perturb_wb=pick("perturb_wb", "perturb_wb", None),
         r_values=r_values,
         numeric=bool(numeric),
@@ -593,34 +586,18 @@ def _cmd_gk(cfg: RunConfig) -> list:
     if cfg.n_terms < 2:
         raise ConfigError("need at least two basis terms")
     energy, name, params, notes = m.energy, m.name, m.params, list(m.notes)
-    if file_energies is not None:
-        s = build_spectrum(file_energies)
-    else:
-        s = spectrum_from_formula(energy, cfg.n_terms)
-    md = moment_density(s)
-    n_overlaps = cfg.n_terms if md.solved else 0  # read by the resolution trace only
-
-    # phi whole before psi: a level the model cannot build is reported before
-    # a norm that overflows, and the families never take turns on one generator
+    s = (spectrum_from_formula(energy, cfg.n_terms) if file_energies is None
+         else build_spectrum(file_energies))
     try:
-        phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
-            (m.phi1(n, grid) for n in range(cfg.n_terms)),
-            _state_coefficients(s, "phi", cfg.j, cfg.gamma, cfg.n_terms), inner, n_overlaps)
-        psi_norms, psi_sum, psi_overlaps, _ = _walk(
+        phi_state, psi_state, domain, _, _, rep = state_pair(
+            s, (m.phi1(n, grid) for n in range(cfg.n_terms)),
             (m.psi1(n, grid) for n in range(cfg.n_terms)),
-            _state_coefficients(s, "psi", cfg.j, cfg.gamma, cfg.n_terms),
-            lambda _, psi: inner(psi, phi0), n_overlaps)
+            cfg.j, cfg.gamma, cfg.tolerances.get("state", 1e-8), cfg.n_terms)
     except RepresentationError as e:
         raise GKError(
             "a family exceeds double range on this grid, so its norm growth "
             f"cannot be certified: {e}") from e
     del m  # the generators' per-grid buffers are not needed past this point
-    domain = gk_domain(s, phi_norms, psi_norms)
-
-    tol = cfg.tolerances.get("state", 1e-8)
-    phi_state, psi_state = (_series(s, family, cfg.j, cfg.gamma, tol, domain, cfg.n_terms)
-                            for family in ("phi", "psi"))
-    phi_state.function, psi_state.function = phi_sum, psi_sum
     state, partner = ((phi_state, psi_state) if cfg.family == "phi"
                       else (psi_state, phi_state))
 
@@ -633,12 +610,8 @@ def _cmd_gk(cfg: RunConfig) -> list:
 
     # the curve depends only on the spectrum, so extend it past the basis
     # when a level formula is available; a file spectrum is all there is
-    if file_energies is None:
-        n_curve = max(cfg.n_terms, 60)
-        curve_s = spectrum_from_formula(energy, n_curve)
-    else:
-        n_curve = cfg.n_terms
-        curve_s = s
+    n_curve = max(cfg.n_terms, 60) if file_energies is None else cfg.n_terms
+    curve_s = s if n_curve == cfg.n_terms else spectrum_from_formula(energy, n_curve)
     j_upper = cfg.j_max
     if j_upper is None:
         j_upper = domain.j_min if math.isfinite(domain.j_min) else 10.0
@@ -656,16 +629,13 @@ def _cmd_gk(cfg: RunConfig) -> list:
     res_header = ["stage", "gamma_limit", "j_max", "n_trunc",
                   "value_re", "value_im", "abs_error", "rel_error"]
     stages, points, res_note = [], [], None
-    if md.solved:
-        rep = _resolution(np.array(phi_overlaps), np.array(psi_overlaps), inner(phi0, phi0),
-                          s, md)
-        for stage, trace in (("gamma", rep.gamma_trace), ("j", rep.j_trace),
-                             ("n", rep.n_trace)):
-            stages.extend([stage] * len(trace))
-            points.extend(trace)
-    else:
+    if rep is None:
         res_note = ("no closed-form action density for this spectrum; "
                     "the overcompleteness trace is skipped")
+    else:
+        for stage, trace in (("gamma", rep.gamma_trace), ("j", rep.j_trace), ("n", rep.n_trace)):
+            stages.extend([stage] * len(trace))
+            points.extend(trace)
     nums = np.array([(p.gamma_limit, p.j_max, p.value.real, p.value.imag, p.abs_error)
                      for p in points], dtype=float).reshape(-1, 5).T
     res_path = _write_table(os.path.join(cfg.out, "gk-resolution.csv"), res_header, [
@@ -708,8 +678,8 @@ def _cmd_gk(cfg: RunConfig) -> list:
         "k_curve": {"file": os.path.basename(curve_path),
                     "j_max": j_upper, "n_terms": n_curve,
                     "note": curve_note},
-        "resolution": {"file": os.path.basename(res_path), "solved": md.solved,
-                       "density": md.label, "note": res_note},
+        "resolution": {"file": os.path.basename(res_path), "solved": rep is not None,
+                       "density": moment_density(s).label, "note": res_note},
         "notes": notes,
     }
     state_path = os.path.join(cfg.out, "gk-state.json")
@@ -752,14 +722,14 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--bind", action="append", metavar="NAME=VALUE",
                         help="parameter binding; repeatable")
     shared.add_argument("--grid-l", type=float, dest="grid_l",
-                        help="grid half-width L (default 12)")
+                        help=f"grid half-width L (default {RunConfig.grid_l:g})")
     shared.add_argument("--grid-n", type=int, dest="grid_n",
-                        help="grid points N (default 4097; env SUSYQ_GRID_N)")
+                        help=f"grid points N (default {RunConfig.grid_n}; env SUSYQ_GRID_N)")
     shared.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="named tolerance override; repeatable")
-    shared.add_argument("--out", help="output directory (default susyq-out)")
+    shared.add_argument("--out", help=f"output directory (default {RunConfig.out})")
     shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help="table format (default csv)")
+                        help=f"table format (default {RunConfig.fmt})")
 
     parser = argparse.ArgumentParser(
         prog="susyq",
@@ -773,19 +743,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vacua", parents=[shared],
                        help="factor vacua with decay and integrability report")
     p.add_argument("--normalization", choices=("raw", "unit", "paired"),
-                   help="vacuum normalization policy (default raw)")
+                   help=f"vacuum normalization policy (default {RunConfig.normalization})")
     p = sub.add_parser("verify", parents=[shared],
                        help="run the model's verification suite")
     p.add_argument("--perturb-wb", dest="perturb_wb", metavar="EXPR",
                    help="add EXPR to the second superpotential (negative test)")
     p = sub.add_parser("gk", parents=[shared],
                        help="build a bicoherent state pair and its reports")
-    p.add_argument("--j", type=float, help="action label J (default 1)")
-    p.add_argument("--gamma", type=float, help="angle label (default 0)")
+    p.add_argument("--j", type=float, help=f"action label J (default {RunConfig.j:g})")
+    p.add_argument("--gamma", type=float, help=f"angle label (default {RunConfig.gamma:g})")
     p.add_argument("--family", choices=("phi", "psi"),
-                   help="which family the state report features (default phi)")
+                   help=f"which family the state report features (default {RunConfig.family})")
     p.add_argument("--n-terms", type=int, dest="n_terms",
-                   help="basis truncation (default 26)")
+                   help=f"basis truncation (default {RunConfig.n_terms})")
     p.add_argument("--j-max", type=float, dest="j_max",
                    help="upper end of the K(J) curve (default min(J_min, 10))")
     p.add_argument("--spectrum-file", dest="spectrum_file", metavar="PATH",

@@ -9,8 +9,10 @@ solves the moment problem for recognized spectra, estimates how well the
 family resolves the identity (its J moments refined on nodes shared by all
 powers, each power keeping its own Simpson sum and stop test), evolves
 states in time, and realizes the gamma-dependent lowering operators under
-which each state is an eigenvector with eigenvalue sqrt(J).  ``_walk``
-reads a family once, level by level, so no family is held whole.
+which each state is an eigenvector with eigenvalue sqrt(J).  ``state_pair``
+is the whole construction for one (J, gamma): it reads each family once,
+level by level, so no family is held whole, and returns both states, their
+domain and the resolution trace.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "ResolutionPoint",
     "ResolutionReport",
     "resolution_estimate",
+    "state_pair",
     "evolve",
     "action_identity",
     "lowering_action",
@@ -390,15 +393,13 @@ def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
     norms, function, _, _ = _walk(basis[:n], _state_coefficients(s, family, j, gamma, n))
     if domain is None:
         domain = gk_domain(s, norms, norms)
-    state = _series(s, family, j, gamma, tol, domain, n)
-    state.function = function
-    return state
+    return _series(s, family, j, gamma, tol, domain, n, function)
 
 
 def _series(s: Spectrum, family: str, j: float, gamma: float, tol: float,
-            domain: GKDomain, n: int) -> GKState:
-    """The state's n-term coefficient series and certified tail, with no
-    grid function: the coefficients depend only on (s, J, gamma, K)."""
+            domain: GKDomain, n: int, function: GridFunction | None = None) -> GKState:
+    """The state's n-term coefficient series and certified tail, carrying the
+    grid sum ``function``: the coefficients depend only on (s, J, gamma, K)."""
     if not j < domain.j_min:
         raise GKError(
             f"J={j:g} is outside the certified domain J_min={domain.j_min:g}"
@@ -413,7 +414,7 @@ def _series(s: Spectrum, family: str, j: float, gamma: float, tol: float,
             f"requested tolerance {tol:g}"
         )
     return GKState(family=family, j=j, gamma=gamma, n_terms=n, k=k, coefficients=coeffs,
-                   tail=float(tail), function=None, spectrum=s, domain=domain, build_tol=tol)
+                   tail=float(tail), function=function, spectrum=s, domain=domain, build_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +671,35 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
     return ResolutionReport(target=target, estimate=gamma_trace[-1].value,
                             gamma_trace=tuple(gamma_trace), j_trace=tuple(j_trace),
                             n_trace=tuple(n_trace))
+
+
+# ---------------------------------------------------------------------------
+# the bicoherent pair
+
+def state_pair(s: Spectrum, phi_levels, psi_levels, j: float, gamma: float, tol: float,
+               n_overlaps: int) -> tuple:
+    """Both states at (J, gamma) over len(s) levels of each family, given as
+    iterables and read by ``_walk``, phi whole before psi: a level the model
+    cannot build is reported before a norm that overflows.  Returns (phi
+    state, psi state, domain, phi norms, psi norms, trace); the trace, of
+    <phi_0, phi_0> over the first ``n_overlaps`` (at least two) levels, is
+    None, and no overlap is formed, when ``moment_density(s)`` is unsolved.
+    """
+    n = len(s)
+    md = moment_density(s)
+    n_overlaps = n_overlaps if md.solved else 0
+    phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
+        phi_levels, _state_coefficients(s, "phi", j, gamma, n), inner, n_overlaps)
+    psi_norms, psi_sum, psi_overlaps, _ = _walk(
+        psi_levels, _state_coefficients(s, "psi", j, gamma, n),
+        lambda _, psi: inner(psi, phi0), n_overlaps)
+    domain = gk_domain(s, phi_norms, psi_norms)
+    phi, psi = (_series(s, family, j, gamma, tol, domain, n, function)
+                for family, function in (("phi", phi_sum), ("psi", psi_sum)))
+    # the first phi overlap is the target <phi_0, phi_0>
+    trace = (_resolution(np.array(phi_overlaps), np.array(psi_overlaps), phi_overlaps[0], s, md)
+             if md.solved else None)
+    return phi, psi, domain, phi_norms, psi_norms, trace
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ Each suite builds each of the record's families once and hands the same
 lists to every section; the second sector is read as the first one level
 down.  The three ladder suites read one level walk, ``_ladder_walk``, in
 which one stencil pass per level carrier forms every image the level's
-checks read.  A user pair runs the same runner with no sections of its
-own.  The verify command renders these reports and turns them into exit
-codes.
+checks read; the deformed-harmonic suite feeds that walk's levels to
+``gk.state_pair``, the step the ``gk`` command builds its states with.  A
+user pair runs the same runner with no sections of its own.  The verify
+command renders these reports and turns them into exit codes.
 """
 
 from __future__ import annotations
@@ -26,19 +27,15 @@ import numpy as np
 from .deform import DeformationError, _basis_checks, _eigen_checks, _eigen_level
 from .expr import differentiate, evaluate, parse, to_source
 from .gk import (
-    _resolution,
-    _series,
-    _state_coefficients,
-    _walk,
     action_identity,
     evolve,
-    gk_domain,
     lowering_defect,
     moment_density,
     moment_residuals,
     normalization_K,
     pair_norm,
     spectrum_from_formula,
+    state_pair,
 )
 from .models import (
     ModelError,
@@ -293,12 +290,12 @@ def _black_scholes_sections(m, pair, grid, own_in_l2):
 
 
 def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
-    """Levels 0-25 of each family read once by ``_walk``, phi first.  Each of
-    phi levels 0-10 comes from the ladder walk and runs its ladder checks
-    once ``_walk`` has read it; its images are then dropped.  Only duals 0-8,
-    which the pairing matrix pairs with every level, are held whole.  The
-    sections are assembled in report order; each residual is a maximum over
-    levels, exact in any order."""
+    """Levels 0-25 of each family read once by ``state_pair``, phi first.
+    Each of phi levels 0-10 comes from the ladder walk and runs its ladder
+    checks once the pair step has read it; its images are then dropped.
+    Only duals 0-8, which the pairing matrix pairs with every level, are
+    held whole.  The sections are assembled in report order; each residual
+    is a maximum over levels, exact in any order."""
     d = m.extras["deformation"]
     base = m.extras["base_eigenfunction"]
     n_basis, n_eigen, n_ops, n_res = 26, 9, 11, 12
@@ -324,19 +321,10 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
                                                 lv.rec.alpha, lv.rec.beta))
         yield from (m.phi1(n, grid) for n in range(n_ops, n_basis))
 
-    # the coefficients depend only on the spectrum and the labels
-    phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
-        phi_levels(), _state_coefficients(s, "phi", 1.0, 0.4, n_basis), inner, n_res)
-    psi_norms, psi_sum, psi_overlaps, _ = _walk(
-        chain(psis, (m.psi1(n, grid) for n in range(n_eigen, n_basis))),
-        _state_coefficients(s, "psi", 1.0, 0.4, n_basis), lambda _, psi: inner(psi, phi0), n_res)
-
-    dom = gk_domain(s, phi_norms, psi_norms)
-    phi, psi = (_series(s, family, 1.0, 0.4, 1e-8, dom, n_basis) for family in ("phi", "psi"))
-    phi.function, psi.function = phi_sum, psi_sum
+    phi, psi, _, phi_norms, psi_norms, rep = state_pair(
+        s, phi_levels(), chain(psis, (m.psi1(n, grid) for n in range(n_eigen, n_basis))),
+        1.0, 0.4, 1e-8, n_res)
     two_step, one_step = evolve(evolve(phi, 0.3), 0.4), evolve(phi, 0.7)
-    md = moment_density(s)
-    rep = _resolution(np.array(phi_overlaps), np.array(psi_overlaps), inner(phi0, phi0), s, md)
     errs = [p.abs_error for p in rep.gamma_trace]
     worsened = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
     widest = rep.gamma_trace[-1].rel_error
@@ -356,7 +344,7 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
             float(np.max(np.abs(two_step.coefficients - one_step.coefficients))), 1e-12),
         CheckResult.from_residual("states are lowering-operator eigenvectors",
                                   lowering_defect(phi), 1e-8),
-        *moment_residuals(s, md, n_max=10),
+        *moment_residuals(s, moment_density(s), n_max=10),
         CheckResult("identity-resolution error improves along the angle-window trace",
                     float(worsened), 2.0, worsened <= 1),
         CheckResult.from_residual("identity-resolution error at the widest window",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, ExprError, conjugate, differentiate, evaluate
+from .expr import EvalDomainError, Expr, ExprError, conjugate, differentiate, evaluate_array
 from .numerics import (
     DecayFit,
     Grid,
@@ -114,6 +114,9 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
     Checks, at scattered sample points away from declared singularities:
     V2 - V1 = wA' + wB', and the dual potentials against conj(V_j) - conj(q1').
     These guard the symbolic assembly; they cannot fail for well-formed input.
+    Each field is evaluated once, on all the points; a point where any field
+    is not finite is skipped, and the first failing point in draw order is
+    the one reported.
 
     ``simplified`` optionally maps field names (q1, v1, v2, v1_dual, v2_dual)
     to algebraically reduced expressions.  Each is verified against the
@@ -126,37 +129,37 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
     unknown = set(simplified) - {"q1", "v1", "v2", "v1_dual", "v2_dual"}
     if unknown:
         raise ValueError(f"cannot simplify unknown fields {sorted(unknown)}")
-    dq1 = differentiate(p.q1)
-    rng = np.random.default_rng(20260822)
-    pts = rng.uniform(-8.0, 8.0, size=50)
-    checked = 0
-    for x in pts:
-        if any(abs(x - s) < 0.05 for s in p.singular_points):
-            continue
-        try:
-            v1 = evaluate(p.v1, x)
-            v2 = evaluate(p.v2, x)
-            slope_sum = evaluate(p.dw_a, x) + evaluate(p.dw_b, x)
-            d1 = evaluate(p.v1_dual, x)
-            d2 = evaluate(p.v2_dual, x)
-            dq = evaluate(dq1, x)
-            reduced = {name: evaluate(e, x) for name, e in simplified.items()}
-        except EvalDomainError:
-            continue
-        scale = max(abs(v1), abs(v2), abs(slope_sum), 1.0)
-        if abs((v2 - v1) - slope_sum) > 1e-9 * scale:
-            raise ValueError(f"potential difference identity fails at x={x}")
-        if abs(d1 - (np.conjugate(v1) - np.conjugate(dq))) > 1e-9 * scale:
-            raise ValueError(f"dual potential v1_dual inconsistent at x={x}")
-        if abs(d2 - (np.conjugate(v2) - np.conjugate(dq))) > 1e-9 * scale:
-            raise ValueError(f"dual potential v2_dual inconsistent at x={x}")
-        for name, got in reduced.items():
-            want = {"q1": evaluate(p.q1, x), "v1": v1, "v2": v2, "v1_dual": d1, "v2_dual": d2}[name]
-            if abs(got - want) > 1e-9 * max(scale, abs(want)):
-                raise ValueError(f"simplified {name} disagrees with the derived form at x={x}")
-        checked += 1
-    if checked == 0:
+    pts = np.random.default_rng(20260822).uniform(-8.0, 8.0, size=50)
+    xs = pts[~(np.abs(pts[:, None] - np.array(p.singular_points)) < 0.05).any(axis=1)]
+    derived = {"v1": p.v1, "v2": p.v2, "v1_dual": p.v1_dual, "v2_dual": p.v2_dual,
+               "dw_a": p.dw_a, "dw_b": p.dw_b, "dq1": differentiate(p.q1)}
+    if "q1" in simplified:  # the drift itself is read only to check its reduced form
+        derived["q1"] = p.q1
+    try:
+        at = {name: evaluate_array(e, xs) for name, e in derived.items()}
+        reduced = {name: evaluate_array(e, xs) for name, e in simplified.items()}
+        finite = np.logical_and.reduce([np.isfinite(v) for v in [*at.values(), *reduced.values()]])
+    except EvalDomainError:  # a constant subexpression fails at every point
+        finite = np.zeros(len(xs), dtype=bool)
+    if not finite.any():
         raise ExprError("no pole-free sample points in [-8, 8] to verify the pair on")
+    v1, v2, d1, d2, dq = at["v1"], at["v2"], at["v1_dual"], at["v2_dual"], at["dq1"]
+    with np.errstate(all="ignore"):  # the points not finite are masked out below
+        slope_sum = at["dw_a"] + at["dw_b"]
+        scale = np.maximum(np.maximum(abs(v1), abs(v2)), np.maximum(abs(slope_sum), 1.0))
+        fails = [
+            (abs((v2 - v1) - slope_sum) > 1e-9 * scale, "potential difference identity fails"),
+            (abs(d1 - (np.conjugate(v1) - np.conjugate(dq))) > 1e-9 * scale,
+             "dual potential v1_dual inconsistent"),
+            (abs(d2 - (np.conjugate(v2) - np.conjugate(dq))) > 1e-9 * scale,
+             "dual potential v2_dual inconsistent"),
+        ] + [(abs(got - at[name]) > 1e-9 * np.maximum(scale, abs(at[name])),
+              f"simplified {name} disagrees with the derived form")
+             for name, got in reduced.items()]
+    bad = np.array([failed for failed, _ in fails]) & finite
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))  # the first failing point, then its first check
+        raise ValueError(f"{fails[int(np.argmax(bad[:, i]))][1]} at x={xs[i]}")
     for name, e in simplified.items():
         setattr(p, name, e)
     return p

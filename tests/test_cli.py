@@ -534,6 +534,42 @@ def test_gk_spectrum_file_gives_a_finite_domain(tmp_path):
     assert r.returncode == 2
 
 
+def test_gk_refuses_coincident_levels_before_writing_a_file(tmp_path):
+    # E_0 = E_1 keeps |E_n| = n above the ground level, so the exponential
+    # density is solved, but the resolution trace cannot separate the two levels
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([1, 1] + list(range(2, 26))))
+    out = tmp_path / "o"
+    r = run_cli("gk", "--model", "harmonic", "--spectrum-file", str(spec), "--j", "0.3",
+                "--out", str(out))
+    assert r.returncode == 4
+    assert r.stderr == ("susyq: spectrum has (near-)coincident eigenvalues (min gap 0); "
+                        "the angle average cannot separate them\n")
+    assert list(out.iterdir()) == []
+
+
+def test_gk_and_the_deformed_harmonic_suite_read_one_pair(tmp_path):
+    # J = 1, 26 terms and tol 1e-8 are the command's defaults and the suite's
+    # labels; the resolution traces differ by design (26 levels against 12)
+    from susyq import cli
+    from susyq.numerics import Grid
+    from susyq.suites import verify_model
+
+    out = tmp_path / "o"
+    assert cli.main(["gk", "--model", "deformed-harmonic", "--gamma", "0.4",
+                     "--grid-n", "1025", "--out", str(out)]) == 0
+    values = read_json(out / "gk-state.json")["values"]
+    states = {c.check: c.residual
+              for c in verify_model("deformed-harmonic", grid=Grid(12, 1025)).sections["states"]}
+    assert abs(complex(*values["pair_norm_coefficients"]) - 1.0) == states[
+        "state pairing is one (coefficient route)"]
+    assert abs(complex(*values["pair_norm_grid"]) - 1.0) == states[
+        "state pairing is one (grid route)"]
+    assert abs(complex(*values["action_identity"]) - 1.0) == states[
+        "energy pairing returns the action label"]
+    assert values["lowering_defect"] == states["states are lowering-operator eigenvectors"]
+
+
 @pytest.mark.parametrize("entries", [
     [[True, 0], 2, 4],  # a bool inside a pair, as a top-level bool, is no number
     [0, [2, False], 4],

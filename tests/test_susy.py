@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
-from susyq.expr import ExprError, parse
+from susyq.expr import EvalDomainError, ExprError, differentiate, evaluate, parse
 from susyq.numerics import Grid, GridFunction, default_grid, inner, interior_norm, norm, sample
 from susyq.susy import (
+    SuperpotentialPair,
     apply_A,
     apply_A_dag,
     apply_B,
@@ -153,6 +154,93 @@ def test_build_pair_requires_sane_input():
 def test_a_pair_singular_at_every_sample_point_is_an_expression_error():
     with pytest.raises(ExprError, match="no pole-free sample points"):
         build_pair(parse("x"), parse("1 / (x - x)"))
+
+
+# tanh(40 (x - 3)) + 1 stays below the 1e-9 tolerance left of x = 2.4 and is
+# about 2 right of x = 3.6.  The check points begin 1.04, -4.85, 4.06, -4.06,
+# -3.89, -6.32, -6.77, -4.58, 5.83 in draw order, none of them in between.
+_BUMP = "tanh(40 * (x - 3)) + 1"
+
+
+@pytest.mark.parametrize("singular_points, x", [((), "4.064109660703659"),
+                                                ((4.07,), "5.828008347033881")])
+def test_a_disagreeing_simplified_field_names_the_first_failing_point_in_draw_order(
+        singular_points, x):
+    off = {"v1": parse(f"x^2 - 1 + {_BUMP}")}
+    with pytest.raises(ValueError) as err:
+        build_pair(parse("x"), parse("x"), singular_points=singular_points, simplified=off)
+    assert str(err.value) == f"simplified v1 disagrees with the derived form at x={x}"
+
+
+def test_a_pair_not_finite_at_some_check_points_still_builds():
+    # an undeclared pole exactly on the third check point, and exp(exp(x))
+    # overflowing on the six points above x = 6.56: those points are skipped
+    for w_a in ("x + 1 / (x - 4.064109660703659)", "x + 1e-300 * exp(exp(x))"):
+        build_pair(parse(w_a), parse("x"))
+    # the pole point skipped, a disagreement is named at the next failing point
+    w_a = parse("x + 1 / (x - 4.064109660703659)")
+    off = {"v1": build_pair(w_a, parse("x")).v1 + parse(_BUMP)}
+    with pytest.raises(ValueError, match="at x=5.828008347033881$"):
+        build_pair(w_a, parse("x"), simplified=off)
+
+
+def _identity_check_by_loop(w_a, w_b, singular_points=(), simplified=None):
+    """The identity check one point and one scalar evaluation at a time:
+    None when the pair passes, else the message build_pair must raise."""
+    p = SuperpotentialPair(w_a, w_b, singular_points)
+    simplified = dict(simplified or {})
+    dq1 = differentiate(p.q1)
+    checked = 0
+    for x in np.random.default_rng(20260822).uniform(-8.0, 8.0, size=50):
+        if any(abs(x - s) < 0.05 for s in p.singular_points):
+            continue
+        try:
+            v1, v2, d1, d2, dq = (evaluate(e, x) for e in (p.v1, p.v2, p.v1_dual, p.v2_dual, dq1))
+            slope_sum = evaluate(p.dw_a, x) + evaluate(p.dw_b, x)
+            reduced = {name: evaluate(e, x) for name, e in simplified.items()}
+            q1 = evaluate(p.q1, x) if "q1" in simplified else None
+        except EvalDomainError:
+            continue
+        scale = max(abs(v1), abs(v2), abs(slope_sum), 1.0)
+        if abs((v2 - v1) - slope_sum) > 1e-9 * scale:
+            return f"potential difference identity fails at x={x}"
+        for name, got in (("v1_dual", d1 - (np.conjugate(v1) - np.conjugate(dq))),
+                          ("v2_dual", d2 - (np.conjugate(v2) - np.conjugate(dq)))):
+            if abs(got) > 1e-9 * scale:
+                return f"dual potential {name} inconsistent at x={x}"
+        for name, got in reduced.items():
+            want = {"q1": q1, "v1": v1, "v2": v2, "v1_dual": d1, "v2_dual": d2}[name]
+            if abs(got - want) > 1e-9 * max(scale, abs(want)):
+                return f"simplified {name} disagrees with the derived form at x={x}"
+        checked += 1
+    return None if checked else "no pole-free sample points in [-8, 8] to verify the pair on"
+
+
+@pytest.mark.parametrize("w_a, w_b, singular_points, simplified", [
+    ("x", "x", (), {}),
+    ("x + 1i * sin(x)", "x - 0.5 * cos(x)", (), {"q1": "0 - 1.5 * x"}),
+    ("x", "x", (), {"q1": "0", "v1": "x^2 - 1", "v2": f"x^2 + 1 + 1e-3 * ({_BUMP})"}),
+    ("1 / x", "x + 1 / x", (0.0,), {"q1": "x"}),
+    ("x", "x", (), {"v1": f"x^2 - 1 + {_BUMP}", "v2": "x^2 + 2"}),
+    ("x", "x", (), {"v2": "x^2 + 2", "v1": "x^2"}),
+    ("1 / x", "x", (0.0, 4.07), {"v2_dual": f"1 - x^-2 + {_BUMP}"}),
+    ("x + 1e-300 * exp(exp(x))", "tanh(x)", (),
+     {"v1_dual": f"x * tanh(x) - 1 + tanh(x)^2 + {_BUMP}"}),
+    ("x + ln(x^2)", "exp(0 - x^2)", (0.0,), {}),
+    ("x", "1 / (x - x)", (), {}),
+    ("x", "x", tuple(np.linspace(-8.0, 8.0, 200)), {}),
+    ("x + (sin(0))^-3", "x", (), {}),
+])
+def test_the_identity_check_matches_the_pointwise_loop(w_a, w_b, singular_points, simplified):
+    w_a, w_b = parse(w_a), parse(w_b)
+    simplified = {name: parse(e) for name, e in simplified.items()}
+    want = _identity_check_by_loop(w_a, w_b, singular_points, simplified)
+    try:
+        build_pair(w_a, w_b, singular_points=singular_points, simplified=simplified)
+        got = None
+    except ValueError as err:  # an ExprError too
+        got = str(err)
+    assert got == want
 
 
 def test_harmonic_vacua_forms_and_classification():
