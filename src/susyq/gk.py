@@ -6,8 +6,8 @@ coefficients K(J) J^(n/2) exp(-i E_n gamma) / sqrt(rho_n).  This module
 builds those states with certified truncation tails, computes the
 normalization K(J) and the (J, gamma) region where the series converge,
 solves the moment problem for recognized spectra, estimates how well the
-family resolves the identity (its J moments refined on nodes shared by all
-powers, each power keeping its own Simpson sum and stop test), evolves
+family resolves the identity (J moments refined for all powers at once with
+the bits of a Simpson ladder each, each T-matrix one array division), evolves
 states in time, and realizes the gamma-dependent lowering operators under
 which each state is an eigenvector with eigenvalue sqrt(J).  ``state_pair``
 is the whole construction for one (J, gamma): it reads each family once,
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import GridFunction, _same_scale, inner, integrate_halfline, norm
+from .numerics import _BLOCK, GridFunction, _same_scale, inner, integrate_halfline, norm
 from .reporting import CheckResult
 
 __all__ = [
@@ -512,35 +512,35 @@ def moment_density(s: Spectrum) -> MomentDensity:
     return MomentDensity(None, None, None, False)
 
 
-def _finite_power_moments(density, powers, j_upper: float) -> list:
+def _finite_power_moments(density, powers, j_upper: float) -> np.ndarray:
     """Integrals of J^p times the density over [0, j_upper], one per power.
 
-    Each power is the refined Simpson of ``numerics._panel_simpson`` with
-    its own arithmetic and stop test, but the powers share one ladder: each
-    level's nodes and density values are computed once for every power
-    still refining.  A power that never settles keeps its last value.
+    Each power gets the bits and stop test of ``numerics._panel_simpson``
+    (rel_tol 1e-11), or its last value if it never settles, but the powers
+    share one ladder: each level's nodes and density are computed once and
+    the rows still refining are summed in chunks of about 2 * ``_BLOCK`` cells.
     """
     # substitute J = u^2 so half-integer powers stay smooth at the origin
-    b = math.sqrt(j_upper)
-    values, refining = [None] * len(powers), range(len(powers))
-    m = 8
-    for _ in range(14):  # _panel_simpson's max_refine
+    b, ex = math.sqrt(j_upper), 2.0 * np.asarray(powers, dtype=float) + 1.0
+    values, refining = np.full(len(ex), np.nan), np.arange(len(ex))  # nothing settles on NaN
+    for m in (8 << k for k in range(14)):  # _panel_simpson's max_refine levels from 8 panels
         u = np.linspace(0.0, b, m + 1)
         dens = np.asarray(density(u * u), dtype=float)
-        h = b / m
-        still = []
-        for i in refining:
-            # one 1-D power per exponent: a 2-D broadcast power differs in bits
-            ys = 2.0 * u ** (2.0 * powers[i] + 1.0) * dens
-            val = h / 3.0 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum())
-            settled = values[i] is not None and abs(val - values[i]) <= 1e-11 * max(1.0, abs(val))
-            values[i] = val
-            if not settled:
-                still.append(i)
-        refining = still
-        if not refining:
+        col, val, step = ex[refining, None], np.empty(len(refining)), max(1, 2 * _BLOCK // (m + 1))
+        for lo in range(0, len(col), step):
+            # a row gets the bits of a 1-D power with a scalar exponent (a full exponent
+            # matrix does not), except 2: numpy squares for it, a column may miss by an ulp
+            ys = u ** col[lo:lo + step]
+            ys[col[lo:lo + step, 0] == 2.0] = u * u
+            ys *= 2.0
+            ys *= dens
+            val[lo:lo + step] = (ys[:, 0] + ys[:, -1] + 4 * ys[:, 1:-1:2].sum(axis=1)
+                                 + 2 * ys[:, 2:-2:2].sum(axis=1))
+        val *= b / m / 3.0
+        settled = np.abs(val - values[refining]) <= 1e-11 * np.maximum(1.0, np.abs(val))
+        values[refining], refining = val, refining[~settled]
+        if not len(refining):
             break
-        m *= 2
     return values
 
 
@@ -614,10 +614,10 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
     the trace converges toward <f, g> in the joint limit and its points
     report the approach rather than assert a fixed tolerance.  The J
     integral runs up to j_max = max(10, 40 * min_gap), and the angle windows
-    are ``_GAMMA_LIMITS``.  The J moments
-    of all half-integer powers share one Simpson refinement ladder per upper
-    limit: each level's nodes and density values are computed once, and each
-    power keeps the arithmetic and stop test of a refinement of its own.
+    are ``_GAMMA_LIMITS``.  The J moments of all half-integer powers share
+    one Simpson ladder per upper limit (``_finite_power_moments``); a
+    T-matrix entry is a moment over sqrt(rho_a) conj(sqrt(rho_b)), and the
+    denominators and each window's sinc are formed once per trace.
     """
     n = n_trunc if n_trunc is not None else min(len(phi_basis), len(psi_basis), len(s))
     if n < 2:
@@ -642,18 +642,18 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
     j_max = max(10.0, 40.0 * s.min_gap)
     e = s.energies[:n]
 
+    # numpy scalar products: an array product of complex factors may differ in the last bit
+    den = np.array([[ra * np.conjugate(rb) for rb in s.sqrt_rho[:n]] for ra in s.sqrt_rho[:n]])
+    windows = {gv: _sinc(gv * (e[None, :] - e[:, None])) for gv in _GAMMA_LIMITS}
+
     def t_matrix(upper):
-        powers = _finite_power_moments(md.density, [0.5 * p for p in range(2 * n - 1)], upper)
-        t = np.empty((n, n), dtype=np.complex128)
-        for a in range(n):
-            for b in range(n):
-                t[a, b] = powers[a + b] / (s.sqrt_rho[a] * np.conjugate(s.sqrt_rho[b]))
-        return t
+        powers = _finite_power_moments(md.density, 0.5 * np.arange(2 * n - 1), upper)
+        return powers[np.add.outer(np.arange(n), np.arange(n))] / den
 
     def point(big_gamma, upper, levels, t):
         """The estimate over the first ``levels`` levels in the angle window
         big_gamma, with ``t`` the T-matrix up to J = upper, and its errors."""
-        w = _sinc(big_gamma * (e[None, :] - e[:, None]))[:levels, :levels]
+        w = windows[big_gamma][:levels, :levels]
         val = complex(np.einsum("a,ab,b->", f_coeff[:levels], w * t[:levels, :levels],
                                 g_coeff[:levels]))
         abs_err = abs(val - target)

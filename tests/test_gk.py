@@ -1,11 +1,14 @@
 """Action-and-angle state families: products, domains, pairings, ladders."""
 
+import cmath
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from susyq.gk import (
     GKError,
@@ -23,9 +26,9 @@ from susyq.gk import (
     resolution_estimate,
     spectrum_from_formula,
 )
-from susyq.gk import _finite_power_moments, _sinc  # noqa: F401
+from susyq.gk import _finite_power_moments, _resolution, _sinc
 from susyq.models import get_model
-from susyq.numerics import Grid, GridFunction, _panel_simpson, inner, norm
+from susyq.numerics import _BLOCK, Grid, GridFunction, _panel_simpson, inner, norm
 from susyq.susy import apply_H1
 
 
@@ -334,29 +337,80 @@ def _bits(values):
     return np.array(values, dtype=np.float64).view(np.uint64)
 
 
-@pytest.mark.parametrize("model", ["harmonic", "deformed-harmonic"])
-@pytest.mark.parametrize("n", [12, 26])
-@pytest.mark.parametrize("frac", [0.25, 0.5, 1.0])
-def test_shared_ladder_moments_match_per_power_simpson_bit_for_bit(model, n, frac):
-    s = spectrum_from_formula(get_model(model).energy, n)
+# spectra with |E_n| = c*n, whose moment density is exp(-J/c)/c
+_LINEAR_SPECTRA = {
+    "harmonic": get_model("harmonic").energy,
+    "deformed-harmonic": get_model("deformed-harmonic").energy,
+    "scale-0.7": lambda k: 0.7 * k,
+    "scale-3.3": lambda k: 3.3 * k,
+}
+
+
+def _assert_ladder_matches_per_power_simpson(s, frac):
     md = moment_density(s)
     assert md.label.startswith("exponential")
     j_upper = max(10.0, 40.0 * s.min_gap) * frac  # resolution_estimate's j_max
-    powers = [0.5 * p for p in range(2 * n - 1)]
+    powers = [0.5 * p for p in range(2 * len(s) - 1)]
     got = _finite_power_moments(md.density, powers, j_upper)
     want = [_oracle_moment(md.density, p, j_upper)[0] for p in powers]
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_shared_ladder_moments_keep_the_last_value_of_an_unsettled_power():
-    def density(j):  # unresolved at every level: Simpson never settles
-        return np.cos(1e9 * np.asarray(j, dtype=float))
+@pytest.mark.parametrize("model", sorted(_LINEAR_SPECTRA))
+@pytest.mark.parametrize("n", [2, 12, 26, 40])
+@pytest.mark.parametrize("frac", [0.25, 0.5, 1.0])
+def test_shared_ladder_moments_match_per_power_simpson_bit_for_bit(model, n, frac):
+    _assert_ladder_matches_per_power_simpson(spectrum_from_formula(_LINEAR_SPECTRA[model], n), frac)
 
+
+# a quarter of the profile's examples: 25 in tier-1, 500 with --hypothesis-profile=long
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+@given(st.floats(0.1, 10.0), st.integers(2, 45), st.floats(0.01, 1.0))
+@example(2.271214539208534, 19, 0.01)  # a column power misses u**2.0 by an ulp here
+def test_shared_ladder_matches_per_power_simpson_on_drawn_spectra(c, n, frac):
+    _assert_ladder_matches_per_power_simpson(spectrum_from_formula(lambda k: c * k, n), frac)
+
+
+def _oscillating(j):  # unresolved at every level: Simpson never settles on it
+    return np.cos(1e9 * np.asarray(j, dtype=float))
+
+
+def test_shared_ladder_moments_keep_the_last_value_of_an_unsettled_power():
     powers = [0.0, 0.5, 3.0]
-    want = [_oracle_moment(density, p, 9.0) for p in powers]
+    want = [_oracle_moment(_oscillating, p, 9.0) for p in powers]
     assert all(levels == 14 for _, levels in want)  # max_refine exhausted
-    got = _finite_power_moments(density, powers, 9.0)
+    got = _finite_power_moments(_oscillating, powers, 9.0)
     assert np.array_equal(_bits(got), _bits([value for value, _ in want]))
+
+
+def test_shared_ladder_settles_some_powers_while_others_run_out():
+    # on [0, 0.25] the high powers weigh the oscillation below the stop test
+    powers = [0.0, 0.5, 3.0, 20.0, 25.0]
+    want = [_oracle_moment(_oscillating, p, 0.25) for p in powers]
+    levels = [count for _, count in want]
+    assert levels[0] == 14 and min(levels) < 14
+    got = _finite_power_moments(_oscillating, powers, 0.25)
+    assert np.array_equal(_bits(got), _bits([value for value, _ in want]))
+
+
+@pytest.mark.parametrize("frac", [0.25, 0.5, 1.0])
+def test_shared_ladder_peak_memory_in_chunks(frac):
+    # The rows still refining are summed in chunks of about 2 * _BLOCK cells.
+    # The peak is the deepest level's node arrays (16385 nodes at a quarter
+    # of the upper limit: 5.0 chunks' bytes measured) or a chunk with the
+    # level's arrays (2.8-2.9); all 51 rows at once take 15.6 chunks at a
+    # quarter of the limit and 10.7 at a half.
+    s = spectrum_from_formula(get_model("deformed-harmonic").energy, 26)
+    md = moment_density(s)
+    powers = [0.5 * p for p in range(51)]
+    j_upper = max(10.0, 40.0 * s.min_gap) * frac
+    tracemalloc.start()
+    try:
+        _finite_power_moments(md.density, powers, j_upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (2 * _BLOCK)
 
 
 def test_unsolved_spectra_are_reported_not_guessed():
@@ -419,6 +473,51 @@ def test_resolution_preconditions(dh):
     unsolved = moment_density(spectrum_from_formula(lambda n: float(n * n), 12))
     with pytest.raises(GKError, match="density"):
         resolution_estimate(phis[0], psis[0], phis[:12], psis[:12], s, unsolved)
+
+
+def _oracle_resolution(f_coeff, g_coeff, s, md):
+    """The trace values of ``_resolution`` as its n^2 loop formed them: each
+    moment on a Simpson ladder of its own, each T-matrix entry one numpy
+    scalar division by a numpy scalar product, the window at every point."""
+    n = len(f_coeff)
+    j_max = max(10.0, 40.0 * s.min_gap)
+    e = s.energies[:n]
+
+    def t_matrix(upper):
+        powers = [_oracle_moment(md.density, 0.5 * p, upper)[0] for p in range(2 * n - 1)]
+        t = np.empty((n, n), dtype=np.complex128)
+        for a in range(n):
+            for b in range(n):
+                t[a, b] = powers[a + b] / (s.sqrt_rho[a] * np.conjugate(s.sqrt_rho[b]))
+        return t
+
+    def value(big_gamma, levels, t):
+        w = _sinc(big_gamma * (e[None, :] - e[:, None]))[:levels, :levels]
+        return complex(np.einsum("a,ab,b->", f_coeff[:levels], w * t[:levels, :levels],
+                                 g_coeff[:levels]))
+
+    t_full = t_matrix(j_max)
+    n_trace = sorted({max(2, n // 2), max(2, (3 * n) // 4), n})
+    return ([value(gv, n, t_full) for gv in (25.0, 50.0, 100.0, 200.0)]
+            + [value(200.0, n, t_matrix(j_max * frac)) for frac in (0.25, 0.5, 1.0)]
+            + [value(200.0, levels, t_full) for levels in n_trace])
+
+
+# E_n = c n e^(i theta): real at theta = 0, complex products otherwise.  The
+# window grows like exp(Gamma |Im dE|), so the complex spectra take a small c
+# to keep the trace finite up to Gamma = 200.
+@pytest.mark.parametrize("c, theta", [(0.7, 0.0), (2.0, 0.0), (0.1, 0.3), (0.1, 1.1)])
+@pytest.mark.parametrize("n", [3, 12, 26])
+def test_resolution_trace_matches_the_scalar_t_matrix_bit_for_bit(c, theta, n):
+    s = spectrum_from_formula(lambda k: c * k * cmath.exp(1j * theta), n)
+    md = moment_density(s)
+    f_coeff, g_coeff = np.random.default_rng(n).normal(size=(2, n, 2)) @ np.array([1.0, 1.0j])
+    rep = _resolution(f_coeff, g_coeff, 0.8 - 0.3j, s, md)
+    got = [p.value for p in rep.gamma_trace + rep.j_trace + rep.n_trace]
+    want = _oracle_resolution(f_coeff, g_coeff, s, md)
+    assert np.isfinite(got).all()
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+    assert rep.estimate == got[3]
 
 
 # ---------------------------------------------------------------------------
