@@ -23,6 +23,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,10 +61,6 @@ _EXIT_POLE = 3
 _EXIT_DOMAIN = 4
 
 _TOLERANCE_NAMES = ("state",)  # the named tolerances some command reads
-# config keys that hold a string; null, where allowed, means the key is not given
-_STRING_KEYS = ("model", "wA", "wB", "out", "format", "family", "spectrum_file",
-                "normalization", "perturb_wb")
-_NULLABLE_KEYS = ("model", "wA", "wB", "spectrum_file", "perturb_wb")
 
 
 class ConfigError(ValueError):
@@ -119,12 +116,27 @@ def _parse_bind_token(token: str):
         return name, text  # expression-valued parameters stay strings
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read {what}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from e
+
+
+# ---------------------------------------------------------------------------
+# options: each check takes a key and a given value and returns the value to use
+
 def _number(kind, key: str, value):
     """``kind(value)``; a value that is not a number is a configuration error."""
     try:
         return kind(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{key} must be a number, got {value!r}") from e
+    except OverflowError as e:  # an integer past the double range
+        raise ConfigError(f"{key} is out of float range") from e
 
 
 def _integer(key: str, value) -> int:
@@ -143,120 +155,164 @@ def _finite(key: str, value) -> float:
     return v
 
 
-def _merge_config(args) -> RunConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from e
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
+def _positive(key: str, value) -> float:
+    v = _finite(key, value)
+    if v <= 0:
+        raise ConfigError(f"{key} must be positive, got {v!r}")
+    return v
 
-    def pick(flag_name, key, default, source=file_cfg):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return source.get(key, default)
 
-    def section(key):
-        value = file_cfg.get(key, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"config key {key!r} must be an object")
-        return dict(value)
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
 
-    for key in _STRING_KEYS:  # the flags for these are strings already
-        value = file_cfg.get(key, "")
-        if not (isinstance(value, str) or value is None and key in _NULLABLE_KEYS):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
 
-    grid_cfg = section("grid")
-    if getattr(args, "grid_n", None) is not None:
-        grid_n = args.grid_n
-    elif os.environ.get("SUSYQ_GRID_N"):
-        try:
-            grid_n = int(os.environ["SUSYQ_GRID_N"])
-        except ValueError as e:
-            raise ConfigError(f"SUSYQ_GRID_N is not an integer: {e}") from e
-    else:
-        grid_n = grid_cfg.get("N", RunConfig.grid_n)
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true, false or null, got {value!r}")
+    return value
 
-    bind = section("bind")
-    for token in getattr(args, "bind", None) or []:
-        name, value = _parse_bind_token(token)
-        bind[name] = value
 
-    tolerances = section("tolerances")
-    for token in getattr(args, "tol", None) or []:
-        name, value = _parse_bind_token(token)
-        tolerances[name] = value
-    unknown = sorted(set(tolerances) - set(_TOLERANCE_NAMES))
+def _object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be an object")
+    return dict(value)
+
+
+def _rates(key: str, value) -> tuple:
+    """A list of finite numbers, or a comma-separated string of them."""
+    if isinstance(value, str):
+        value = [t for t in value.split(",") if t.strip()]
+    elif not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of numbers or a comma-separated string")
+    return tuple(_finite(f"{key} entry", t) for t in value)
+
+
+def _tolerances(key: str, value) -> dict:
+    """Known names only, each a positive finite number."""
+    value = _object(key, value)
+    unknown = sorted(set(value) - set(_TOLERANCE_NAMES))
     if unknown:
         raise ConfigError(f"unknown tolerance name(s) {', '.join(unknown)} "
                           f"(known: {', '.join(_TOLERANCE_NAMES)})")
-    try:
-        tolerances = {name: float(v) for name, v in tolerances.items()}
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad tolerance value: {e}") from e
+    for name, v in value.items():
+        what = f"bad tolerance value: {name}"
+        if isinstance(v, bool) or not 0.0 < _number(float, what, v) < math.inf:
+            raise ConfigError(f"{what} must be a positive finite number, got {v!r}")
+    return {name: float(v) for name, v in value.items()}
 
-    r_values = pick("r_values", "r_values", None)
-    if isinstance(r_values, str):
-        r_values = [t for t in r_values.split(",") if t.strip()]
-    elif r_values is not None and not isinstance(r_values, list):
-        raise ConfigError("r_values must be a list of numbers or a comma-separated string")
-    r_values = (RunConfig.r_values if r_values is None
-                else tuple(_number(float, "r_values entry", t) for t in r_values))
 
-    numeric = pick("numeric", "numeric", None)
-    if numeric is not None and not isinstance(numeric, bool):
-        raise ConfigError(f"numeric must be true, false or null, got {numeric!r}")
+def _or_null(check):
+    """``check``, except that null stands for the key not given (None)."""
+    return lambda key, value: None if value is None else check(key, value)
 
-    fmt = pick("fmt", "format", RunConfig.fmt)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r} (csv or json)")
-    family = pick("family", "family", RunConfig.family)
-    if family not in ("phi", "psi"):
-        raise ConfigError(f"unknown state family {family!r} (phi or psi)")
 
-    cfg = RunConfig(
-        command=args.command,
-        model=pick("model", "model", None),
-        w_a=pick("wA", "wA", None),
-        w_b=pick("wB", "wB", None),
-        bind=bind,
-        grid_l=_number(float, "grid.L", pick("grid_l", "L", RunConfig.grid_l, grid_cfg)),
-        grid_n=_integer("grid.N", grid_n),
-        tolerances=tolerances,
-        out=pick("out", "out", RunConfig.out),
-        fmt=fmt,
-        j=_finite("J", pick("j", "J", RunConfig.j)),
-        gamma=_finite("gamma", pick("gamma", "gamma", RunConfig.gamma)),
-        family=family,
-        n_terms=_integer("n_terms", pick("n_terms", "n_terms", RunConfig.n_terms)),
-        j_max=pick("j_max", "j_max", None),
-        spectrum_file=pick("spectrum_file", "spectrum_file", None),
-        normalization=pick("normalization", "normalization", RunConfig.normalization),
-        perturb_wb=pick("perturb_wb", "perturb_wb", None),
-        r_values=r_values,
-        numeric=bool(numeric),
-    )
-    if cfg.j_max is not None:
-        cfg.j_max = _finite("j_max", cfg.j_max)
-        if cfg.j_max <= 0:
-            raise ConfigError(f"j_max must be positive, got {cfg.j_max!r}")
-    return cfg
+def _one_of(noun: str, *choices: str):
+    """The check of an option that takes one of ``choices``; the parser offers them too."""
+    listing = ", ".join(choices[:-1]) + ("," if len(choices) > 2 else "") + f" or {choices[-1]}"
+
+    def check(key: str, value) -> str:
+        if _string(key, value) not in choices:
+            raise ConfigError(f"unknown {noun} {value!r} ({listing})")
+        return value
+
+    check.choices = choices
+    return check
+
+
+class _Option(NamedTuple):
+    """A ``RunConfig`` field, its flag and config key (``grid.L``: key L of the object grid),
+    the subcommands that read it, the check of every given value, its help, its other
+    ``add_argument`` keywords, and an environment variable between flag and file."""
+
+    field: str
+    flag: str
+    key: str
+    commands: tuple
+    check: Callable
+    help: str
+    parse: dict = {}
+    env: str = ""
+
+
+_ALL = ("potentials", "vacua", "verify", "gk", "bs-classify")  # models-list reads no flag
+_PAIR = ("potentials", "vacua", "verify")  # --model or --wA/--wB
+_GK, _BS = ("gk",), ("bs-classify",)
+_REPEATABLE = {"action": "append", "metavar": "NAME=VALUE"}
+_TEXT = _or_null(_string)  # a string, or null for a key not given
+
+# each option once; a subcommand's --help lists its rows in this order
+_OPTIONS = (
+    _Option("model", "--model", "model", _PAIR + _GK, _TEXT, "registered model name"),
+    _Option("w_a", "--wA", "wA", _PAIR, _TEXT, "first superpotential expression"),
+    _Option("w_b", "--wB", "wB", _PAIR, _TEXT, "second superpotential expression"),
+    _Option("bind", "--bind", "bind", _ALL, _object, "parameter binding; repeatable", _REPEATABLE),
+    _Option("grid_l", "--grid-l", "grid.L", _ALL, functools.partial(_number, float),
+            f"grid half-width L (default {RunConfig.grid_l:g})"),
+    _Option("grid_n", "--grid-n", "grid.N", _ALL, _integer,
+            f"grid points N (default {RunConfig.grid_n}; env SUSYQ_GRID_N)", env="SUSYQ_GRID_N"),
+    _Option("tolerances", "--tol", "tolerances", _GK, _tolerances,
+            "named tolerance override; repeatable", _REPEATABLE),
+    _Option("out", "--out", "out", _ALL, _string, f"output directory (default {RunConfig.out})"),
+    _Option("fmt", "--format", "format", ("potentials", "vacua") + _BS,
+            _one_of("output format", "csv", "json"), f"table format (default {RunConfig.fmt})"),
+    _Option("normalization", "--normalization", "normalization", ("vacua",),
+            _one_of("normalization", "raw", "unit", "paired"),
+            f"vacuum normalization policy (default {RunConfig.normalization})"),
+    _Option("perturb_wb", "--perturb-wb", "perturb_wb", ("verify",), _TEXT,
+            "add EXPR to the second superpotential (negative test)", {"metavar": "EXPR"}),
+    _Option("j", "--j", "J", _GK, _finite, f"action label J (default {RunConfig.j:g})"),
+    _Option("gamma", "--gamma", "gamma", _GK, _finite,
+            f"angle label (default {RunConfig.gamma:g})"),
+    _Option("family", "--family", "family", _GK, _one_of("state family", "phi", "psi"),
+            f"which family the state report features (default {RunConfig.family})"),
+    _Option("n_terms", "--n-terms", "n_terms", _GK, _integer,
+            f"basis truncation (default {RunConfig.n_terms})"),
+    _Option("j_max", "--j-max", "j_max", _GK, _or_null(_positive),
+            "upper end of the K(J) curve (default min(J_min, 10))"),
+    _Option("spectrum_file", "--spectrum-file", "spectrum_file", _GK, _TEXT,
+            "JSON list of eigenvalues replacing the model formula", {"metavar": "PATH"}),
+    _Option("r_values", "--r-values", "r_values", _BS, _or_null(_rates),
+            "comma-separated rate list"),
+    _Option("numeric", "--numeric", "numeric", _BS, _or_null(_boolean),
+            "re-derive each row from fitted decay exponents",
+            {"action": "store_true", "default": None}),
+)
+
+
+def _merge_config(args) -> RunConfig:
+    """Every value given is checked, a file's value also where a flag
+    overrides it or the command does not read it; other file keys are ignored."""
+    file_cfg = _read_json(args.config, "config file") if getattr(args, "config", None) else {}
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    values = {}
+    for opt in _OPTIONS:
+        flag = getattr(args, opt.flag[2:].replace("-", "_"), None)  # argparse's dest
+        if isinstance(flag, list):  # a repeatable flag's NAME=VALUE tokens make an object
+            flag = dict(map(_parse_bind_token, flag))
+        env = os.environ.get(opt.env) or None
+        # (name in a message, value) of each source that gives one, in precedence order
+        given = [(label, v) for label, v in ((opt.key, flag), (opt.env, env)) if v is not None]
+        section, _, name = opt.key.rpartition(".")
+        source = _object(section, file_cfg.get(section, {})) if section else file_cfg
+        if name in source:
+            given.append((opt.key, source[name]))
+        checked = [v for v in (opt.check(label, raw) for label, raw in given) if v is not None]
+        if checked:  # else RunConfig's default
+            # bindings and tolerances merge name by name, the flag's winning
+            values[opt.field] = ({k: v for d in reversed(checked) for k, v in d.items()}
+                                 if isinstance(checked[0], dict) else checked[0])
+    return RunConfig(command=args.command, **values)
 
 
 def _require_source(cfg: RunConfig):
     """Model name, or both superpotential sources; never a mix or neither."""
     if cfg.model is not None and (cfg.w_a or cfg.w_b):
         raise ConfigError("give either --model or --wA/--wB, not both")
-    if cfg.model is None:
-        if not (cfg.w_a and cfg.w_b):
-            raise ConfigError("need --model, or both --wA and --wB")
+    if cfg.model is None and not (cfg.w_a and cfg.w_b):
+        raise ConfigError("need --model, or both --wA and --wB")
 
 
 def _source(cfg: RunConfig):
@@ -302,10 +358,11 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: str, payload) -> None:
+def _write_json(path: str, payload) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 # rows formatted at once: bounds the memory a table needs, and keeps a wide
@@ -474,7 +531,8 @@ def _annotations(grid: Grid, singular_points) -> list:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_potentials(cfg: RunConfig) -> list:
+def _cmd_potentials(cfg: RunConfig) -> tuple:
+    """sample the drift and the four potentials"""
     m, grid, meta = _source(cfg)
     pair = m.pair
     if pair is None:
@@ -495,19 +553,14 @@ def _cmd_potentials(cfg: RunConfig) -> list:
     header.append("annotation")
     columns.append(_annotations(grid, pair.singular_points))
 
-    paths = [_emit_table(cfg, "potentials", header, columns)]
+    table = _emit_table(cfg, "potentials", header, columns)
     meta.update(complex_valued=complex_valued,
                 singular_points=list(pair.singular_points), columns=header)
-    meta_path = os.path.join(cfg.out, "potentials-meta.json")
-    _write_json(meta_path, meta)
-    paths.append(meta_path)
-    return paths
+    return [table, _write_json(os.path.join(cfg.out, "potentials-meta.json"), meta)], _EXIT_OK
 
 
-def _cmd_vacua(cfg: RunConfig) -> list:
-    if cfg.normalization not in ("raw", "unit", "paired"):
-        raise ConfigError(
-            f"unknown normalization {cfg.normalization!r} (raw, unit, or paired)")
+def _cmd_vacua(cfg: RunConfig) -> tuple:
+    """factor vacua with decay and integrability report"""
     m, grid, report = _source(cfg)
     v = m.vacua(grid, cfg.normalization)
 
@@ -517,16 +570,14 @@ def _cmd_vacua(cfg: RunConfig) -> list:
         header.extend([f"{rec.label}_logabs", f"{rec.label}_phase"])
         columns.extend([f.log_magnitude(), np.angle(f.values)])
 
-    paths = [_emit_table(cfg, "vacua", header, columns)]
+    table = _emit_table(cfg, "vacua", header, columns)
     report.update(normalization=v.normalization,
                   records=[rec.summary() for rec in v.records()], notes=list(v.notes))
-    report_path = os.path.join(cfg.out, "vacua-report.json")
-    _write_json(report_path, report)
-    paths.append(report_path)
-    return paths
+    return [table, _write_json(os.path.join(cfg.out, "vacua-report.json"), report)], _EXIT_OK
 
 
 def _cmd_verify(cfg: RunConfig) -> tuple:
+    """run the model's verification suite"""
     _require_source(cfg)
     grid = cfg.grid()
     if cfg.model is not None:
@@ -535,8 +586,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
         if cfg.perturb_wb is not None:
             raise ConfigError("--perturb-wb applies to --model runs only")
         suite = verify_pair(cfg.w_a, cfg.w_b, cfg.bind, grid=grid)
-    path = os.path.join(cfg.out, "verify.json")
-    _write_json(path, suite.payload())
+    path = _write_json(os.path.join(cfg.out, "verify.json"), suite.payload())
     n_checks = sum(1 for _ in suite.checks())
     failed = [(name, c) for name, section in suite.sections.items()
               for c in section if not c.passed]
@@ -544,18 +594,12 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
     for name, c in failed:
         print(f"verify: FAILED {name}: {c.check}: residual {c.residual:.3e}, "
               f"tolerance {c.tolerance:g}", file=sys.stderr)
-    return [path], suite.all_pass()
+    return [path], _EXIT_OK if suite.all_pass() else _EXIT_VERIFY_FAILED
 
 
 def _load_spectrum_file(path: str) -> list:
     """JSON list of eigenvalues, each a finite number or an [re, im] pair of them."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read spectrum file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"spectrum file is not valid JSON: {e}") from e
+    data = _read_json(path, "spectrum file")
     if not isinstance(data, list) or len(data) < 2:
         raise ConfigError("spectrum file must hold a list of two or more eigenvalues")
     energies = []
@@ -564,13 +608,13 @@ def _load_spectrum_file(path: str) -> list:
         # no bool, NaN, infinity or integer past the float range
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                    and abs(v) <= sys.float_info.max for v in parts):
-            raise ConfigError(
-                f"bad spectrum entry {item!r}: expected a finite number or [re, im]")
+            raise ConfigError(f"bad spectrum entry {item!r}: expected a finite number or [re, im]")
         energies.append(complex(*parts))
     return energies
 
 
-def _cmd_gk(cfg: RunConfig) -> list:
+def _cmd_gk(cfg: RunConfig) -> tuple:
+    """build a bicoherent state pair and its reports"""
     if cfg.model is None:
         raise ConfigError("gk needs --model (a registry entry with eigenfamilies)")
     grid = cfg.grid()
@@ -594,14 +638,12 @@ def _cmd_gk(cfg: RunConfig) -> list:
             (m.psi1(n, grid) for n in range(cfg.n_terms)),
             cfg.j, cfg.gamma, cfg.tolerances.get("state", 1e-8), cfg.n_terms)
     except RepresentationError as e:
-        raise GKError(
-            "a family exceeds double range on this grid, so its norm growth "
-            f"cannot be certified: {e}") from e
+        raise GKError("a family exceeds double range on this grid, so its norm growth "
+                      f"cannot be certified: {e}") from e
     del m  # the generators' per-grid buffers are not needed past this point
     state, partner = ((phi_state, psi_state) if cfg.family == "phi"
                       else (psi_state, phi_state))
 
-    pair_value = pair_norm(phi_state, psi_state)
     action_value, action_note = None, None
     try:
         action_value = action_identity(phi_state, psi_state)
@@ -614,8 +656,7 @@ def _cmd_gk(cfg: RunConfig) -> list:
     curve_s = s if n_curve == cfg.n_terms else spectrum_from_formula(energy, n_curve)
     j_upper = cfg.j_max
     if j_upper is None:
-        j_upper = domain.j_min if math.isfinite(domain.j_min) else 10.0
-        j_upper = min(j_upper, 10.0)
+        j_upper = min(domain.j_min if math.isfinite(domain.j_min) else 10.0, 10.0)
     curve, curve_note = [], None
     for jv in np.linspace(0.0, j_upper, 101):
         try:
@@ -654,16 +695,14 @@ def _cmd_gk(cfg: RunConfig) -> list:
             "radius": domain.radius,
             "j_phi": domain.j_phi,
             "j_psi": domain.j_psi,
-            "growth_phi": {"a": domain.a_phi, "r": domain.r_phi,
-                           "m_limit": domain.m_phi_limit},
-            "growth_psi": {"a": domain.a_psi, "r": domain.r_psi,
-                           "m_limit": domain.m_psi_limit},
+            "growth_phi": {"a": domain.a_phi, "r": domain.r_phi, "m_limit": domain.m_phi_limit},
+            "growth_psi": {"a": domain.a_psi, "r": domain.r_psi, "m_limit": domain.m_psi_limit},
             "delta_e_value": domain.delta_e_value,
             "delta_e_ok": domain.delta_e_ok,
             "notes": list(domain.notes),
         },
         "values": {
-            "pair_norm_coefficients": pair_value,
+            "pair_norm_coefficients": pair_norm(phi_state, psi_state),
             "pair_norm_grid": inner(phi_state.function, psi_state.function),
             "action_identity": action_value,
             "action_note": action_note,
@@ -671,27 +710,23 @@ def _cmd_gk(cfg: RunConfig) -> list:
         },
         "spectrum": {
             "source": "file" if file_energies is not None else "formula",
-            "file": (None if cfg.spectrum_file is None
-                     else os.path.basename(cfg.spectrum_file)),
+            "file": None if cfg.spectrum_file is None else os.path.basename(cfg.spectrum_file),
             "n_terms": cfg.n_terms,
         },
-        "k_curve": {"file": os.path.basename(curve_path),
-                    "j_max": j_upper, "n_terms": n_curve,
+        "k_curve": {"file": os.path.basename(curve_path), "j_max": j_upper, "n_terms": n_curve,
                     "note": curve_note},
         "resolution": {"file": os.path.basename(res_path), "solved": rep is not None,
                        "density": moment_density(s).label, "note": res_note},
         "notes": notes,
     }
-    state_path = os.path.join(cfg.out, "gk-state.json")
-    _write_json(state_path, report)
-    return [state_path, curve_path, res_path]
+    return [_write_json(os.path.join(cfg.out, "gk-state.json"), report), curve_path,
+            res_path], _EXIT_OK
 
 
-def _cmd_bs_classify(cfg: RunConfig) -> list:
+def _cmd_bs_classify(cfg: RunConfig) -> tuple:
+    """square-integrability table of the rate family"""
     grid = cfg.grid() if cfg.numeric else None
-    header = ["r", "phi0_1", "phi0_2", "psi0_1", "psi0_2"]
-    if cfg.numeric:
-        header.append("numeric_agrees")
+    header = ["r", "phi0_1", "phi0_2", "psi0_1", "psi0_2"] + ["numeric_agrees"] * cfg.numeric
     rows = []
     for r in cfg.r_values:
         row_obj = bs_classification(r)
@@ -702,100 +737,59 @@ def _cmd_bs_classify(cfg: RunConfig) -> list:
         rows.append(row)
     columns = [np.array(cfg.r_values, dtype=float)]
     columns.extend([row[k] for row in rows] for k in range(len(header) - 1))
-    return [_emit_table(cfg, "bs-classification", header, columns)]
+    return [_emit_table(cfg, "bs-classification", header, columns)], _EXIT_OK
 
 
-def _cmd_models_list(cfg: RunConfig) -> list:
+def _cmd_models_list(cfg: RunConfig) -> tuple:
+    """print the model registry as JSON"""
     print(json.dumps(_jsonable(models_list()), indent=2, sort_keys=True))
-    return []
+    return [], _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags win per key")
-    shared.add_argument("--model", help="registered model name")
-    shared.add_argument("--wA", help="first superpotential expression")
-    shared.add_argument("--wB", help="second superpotential expression")
-    shared.add_argument("--bind", action="append", metavar="NAME=VALUE",
-                        help="parameter binding; repeatable")
-    shared.add_argument("--grid-l", type=float, dest="grid_l",
-                        help=f"grid half-width L (default {RunConfig.grid_l:g})")
-    shared.add_argument("--grid-n", type=int, dest="grid_n",
-                        help=f"grid points N (default {RunConfig.grid_n}; env SUSYQ_GRID_N)")
-    shared.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="named tolerance override; repeatable")
-    shared.add_argument("--out", help=f"output directory (default {RunConfig.out})")
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help=f"table format (default {RunConfig.fmt})")
-
-    parser = argparse.ArgumentParser(
-        prog="susyq",
-        description="superpotential pairs, their verification suites, and "
-                    "action-labelled state families",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("potentials", parents=[shared],
-                   help="sample the drift and the four potentials")
-    p = sub.add_parser("vacua", parents=[shared],
-                       help="factor vacua with decay and integrability report")
-    p.add_argument("--normalization", choices=("raw", "unit", "paired"),
-                   help=f"vacuum normalization policy (default {RunConfig.normalization})")
-    p = sub.add_parser("verify", parents=[shared],
-                       help="run the model's verification suite")
-    p.add_argument("--perturb-wb", dest="perturb_wb", metavar="EXPR",
-                   help="add EXPR to the second superpotential (negative test)")
-    p = sub.add_parser("gk", parents=[shared],
-                       help="build a bicoherent state pair and its reports")
-    p.add_argument("--j", type=float, help=f"action label J (default {RunConfig.j:g})")
-    p.add_argument("--gamma", type=float, help=f"angle label (default {RunConfig.gamma:g})")
-    p.add_argument("--family", choices=("phi", "psi"),
-                   help=f"which family the state report features (default {RunConfig.family})")
-    p.add_argument("--n-terms", type=int, dest="n_terms",
-                   help=f"basis truncation (default {RunConfig.n_terms})")
-    p.add_argument("--j-max", type=float, dest="j_max",
-                   help="upper end of the K(J) curve (default min(J_min, 10))")
-    p.add_argument("--spectrum-file", dest="spectrum_file", metavar="PATH",
-                   help="JSON list of eigenvalues replacing the model formula")
-    p = sub.add_parser("bs-classify", parents=[shared],
-                       help="square-integrability table of the rate family")
-    p.add_argument("--r-values", dest="r_values",
-                   help="comma-separated rate list")
-    p.add_argument("--numeric", action="store_true", default=None,
-                   help="re-derive each row from fitted decay exponents")
-    sub.add_parser("models-list", parents=[shared],
-                   help="print the model registry as JSON")
-    return parser
-
-
-_COMMANDS = {
+_COMMANDS = {  # each returns (paths written, exit code)
     "potentials": _cmd_potentials,
     "vacua": _cmd_vacua,
+    "verify": _cmd_verify,
     "gk": _cmd_gk,
     "bs-classify": _cmd_bs_classify,
     "models-list": _cmd_models_list,
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    """A subparser per command, its help the function's docstring, taking
+    ``--config`` and the ``_OPTIONS`` rows that name the command, if any."""
+    parser = argparse.ArgumentParser(
+        prog="susyq",
+        description="superpotential pairs, their verification suites, and "
+                    "action-labelled state families",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        options = [opt for opt in _OPTIONS if command in opt.commands]
+        if options:
+            p.add_argument("--config", help="JSON config file; flags win per key")
+        for opt in options:
+            choices = {"choices": opt.check.choices} if hasattr(opt.check, "choices") else {}
+            p.add_argument(opt.flag, help=opt.help, **choices, **opt.parse)
+    return parser
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if cfg.command != "models-list":
+        if hasattr(args, "out"):  # the command reads --out
             try:
                 os.makedirs(cfg.out, exist_ok=True)
             except OSError as e:
                 raise ConfigError(
                     f"cannot create output directory {cfg.out!r}: {e.strerror}") from e
-        if cfg.command == "verify":
-            paths, passed = _cmd_verify(cfg)
-            code = _EXIT_OK if passed else _EXIT_VERIFY_FAILED
-        else:
-            paths = _COMMANDS[cfg.command](cfg)
-            code = _EXIT_OK
+        paths, code = _COMMANDS[cfg.command](cfg)
         for path in paths:
             print(path)
         return code

@@ -628,6 +628,7 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
                        np.array([inner(psi_basis[i], g) for i in range(n)]), inner(f, g), s, md)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # point() refuses a trace past double range
 def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensity):
     """:func:`resolution_estimate` from the overlaps <f, phi_n> and
     <psi_n, g> for n below the truncation, and the target <f, g>."""
@@ -656,6 +657,9 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
         w = windows[big_gamma][:levels, :levels]
         val = complex(np.einsum("a,ab,b->", f_coeff[:levels], w * t[:levels, :levels],
                                 g_coeff[:levels]))
+        if not abs(val.real) + abs(val.imag) < math.inf:  # NaN, infinity, or a modulus past it
+            raise GKError(f"the resolution trace leaves double range at Gamma={big_gamma:g}: the "
+                          "window sin(Gamma dE)/(Gamma dE) grows like exp(Gamma |Im dE|)")
         abs_err = abs(val - target)
         return ResolutionPoint(big_gamma, upper, levels, val, abs_err,
                                abs_err / abs(target) if abs(target) > 1e-8 else None)

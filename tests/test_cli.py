@@ -150,6 +150,19 @@ def test_config_errors_exit_two(tmp_path):
     (["gk", "--model", "harmonic"], {"n_terms": True}, "n_terms must be an integer, got True"),
     (["bs-classify"], {"numeric": "false"}, "numeric must be true, false or null, got 'false'"),
     (["bs-classify"], {"numeric": 1}, "numeric must be true, false or null, got 1"),
+    # a file value is checked where a flag overrides it, and where the command does not read it
+    (["gk", "--model", "harmonic", "--j", "1"], {"J": "abc"}, "J must be a number"),
+    (["vacua", "--model", "harmonic", "--normalization", "unit"], {"normalization": "bogus"},
+     "unknown normalization 'bogus' (raw, unit, or paired)"),
+    (["potentials", "--model", "harmonic"], {"family": "chi"},
+     "unknown state family 'chi' (phi or psi)"),
+    (["bs-classify", "--format", "csv"], {"format": "xml"},
+     "unknown output format 'xml' (csv or json)"),
+    # integers that no double holds
+    (["gk", "--model", "harmonic"], {"J": 10**400}, "J is out of float range"),
+    (["gk", "--model", "harmonic"], {"tolerances": {"state": 10**400}},
+     "bad tolerance value: state is out of float range"),
+    (["bs-classify"], {"r_values": [1, -10**400]}, "r_values entry is out of float range"),
 ])
 def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, config, message):
     from susyq import cli
@@ -162,6 +175,62 @@ def test_malformed_numbers_are_configuration_errors(tmp_path, capsys, argv, conf
     err = capsys.readouterr().err
     assert "internal error" not in err and "Traceback" not in err
     assert message in err
+
+
+def test_each_option_is_one_row_and_each_subcommand_takes_its_rows():
+    import argparse
+    import dataclasses
+
+    from susyq import cli
+
+    fields = sorted(f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command")
+    assert sorted(opt.field for opt in cli._OPTIONS) == fields
+    [subparsers] = [a for a in cli._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(cli._COMMANDS)
+    slots = 0
+    for command, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        rows = {opt.flag for opt in cli._OPTIONS if command in opt.commands}
+        assert flags == ({"--config"} | rows if rows else set()), command
+        slots += len(flags)
+    assert slots == 49
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "harmonic", "--format", "json"],
+    ["gk", "--model", "harmonic", "--wA", "x"],
+    ["bs-classify", "--model", "harmonic"],
+    ["potentials", "--model", "harmonic", "--tol", "state=1e-9"],
+    ["models-list"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    from susyq import cli
+
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_a_command_that_reads_out_makes_a_directory(tmp_path, monkeypatch, capsys):
+    from susyq import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["models-list"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(["bs-classify", "--r-values=1"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [cli.RunConfig.out]
+
+
+def test_an_unread_flag_exits_two_from_the_command_line(tmp_path):
+    r = run_cli("gk", "--model", "harmonic", "--wA", "1/x", "--wB", "x", "--format", "json",
+                "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "unrecognized arguments: --wA 1/x --wB x --format json" in r.stderr
+    assert r.stdout == "" and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("numeric, columns", [(None, 5), (False, 5), (True, 6)])
@@ -186,10 +255,10 @@ def test_an_integral_float_is_a_grid_size(tmp_path):
 
 def test_unknown_tolerance_names_exit_two(tmp_path):
     out = str(tmp_path / "o")
-    r = run_cli("potentials", "--model", "harmonic", "--tol", "stat=1e-9", "--out", out)
+    r = run_cli("gk", "--model", "harmonic", "--tol", "stat=1e-9", "--out", out)
     assert r.returncode == 2
     assert "unknown tolerance name(s) stat" in r.stderr
-    r = run_cli("potentials", "--model", "harmonic", "--tol", "state=tight", "--out", out)
+    r = run_cli("gk", "--model", "harmonic", "--tol", "state=tight", "--out", out)
     assert r.returncode == 2
     assert "bad tolerance value" in r.stderr
 
@@ -200,9 +269,26 @@ def test_unknown_tolerance_names_exit_two(tmp_path):
     assert "unknown tolerance name(s) residual" in r.stderr
 
     cfg.write_text(json.dumps({"tolerances": {"state": 1e-9}}))
-    r = run_cli("potentials", "--model", "harmonic", "--grid-n", "65",
+    r = run_cli("gk", "--model", "harmonic", "--grid-n", "65",
                 "--config", str(cfg), "--tol", "state=1e-10", "--out", out)
     assert r.returncode == 0
+
+
+# a tolerance that is not a positive finite number would certify any tail, or
+# none, and is refused
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false", "0",
+                                   "-1", "-1e-9", '"nan"'])
+def test_a_tolerance_must_be_a_positive_finite_number(tmp_path, capsys, value):
+    from susyq import cli
+
+    argv = ["gk", "--model", "harmonic", "--grid-n", "65", "--out", str(tmp_path / "o")]
+    assert cli.main(argv + ["--tol", f"state={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("susyq: bad tolerance value: state")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"tolerances": {{"state": {value}}}}}')
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("susyq: bad tolerance value: state")
 
 
 def test_internal_error_prints_its_traceback(monkeypatch, capsys):
@@ -507,6 +593,11 @@ def test_gk_domain_rejections_exit_four(tmp_path):
                 "--n-terms", "14", "--out", out)
     assert r.returncode == 4
     assert "cannot be certified" in r.stderr
+    # a tolerance that no series tail can meet
+    r = run_cli("gk", "--model", "harmonic", "--tol", "state=1e-30", "--grid-n", "65",
+                "--out", out)
+    assert r.returncode == 4
+    assert "above the requested tolerance 1e-30" in r.stderr
 
 
 def test_gk_spectrum_file_gives_a_finite_domain(tmp_path):
@@ -653,6 +744,19 @@ def test_vacua_report_and_log_table(tmp_path):
     flags = [rec["in_l2"] for rec in rep["records"]]
     assert flags == [False, True, False, True]
     assert all(rec["annihilation_residual"] < 1e-6 for rec in rep["records"])
+
+
+@pytest.mark.parametrize("rates", ["nan", "1,inf", "-inf,1", "1e400"])
+@pytest.mark.parametrize("numeric", [[], ["--numeric"]])
+def test_rates_must_be_finite(tmp_path, capsys, rates, numeric):
+    from susyq import cli
+
+    out = tmp_path / "o"
+    assert cli.main(["bs-classify", f"--r-values={rates}", *numeric, "--grid-n", "65",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("susyq: r_values entry must be finite")
+    assert not (out / "bs-classification.csv").exists()
 
 
 def test_bs_classification_table(tmp_path):

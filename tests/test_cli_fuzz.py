@@ -2,8 +2,9 @@
 
 The argvs are drawn from docs/expression-grammar.md (atoms, the five
 functions, integer powers, unary minus and the four operators), plus random
-bindings, grid sizes and half-widths, and gk labels.  Each runs in process
-through ``cli.main``.  Whatever the input, the run must end in one of the
+bindings, grid sizes and half-widths, gk labels and bs-classify rates, each
+subcommand with only the flags it reads.  Each runs in process through
+``cli.main``.  Whatever the input, the run must end in one of the
 documented exit codes 0-4 and never in an internal error; a rejected input
 (exit 2, 3 or 4) is reported on exactly one ``susyq:`` line.
 
@@ -86,9 +87,25 @@ def _optional(draw, flag, values):
     return [] if value is None else [f"{flag}={value}"]
 
 
+# bs-classify rates: mostly ordinary, sometimes out of range or not finite
+RATES = st.lists(st.one_of(REALS, st.sampled_from(["0", "400", "-400", "-1"])),
+                 min_size=1, max_size=4).map(",".join)
+
+
+def _bs_classify(draw):
+    argv = ["bs-classify"] + _optional(draw, "--r-values", RATES)
+    if draw(st.booleans()):
+        argv.append("--numeric")
+    argv += _optional(draw, "--format", st.sampled_from(["csv", "json"]))
+    argv += _optional(draw, "--bind", BIND_VALUES.map(lambda v: f"v0={v}"))
+    return argv + draw(GRID)
+
+
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["potentials", "vacua", "verify", "gk"]))
+    command = draw(st.sampled_from(["potentials", "vacua", "verify", "gk", "bs-classify"]))
+    if command == "bs-classify":
+        return _bs_classify(draw)
     # --model, or --wA/--wB; rarely both, one of the pair, or an unknown model
     kind = "model" if command == "gk" else draw(
         st.sampled_from(["model"] * 4 + ["pair"] * 4 + ["both", "half", "unknown"]))
@@ -111,7 +128,8 @@ def argvs(draw):
         argv += _optional(draw, "--normalization", st.sampled_from(["raw", "unit", "paired"]))
     if command == "verify" and kind == "model":
         argv += _optional(draw, "--perturb-wb", EXPRESSIONS)
-    argv += _optional(draw, "--format", st.sampled_from(["csv", "json"]))
+    if command in ("potentials", "vacua"):
+        argv += _optional(draw, "--format", st.sampled_from(["csv", "json"]))
 
     # mostly the source's own parameter names, sometimes a name it does not take
     own = MODEL_PARAMS[model] if kind == "model" else ("k", "a")

@@ -31,6 +31,9 @@ from susyq.models import get_model
 from susyq.numerics import _BLOCK, Grid, GridFunction, _panel_simpson, inner, norm
 from susyq.susy import apply_H1
 
+# an overflow or an invalid operation in numpy fails the test that meets it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -518,6 +521,16 @@ def test_resolution_trace_matches_the_scalar_t_matrix_bit_for_bit(c, theta, n):
     assert np.isfinite(got).all()
     assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
     assert rep.estimate == got[3]
+
+
+def test_a_trace_past_double_range_is_refused():
+    # at c = 2 the theta = 0.3 window grows to 1e253 by Gamma = 100 and
+    # overflows at Gamma = 200, where the estimate would read nan
+    grid = Grid(8, 257)
+    family = [GridFunction(grid, grid.x ** n * np.exp(-grid.x ** 2 / 2)) for n in range(12)]
+    s = build_spectrum([2 * n * cmath.exp(0.3j) for n in range(12)])
+    with pytest.raises(GKError, match="leaves double range at Gamma=200"):
+        resolution_estimate(family[0], family[0], family, family, s, moment_density(s))
 
 
 # ---------------------------------------------------------------------------
