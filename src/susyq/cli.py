@@ -46,6 +46,7 @@ from .models import (
     bs_classification,
     bs_numeric_flags,
     get_model,
+    model_params,
     models_list,
 )
 from .numerics import Grid, PoleOnGridError, RepresentationError, inner
@@ -520,8 +521,11 @@ def _emit_table(cfg: RunConfig, stem: str, header, columns) -> str:
 
 
 def _annotations(grid: Grid, singular_points) -> list:
+    """``pole x0=...`` on the node nearest each singular point on the grid's span."""
     ann = [""] * grid.n_points
     for x0 in singular_points:
+        if not grid.x[0] <= x0 <= grid.x[-1]:
+            continue
         idx = int(np.argmin(np.abs(grid.x - x0)))
         tag = f"pole x0={_fmt(x0)}"
         ann[idx] = f"{ann[idx]};{tag}" if ann[idx] else tag
@@ -726,13 +730,15 @@ def _cmd_gk(cfg: RunConfig) -> tuple:
 def _cmd_bs_classify(cfg: RunConfig) -> tuple:
     """square-integrability table of the rate family"""
     grid = cfg.grid() if cfg.numeric else None
+    # every binding is checked; r may be bound (a shared config binds it), but --r-values rules
+    v0 = model_params("black-scholes", **cfg.bind)["v0"]
     header = ["r", "phi0_1", "phi0_2", "psi0_1", "psi0_2"] + ["numeric_agrees"] * cfg.numeric
     rows = []
     for r in cfg.r_values:
         row_obj = bs_classification(r)
         row = list(row_obj.flags())
         if cfg.numeric:
-            m = get_model("black-scholes", r=r, v0=cfg.bind.get("v0", 1.0))
+            m = get_model("black-scholes", r=r, v0=v0)
             row.append(bs_numeric_flags(m, grid).flags() == row_obj.flags())
         rows.append(row)
     columns = [np.array(cfg.r_values, dtype=float)]
@@ -761,7 +767,8 @@ _COMMANDS = {  # each returns (paths written, exit code)
 
 def _build_parser() -> argparse.ArgumentParser:
     """A subparser per command, its help the function's docstring, taking
-    ``--config`` and the ``_OPTIONS`` rows that name the command, if any."""
+    ``--config`` and the ``_OPTIONS`` rows that name the command, if any;
+    a parse's ``subparser`` is its command's parser."""
     parser = argparse.ArgumentParser(
         prog="susyq",
         description="superpotential pairs, their verification suites, and "
@@ -770,6 +777,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, run in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__)
+        p.set_defaults(subparser=p)
         options = [opt for opt in _OPTIONS if command in opt.commands]
         if options:
             p.add_argument("--config", help="JSON config file; flags win per key")
@@ -780,7 +788,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # with the subcommand's usage line, not the top level's
+        args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = _merge_config(args)
         if hasattr(args, "out"):  # the command reads --out

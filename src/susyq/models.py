@@ -67,6 +67,7 @@ __all__ = [
     "pb_identities",
     "PBIdentityReport",
     "get_model",
+    "model_params",
     "models_list",
 ]
 
@@ -106,29 +107,29 @@ class _HermiteLadder:
 
     Eigenfamily generators ask for levels 0, 1, 2, ... on one grid; each
     level then costs one recurrence step instead of n.  The state is the
-    last two levels for one grid and one c; a lower level, another grid or
-    another c starts again from level 0.  Each step does the operations of
-    ``hermite`` with the same operands in the same order.  Each call returns
-    a new array with the bits of ``hermite(n, z)``.  It must be new: numpy
-    evaluates ``c * new_array`` in the new array's buffer as
-    ``new_array * c``, and complex products in numpy are not bitwise
-    commutative, so ``c`` times a shared array would differ from
+    argument c x and the last two levels for one grid and one c; a lower
+    level, another grid or another c starts again from level 0.  Each step
+    does the operations of ``hermite`` with the same operands in the same
+    order.  Each call returns a new array with the bits of ``hermite(n, z)``.
+    It must be new: numpy evaluates ``c * new_array`` in the new array's
+    buffer as ``new_array * c``, and complex products in numpy are not
+    bitwise commutative, so ``c`` times a shared array would differ from
     ``c * hermite(n, z)`` in the last bit.
     """
 
     def __init__(self):
-        self._key = self._envelope_key = None
+        self._key, self._envelope_key = (None, None, None), None
 
     def __call__(self, n: int, grid: Grid, c=None) -> np.ndarray:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if (grid, c) != self._key or n < self._level:
+        if (grid, c) != self._key[:2] or n < self._level:
             z = _ladder_argument(grid, c)
-            self._key, self._level = (grid, c), 0
+            self._key, self._level = (grid, c, z), 0
             self._h, self._h_prev = np.ones_like(z), np.empty_like(z)
+        z = self._key[2]
         while self._level < n:
             m, h, h_prev = self._level, self._h, self._h_prev
-            z = _ladder_argument(grid, c)
             if m == 0:
                 np.multiply(2, z, out=h_prev)
             else:
@@ -210,14 +211,15 @@ class ModelRecord:
         return generic_vacua(self.pair, grid or default_grid(), normalization)
 
 
-def get_model(name: str, **params) -> ModelRecord:
-    """Build a registered model; a parameter whose default is a number must
-    be given a real number (not a string or a bool), and one whose default
-    is an expression string must be given a string."""
+def model_params(name: str, **params) -> dict:
+    """A registered model's parameter defaults merged with ``params``; a
+    parameter whose default is a number must be given a real number (not a
+    string or a bool), and one whose default is an expression string must be
+    given a string."""
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ModelError(f"unknown model {name!r}; registered: {known}")
-    builder, defaults, _ = _REGISTRY[name]
+    defaults = _REGISTRY[name][1]
     unknown = set(params) - set(defaults)
     if unknown:
         raise ModelError(f"model {name!r} does not take parameters {sorted(unknown)}")
@@ -226,7 +228,13 @@ def get_model(name: str, **params) -> ModelRecord:
             raise ModelError(f"model {name!r} parameter {key!r} must be a number, got {value!r}")
         if isinstance(defaults[key], str) and not isinstance(value, str):
             raise ModelError(f"model {name!r} parameter {key!r} must be an expression string")
-    return builder(**{**defaults, **params})
+    return {**defaults, **params}
+
+
+def get_model(name: str, **params) -> ModelRecord:
+    """Build a registered model from its :func:`model_params`."""
+    params = model_params(name, **params)
+    return _REGISTRY[name][0](**params)
 
 
 def _is_number(value) -> bool:

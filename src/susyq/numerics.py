@@ -16,15 +16,18 @@ weights, conjugate-linear in the first slot.  Residual checks should drop the
 outermost 5 points per edge, where one-sided stencils live.
 
 The interior stencil runs on the float64 view of the samples, so a complex
-array costs real multiplies instead of complex ones, and it keeps the bits
-of the complex expressions it replaces.  numpy multiplies a sample a + bi by
-a weight c as by c + 0j, giving c*a - 0*b and c*b + 0*a, and divides by a
-real d as by d + 0j, giving (a + b*0)*(1/d) and (b - a*0)*(1/d).  So the view
-multiplies by the reciprocal 1/d (dividing by d changes the last bit of about
-a third of the doubles).  The zero terms can only flip the sign of a zero,
-which needs a -0.0 among a point's samples, or turn an overflow into a NaN;
-such points are recomputed with the complex expressions.  Real input (a log
-scale) is divided by d, as the real expression does.
+array costs real multiplies instead of complex ones.  numpy multiplies a
+sample a + bi by a weight c as by c + 0j, giving c*a - 0*b and c*b + 0*a,
+and divides by a real d as by d + 0j, giving (a + b*0)*(1/d) and
+(b - a*0)*(1/d).  The view drops the zero terms and multiplies by 1/d
+(dividing by d changes the last bit of about a third of the doubles), so
+every nonzero finite part has the complex expression's bits.  Dropping the
+zero terms can change only a zero's sign and the parts of a point that is
+already non-finite, and no output reads either: a zero's sign matters only
+at a branch cut, while images reach reports only through norms and
+magnitudes, and a carrier rejects a non-finite point by its first index
+and the count, whatever its parts.  Real input (a log scale) is divided by
+d, as the real expression does, and keeps its bits.
 
 Every operator and every residual runs on the blocked kernels: each
 derivative, and each operator built on one, is a job of a ``stencil_pass``,
@@ -319,8 +322,6 @@ _EDGE_STENCILS = {
 
 
 _BLOCK = 8192  # points per block: a complex slice is 128 KiB and stays in L2
-# -0.0 read as an int64 is the smallest int64, so one min finds any -0.0
-_NEGATIVE_ZERO = np.iinfo(np.int64).min
 
 
 def _blocks(n: int):
@@ -332,11 +333,12 @@ class _Stencil:
     """Derivatives of one sample array, written a block of points at a time.
 
     The central stencil runs on the float64 view, where neighbour j+1 of a
-    complex array sits two doubles further on, with the operations in the
-    order of ``_fd_reference``.  The results are that function's bits (see
-    the module docstring): the points next to a -0.0 sample and the points
-    whose result overflows are recomputed by it.  The two points at each
-    edge take one-sided stencils.
+    complex array sits two doubles further on, with the operations of the
+    complex expression (v[j-2] - 8 v[j-1] + 8 v[j+1] - v[j+2]) / (12 h) and
+    its second-order sibling.  A result matches that expression except for
+    a zero's sign and the parts of a non-finite point, which no output
+    reads (see the module docstring).  The two points at each edge take
+    one-sided stencils.
     """
 
     def __init__(self, values: np.ndarray, h: float, orders):
@@ -345,10 +347,8 @@ class _Stencil:
         self.v = v = np.ascontiguousarray(values)
         self.a = v.view(np.float64)
         self.s = self.a.size // v.size  # doubles per element: 2 for complex, 1 for real
-        self.h = h
         self.tmp = np.empty(min(_BLOCK, len(v)) * self.s)
         self.scale = {order: 12 * h if order == 1 else 12 * h * h for order in orders}
-        self.recip = {order: 1.0 / scale for order, scale in self.scale.items()}
         n = len(v)
         self.edges = []  # (order, point, weights, neighbour indices)
         for order in orders:
@@ -371,10 +371,8 @@ class _Stencil:
             b, e = (jlo - 2) * s, (jhi - 2) * s
             v0, v1, v2, v3, v4 = a[b:e], a[b + s : e + s], a[b + 2 * s : e + 2 * s], \
                 a[b + 3 * s : e + 3 * s], a[b + 4 * s : e + 4 * s]
-            near = self._near_negative_zero(jlo, jhi) if s == 2 else None
             for order, out in outs.items():
-                ob = out[jlo - lo : jhi - lo]
-                o = ob.view(np.float64)
+                o = out[jlo - lo : jhi - lo].view(np.float64)
                 if order == 1:
                     np.multiply(v1, 8, out=t)
                     np.subtract(v0, t, out=o)
@@ -391,35 +389,12 @@ class _Stencil:
                     o -= v4
                 if s == 1:
                     o /= self.scale[order]
-                    continue
-                o *= self.recip[order]
-                redo = [] if near is None else [near]
-                if not math.isfinite(o.sum()):
-                    redo.append(np.flatnonzero(~np.isfinite(ob)) + jlo)
-                if redo:
-                    j = np.unique(np.concatenate(redo))
-                    j = j[(j >= jlo) & (j < jhi)]
-                    ob[j - jlo] = _fd_reference(v, self.h, order, j)
+                else:
+                    o *= 1.0 / self.scale[order]
         for order, j, w, idx in self.edges:
             if lo <= j < hi:
                 outs[order][j - lo] = np.dot(w, v[idx])
         return outs
-
-    def _near_negative_zero(self, jlo: int, jhi: int):
-        """The points within two of a -0.0 sample that the interior points
-        jlo..jhi-1 read, or None when they read none."""
-        bits = self.a[(jlo - 2) * 2 : (jhi + 2) * 2].view(np.int64)
-        if bits.min() != _NEGATIVE_ZERO:
-            return None
-        near = np.flatnonzero(bits == _NEGATIVE_ZERO) // 2 + (jlo - 2)
-        return (near[:, None] + np.arange(-2, 3)).ravel()
-
-
-def _fd_reference(v: np.ndarray, h: float, order: int, j: np.ndarray) -> np.ndarray:
-    """The interior stencil at the points ``j`` as complex array expressions."""
-    if order == 1:
-        return (v[j - 2] - 8 * v[j - 1] + 8 * v[j + 1] - v[j + 2]) / (12 * h)
-    return (-v[j - 2] + 16 * v[j - 1] - 30 * v[j] + 16 * v[j + 1] - v[j + 2]) / (12 * h * h)
 
 
 def stencil_pass(f, jobs) -> list:

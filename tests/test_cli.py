@@ -84,6 +84,16 @@ def test_potentials_marks_the_partner_pole(tmp_path):
     assert abs(float(marked[0][0]) - x0) < 24.0 / 4096 + 1e-12
 
 
+def test_a_singular_point_off_the_grid_is_listed_but_not_annotated(tmp_path):
+    out = tmp_path / "o"
+    r = run_cli("potentials", "--model", "black-scholes", "--bind", "v0=1e12",
+                "--grid-n", "513", "--out", str(out))
+    assert r.returncode == 0
+    x0 = math.log(2e12) / 2.0  # past the last node, x = 12
+    assert read_json(out / "potentials-meta.json")["singular_points"] == [x0]
+    assert [row for row in read_csv(out / "potentials.csv")[1:] if row[-1]] == []
+
+
 def test_potentials_user_pair_drift_vanishes(tmp_path):
     out = tmp_path / "o"
     r = run_cli("potentials", "--wA", "x", "--wB", "x",
@@ -211,7 +221,9 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, 
     with pytest.raises(SystemExit) as exit_:
         cli.main(argv + ["--out", str(out)])
     assert exit_.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert err.startswith(f"usage: susyq {argv[0]} ")
     assert not out.exists()
 
 
@@ -230,6 +242,7 @@ def test_an_unread_flag_exits_two_from_the_command_line(tmp_path):
                 "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "unrecognized arguments: --wA 1/x --wB x --format json" in r.stderr
+    assert r.stderr.startswith("usage: susyq gk [-h]")
     assert r.stdout == "" and not (tmp_path / "o").exists()
 
 
@@ -757,6 +770,34 @@ def test_rates_must_be_finite(tmp_path, capsys, rates, numeric):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("susyq: r_values entry must be finite")
     assert not (out / "bs-classification.csv").exists()
+
+
+@pytest.mark.parametrize("numeric", [[], ["--numeric"]])
+@pytest.mark.parametrize("binding, message", [
+    ("kk=3", "model 'black-scholes' does not take parameters ['kk']"),
+    ("v0=abc", "model 'black-scholes' parameter 'v0' must be a number, got 'abc'"),
+])
+def test_bs_classify_checks_its_bindings(tmp_path, capsys, numeric, binding, message):
+    from susyq import cli
+
+    out = tmp_path / "o"
+    assert cli.main(["bs-classify", *numeric, "--bind", binding, "--grid-n", "65",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"susyq: {message}\n"
+    assert not (out / "bs-classification.csv").exists()
+
+
+def test_bs_classify_reads_v0_and_takes_a_bound_r(tmp_path):
+    from susyq import cli
+
+    out = tmp_path / "o"
+    # at r = -0.5, v0 = 2 puts the v-zero on the node x = 0, which exits 3
+    assert cli.main(["bs-classify", "--numeric", "--bind", "v0=2", "--r-values=2,1,0.5",
+                     "--grid-n", "1025", "--out", str(out)]) == 0
+    assert [row[-1] for row in read_csv(out / "bs-classification.csv")[1:]] == ["true"] * 3
+    # a shared config binds r; the rates still come from --r-values
+    assert cli.main(["bs-classify", "--bind", "r=3", "--r-values=1", "--out", str(out)]) == 0
+    assert [row[0] for row in read_csv(out / "bs-classification.csv")[1:]] == ["1"]
 
 
 def test_bs_classification_table(tmp_path):

@@ -328,6 +328,23 @@ def _stencil_values(v, h, order):
     return out
 
 
+def _assert_stencil_contract(got, want, case):
+    """``got`` against the complex-expression oracle ``want``.  Where the
+    oracle is finite, ``got`` is equal by == on the float64 view and
+    bit-equal at every nonzero part: it may differ only in a zero's sign.
+    Where the oracle is not finite, neither is ``got``.  Float64 input keeps
+    exact bits."""
+    assert got.dtype == want.dtype, case
+    if got.dtype == np.float64:
+        assert np.array_equal(_bits(got), _bits(want)), case
+        return
+    finite = np.isfinite(want)
+    assert not np.isfinite(got[~finite]).any(), case
+    g, w = got[finite].view(np.float64), want[finite].view(np.float64)
+    assert np.array_equal(g, w), case
+    assert np.array_equal(_bits(g[w != 0]), _bits(w[w != 0])), case
+
+
 # 8197 complex points make the float64 view span two 16384-double blocks
 @pytest.mark.parametrize("n", [16, 17, 4096, 4097, 8197])
 @pytest.mark.parametrize("order", [1, 2])
@@ -338,12 +355,11 @@ def test_fd_interior_is_the_complex_expression_bit_for_bit(n, order):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _stencil_values(v, h, order)[2:-2]
                 want = _fd_interior_oracle(v, h, order)
-            assert got.dtype == v.dtype, case
-            assert np.array_equal(_bits(got), _bits(want)), case
+            _assert_stencil_contract(got, want, case)
             # a carrier's derivative is the same pass; it holds finite complex samples
             if h == grid.spacing and v.dtype == np.complex128 and np.isfinite(want).all():
                 got = derivative(GridFunction(grid, v), order).values[2:-2]
-                assert np.array_equal(_bits(got), _bits(want)), case
+                _assert_stencil_contract(got, want, case)
 
 
 def _masked_inner(f, g):
@@ -532,7 +548,47 @@ def test_an_overflowing_stencil_is_reported_as_the_composed_expression_reports_i
                 assert str(got.value) == str(expected.value), op
             got = _stencil_values(values, grid.spacing, 2)
             want = _fd_oracle(values, grid.spacing, 2)
-        assert np.array_equal(_bits(got), _bits(want))
+        _assert_stencil_contract(got, want, "overflowing")
+
+
+# the parts of drawn stencil inputs: signed zeros, subnormals, normals and
+# values whose stencil sums overflow
+_STENCIL_PARTS = (st.sampled_from([0.0, -0.0, 1e307, -1e307])
+                  | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+                  | st.floats(-1e6, 1e6))
+_OVERFLOW_PAIR = susy.build_pair(parse("x"), parse("x + 1"))
+
+
+# the second length range puts about half the examples at the block edge
+@settings(deadline=None)
+@given(n=st.integers(16, _BLOCK + 40) | st.integers(_BLOCK - 4, _BLOCK + 40),
+       complex_input=st.booleans(), parts=st.lists(_STENCIL_PARTS, min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), order=st.sampled_from([1, 2]))
+def test_drawn_stencil_inputs_meet_the_complex_expression_oracle(n, complex_input, parts,
+                                                                 seed, order):
+    rng = np.random.default_rng(seed)
+    v = rng.choice(parts, n)
+    if complex_input:
+        v = v + 0j
+        v.imag = rng.choice(parts, n)
+    grid = Grid(3.0, n)
+    with np.errstate(all="ignore"):
+        got = _stencil_values(v, grid.spacing, order)
+        _assert_stencil_contract(got, _fd_oracle(v, grid.spacing, order), "drawn")
+        if not complex_input:
+            return
+        # each operator reports a non-finite image as the composed expression does
+        for f in (GridFunction(grid, v), GridFunction(grid, v, 0.1 * grid.x)):
+            for op, want in _operator_oracles(_OVERFLOW_PAIR, f).items():
+                try:
+                    GridFunction(grid, want)
+                except PoleOnGridError as expected:
+                    with pytest.raises(PoleOnGridError) as reported:
+                        getattr(susy, f"apply_{op}")(_OVERFLOW_PAIR, f)
+                    assert str(reported.value) == str(expected), op
+                else:
+                    got = getattr(susy, f"apply_{op}")(_OVERFLOW_PAIR, f).values
+                    _assert_stencil_contract(got, want, op)
 
 
 def _scaled_inner_oracle(f, g):
