@@ -14,7 +14,6 @@ import numpy as np
 from susyq import (
     Grid,
     action_identity,
-    build_state,
     evolve,
     get_model,
     inner,
@@ -25,6 +24,7 @@ from susyq import (
     pair_norm,
     resolution_estimate,
     spectrum_from_formula,
+    state_pair,
 )
 
 grid = Grid(12.0, 4097)
@@ -39,8 +39,9 @@ for j in (0.5, 1.0, 4.0):
 
 phis = [m.phi1(n, grid) for n in range(26)]
 psis = [m.psi1(n, grid) for n in range(26)]
-phi = build_state(phis, s, "phi", j=1.0, gamma=0.4)
-psi = build_state(psis, s, "psi", j=1.0, gamma=0.4)
+# both states at (J, gamma) = (1, 0.4), each family read once, with a series
+# tail under 1e-10; the domain is fitted to both families' norms
+phi, psi, domain, _, _, _ = state_pair(s, phis, psis, 1.0, 0.4, 1e-10, 2)
 print("terms kept:", phi.n_terms, " tail estimate:", phi.tail)
 
 print("pair norm (coefficients):", pair_norm(phi, psi))
@@ -58,8 +59,10 @@ print("moment density:", md.label)
 worst = max(c.residual for c in moment_residuals(s, md, n_max=10))
 print("moment residuals (n <= 10), worst:", worst)
 
-rep = resolution_estimate(phis[0], phis[0], phis[:12], psis[:12],
-                          spectrum_from_formula(m.energy, 13), md, n_trunc=12)
+# <phi_0, phi_0> from the overlaps <phi_0, phi_n> and <psi_n, phi_0>, n < 12
+f = phis[0]
+rep = resolution_estimate(np.array([inner(f, b) for b in phis[:12]]),
+                          np.array([inner(b, f) for b in psis[:12]]), inner(f, f), s, md)
 print("resolution error along the angle-window trace:")
 for p in rep.gamma_trace:
     print(f"  Gamma = {p.gamma_limit:5.0f}: relative error {p.rel_error:.4f}")

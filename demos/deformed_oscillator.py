@@ -12,7 +12,10 @@ import numpy as np
 from susyq import (
     DEFAULT_DEFORMATION_Q,
     Grid,
+    apply_A,
+    apply_B,
     apply_H1,
+    apply_H2,
     build_deformation,
     get_model,
     inner,
@@ -44,16 +47,18 @@ for n in (1, 4, 8):
     diff = image - 2.0 * n * phis[n]
     print(f"H phi_{n} vs {2 * n} phi_{n}:", relative_residual(diff, image))
 
-pairs1 = [(2.0 * n, phis[n]) for n in range(9)]
-pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]
-recs = intertwine_check(m.pair, pairs1, pairs2)
-for rec in recs[1:4]:
-    print(f"level {rec.n}: alpha*beta = {rec.alpha * rec.beta:.6f}, "
-          f"E = {rec.energy.real:.0f}, gap {rec.product_residual:.2e}")
-
-# the two charges close the matrix superalgebra on eigen-doublets
-doublets = [(r.n, r.energy, phis[r.n], phis[r.n - 1], r.alpha, r.beta)
-            for r in recs if r.n >= 1]
-vectors = [(phis[n], phis[n - 1]) for n in range(1, 9)]
-checks = superalgebra_check(m.pair, vectors, doublets=doublets, tol=1e-5)
+# level by level: the doublet (phi_n, phi_{n-1}) at E = 2n, with its images
+# A phi_n, H1 phi_n, B phi_{n-1} and H2 phi_{n-1}
+checks = []
+for n in range(1, 9):
+    a, h1 = apply_A(m.pair, phis[n]), apply_H1(m.pair, phis[n])
+    b, h2 = apply_B(m.pair, phis[n - 1]), apply_H2(m.pair, phis[n - 1])
+    rec = intertwine_check(n, 2.0 * n, phis[n], phis[n - 1], a, b)
+    if n < 4:
+        print(f"level {rec.n}: alpha*beta = {rec.alpha * rec.beta:.6f}, "
+              f"E = {rec.energy.real:.0f}, gap {rec.product_residual:.2e}")
+    # the two charges close the matrix superalgebra on the eigen-doublet
+    vector, doublet = superalgebra_check(m.pair, n, phis[n], phis[n - 1], a, h1, b, h2,
+                                         rec.alpha, rec.beta)
+    checks += vector + doublet
 print("superalgebra checks:", sum(c.passed for c in checks), "/", len(checks))

@@ -30,6 +30,7 @@ import numpy as np
 from .deform import DeformationError
 from .expr import ExprError, parse
 from .gk import (
+    MIN_TERMS,
     GKError,
     action_identity,
     build_spectrum,
@@ -604,8 +605,8 @@ def _cmd_verify(cfg: RunConfig) -> tuple:
 def _load_spectrum_file(path: str) -> list:
     """JSON list of eigenvalues, each a finite number or an [re, im] pair of them."""
     data = _read_json(path, "spectrum file")
-    if not isinstance(data, list) or len(data) < 2:
-        raise ConfigError("spectrum file must hold a list of two or more eigenvalues")
+    if not isinstance(data, list):
+        raise ConfigError("spectrum file must hold a list of eigenvalues")
     energies = []
     for item in data:
         parts = item if isinstance(item, list) and len(item) == 2 else [item]
@@ -631,8 +632,8 @@ def _cmd_gk(cfg: RunConfig) -> tuple:
     if m.phi1 is None or m.psi1 is None or m.energy is None:
         raise ConfigError(
             f"model {cfg.model!r} does not provide both eigenfamilies and a spectrum")
-    if cfg.n_terms < 2:
-        raise ConfigError("need at least two basis terms")
+    if cfg.n_terms < MIN_TERMS:  # from --n-terms, or the length of the spectrum file
+        raise ConfigError(f"need at least {MIN_TERMS} basis terms to fit the norm growth")
     energy, name, params, notes = m.energy, m.name, m.params, list(m.notes)
     s = (spectrum_from_formula(energy, cfg.n_terms) if file_energies is None
          else build_spectrum(file_energies))
@@ -739,7 +740,12 @@ def _cmd_bs_classify(cfg: RunConfig) -> tuple:
         row = list(row_obj.flags())
         if cfg.numeric:
             m = get_model("black-scholes", r=r, v0=v0)
-            row.append(bs_numeric_flags(m, grid).flags() == row_obj.flags())
+            try:
+                row.append(bs_numeric_flags(m, grid).flags() == row_obj.flags())
+            except PoleOnGridError as e:  # the vacua have no finite sample at a pole on a node
+                if m.extras["x0"] is None or abs(e.x - m.extras["x0"]) > grid.spacing / 2:
+                    raise
+                row.append("pole_on_node")
         rows.append(row)
     columns = [np.array(cfg.r_values, dtype=float)]
     columns.extend([row[k] for row in rows] for k in range(len(header) - 1))

@@ -14,7 +14,8 @@ pointwise weight conj(e^{-conj q}) e^q = 1 makes their cross pairing
 literally the base orthonormality.
 
 The ``deformed-harmonic`` model (in ``models``) builds these families, its
-partner sector the same one level down; the checks below take its families.
+partner sector the same one level down; the checks below take what the
+deformed-harmonic suite's level walk measured, one level at a time.
 
 The bounds m, M are certified by a grid scan only; when an extremum sits at
 the scan boundary the true global bound may lie outside the window and the
@@ -33,9 +34,7 @@ from .numerics import (
     EDGE_PAD,
     Grid,
     GridFunction,
-    biorthogonality_defect,
     default_grid,
-    norm,
     relative_residual,
     sample,
     stencil_pass,
@@ -44,7 +43,6 @@ from .reporting import CheckResult
 from .susy import (
     SuperpotentialPair,
     _first_order,
-    apply_H1,
     apply_H1_dag,
     apply_H2,
     apply_H2_dag,
@@ -141,19 +139,13 @@ def deformed_pair(d: Deformation) -> SuperpotentialPair:
     return build_pair(w_a, w_b, simplified={"q1": Const(2.0) * d.dq})
 
 
-def deformed_basis_report(d: Deformation, phis, psis):
-    """Pairing-matrix and norm-bound checks for a deformed family.
+def deformed_basis_report(d: Deformation, pairing: float, phi_norms, psi_norms):
+    """Pairing-matrix and norm-bound checks from a family's pairing defect and norms.
 
     The norm bounds are the operator bounds |e^q| <= e^M, |e^{-q}| <= e^{-m}
     applied to unit vectors; quadrature can overshoot them only at rounding
     level, which the tolerance of 1e-10 absorbs.
     """
-    return _basis_checks(d, biorthogonality_defect(psis, phis),
-                         [norm(phi) for phi in phis], [norm(psi) for psi in psis])
-
-
-def _basis_checks(d: Deformation, pairing: float, phi_norms, psi_norms):
-    """:func:`deformed_basis_report`'s checks from the pairing defect and the norms."""
     return [
         CheckResult.from_residual("biorthogonal pairing matrix is the identity", pairing, 1e-8),
         CheckResult.from_residual("deformed norms stay under e^M",
@@ -163,30 +155,14 @@ def _basis_checks(d: Deformation, pairing: float, phi_norms, psi_norms):
     ]
 
 
-def deformed_eigencheck(d: Deformation, pair: SuperpotentialPair, energies, phis, psis, base):
-    """Eigen-residuals of both deformed sectors and their adjoints.
-
-    ``phis``/``psis`` are the sector-1 families T e_n, T^-* e_n of the base
-    eigenfunctions ``base`` at E_n = ``energies[n]``, and ``pair`` supplies
-    the operators.  Sector 2 is T and T^-* on the lowered base
-    A e_{n+1} / sqrt(E_{n+1}).  The three families are read one level at a
-    time, so they may be generators.  Returns four checks, one per family,
-    each holding the worst level's residual.
-    """
-    worst, w = [0.0] * 4, None
-    for n, (phi, psi, e_n) in enumerate(zip(phis, psis, base)):
-        w = sample(d.w, phi.grid).values if w is None else w
-        _eigen_level(worst, d, pair, w, energies[n], phi, apply_H1(pair, phi), psi,
-                     e_n if n else None)
-    return _eigen_checks(worst)
-
-
-def _eigen_level(worst: list, d: Deformation, pair: SuperpotentialPair, w, e: float,
-                 phi, h1_phi, psi, e_n):
-    """Fold one level's eigen-residuals at energy ``e`` into ``worst``: H1 on
-    phi (its image ``h1_phi`` given), the adjoint on psi, and, unless
-    ``e_n`` is None (level 0), H2 and its adjoint on T and T^-* of the base
-    level e_n lowered by d/dx + w, with ``w`` the samples of ``d.w``."""
+def deformed_eigencheck(worst: list, d: Deformation, pair: SuperpotentialPair, w, e: float,
+                        phi, h1_phi, psi, e_n):
+    """Fold one level's eigen-residuals at energy ``e`` into ``worst`` (four
+    zeros at first) and return four checks, one per family, each holding the
+    worst residual so far: H1 on phi = T e_n (its image ``h1_phi`` given), the
+    adjoint on psi = T^-* e_n, and, unless ``e_n`` is None (level 0), H2 and
+    its adjoint on T and T^-* of the base level e_n lowered by d/dx + w, with
+    ``w`` the samples of ``d.w``."""
     worst[0] = max(worst[0], relative_residual((h1_phi, e, phi), phi))
     worst[1] = max(worst[1], relative_residual((apply_H1_dag(pair, psi), e, psi), psi))
     if e_n is not None:
@@ -196,10 +172,6 @@ def _eigen_level(worst: list, d: Deformation, pair: SuperpotentialPair, w, e: fl
                          (3, apply_H2_dag, d.inverse_dual_values(grid))):
             f = GridFunction(grid, t * lowered)
             worst[i] = max(worst[i], relative_residual((op(pair, f), e, f), f))
-
-
-def _eigen_checks(worst: list):
-    """:func:`deformed_eigencheck`'s four checks from the worst residuals."""
     families = ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")
     return [CheckResult.from_residual(f"{family}: eigen-residuals", r, 1e-5)
             for family, r in zip(families, worst)]

@@ -11,8 +11,8 @@ the bits of a Simpson ladder each, each T-matrix one array division), evolves
 states in time, and realizes the gamma-dependent lowering operators under
 which each state is an eigenvector with eigenvalue sqrt(J).  ``state_pair``
 is the whole construction for one (J, gamma): it reads each family once,
-level by level, so no family is held whole, and returns both states, their
-domain and the resolution trace.
+level by level, so no family is held whole, and returns both states
+(``build_state``), their domain and the trace (``resolution_estimate``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "Spectrum",
     "build_spectrum",
     "spectrum_from_formula",
+    "MIN_TERMS",
     "GKDomain",
     "gk_domain",
     "GKState",
@@ -45,7 +46,6 @@ __all__ = [
     "state_pair",
     "evolve",
     "action_identity",
-    "lowering_action",
     "lowering_defect",
 ]
 
@@ -171,8 +171,8 @@ def _fit_norm_bound(norms, label: str):
         raise GKError(f"all {label} norms vanish")
     # empty or numerically-annihilated slots would poison the log fit
     keep = arr > 1e-9 * top
-    if keep.sum() < 3:
-        raise GKError(f"need at least three positive norms to bound the {label} growth")
+    if keep.sum() < MIN_TERMS:
+        raise GKError(f"need at least {MIN_TERMS} positive norms to bound the {label} growth")
     ns = np.flatnonzero(keep).astype(float)
     logs = np.log(arr[keep])
     slope, intercept = np.polyfit(ns, logs, 1)
@@ -194,6 +194,7 @@ def _fit_norm_bound(norms, label: str):
 
 
 _DELTA_E_TOL = 1e-8  # largest settled gap between imaginary parts of eigenvalues
+MIN_TERMS = 3  # the fewest levels a state is built over: a growth fit reads three norms
 
 
 @dataclass(eq=False)
@@ -311,8 +312,8 @@ def _coefficient_vector(s: Spectrum, family: str, j: float, gamma: float,
 
 
 def _state_coefficients(s: Spectrum, family: str, j: float, gamma: float, n: int):
-    """The n coefficients :func:`_series` forms, or None where K(J) or the
-    vector raises; ``_series`` raises the same error after its domain check."""
+    """The n coefficients :func:`build_state` forms, or None where K(J) or the
+    vector raises; ``build_state`` raises the same error after its domain check."""
     try:
         return _coefficient_vector(s, family, j, gamma, normalization_K(s, j), n)
     except GKError:
@@ -373,33 +374,14 @@ def _tail_bound(s: Spectrum, a: float, r: float, family: str,
     return known + math.exp(log_term(last)) * q / (1.0 - q)
 
 
-def build_state(basis, s: Spectrum, family: str = "phi", j: float = 0.0,
-                gamma: float = 0.0, tol: float = 1e-10,
-                domain: GKDomain | None = None) -> GKState:
-    """Truncate the coefficient series over ``basis`` and sum it on the grid.
-
-    A list adapter over the family walk ``_walk``, which reads the basis
-    once.  With no explicit domain the certification is one-sided: the
-    growth bound is fitted from this basis alone and used for both slots.
-    The basis must come with the spectrum that actually labels it; nothing
-    here re-derives the shift between partner sectors.
-    """
+def build_state(s: Spectrum, family: str, j: float, gamma: float, tol: float,
+                domain: GKDomain, n: int, function: GridFunction | None = None) -> GKState:
+    """The state's n-term coefficient series and certified tail, carrying the
+    grid sum ``function``: the coefficients depend only on (s, J, gamma, K).
+    The domain must come with the spectrum that labels the family; nothing
+    here re-derives the shift between partner sectors."""
     if family not in ("phi", "psi"):
         raise GKError("family must be 'phi' or 'psi'")
-    if not basis:
-        raise GKError("empty basis")
-    j, gamma = float(j), float(gamma)
-    n = min(len(basis), len(s))
-    norms, function, _, _ = _walk(basis[:n], _state_coefficients(s, family, j, gamma, n))
-    if domain is None:
-        domain = gk_domain(s, norms, norms)
-    return _series(s, family, j, gamma, tol, domain, n, function)
-
-
-def _series(s: Spectrum, family: str, j: float, gamma: float, tol: float,
-            domain: GKDomain, n: int, function: GridFunction | None = None) -> GKState:
-    """The state's n-term coefficient series and certified tail, carrying the
-    grid sum ``function``: the coefficients depend only on (s, J, gamma, K)."""
     if not j < domain.j_min:
         raise GKError(
             f"J={j:g} is outside the certified domain J_min={domain.j_min:g}"
@@ -601,10 +583,10 @@ class ResolutionReport:
 _GAMMA_LIMITS = (25.0, 50.0, 100.0, 200.0)
 
 
-def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
-                        md: MomentDensity,
-                        n_trunc: int | None = None) -> ResolutionReport:
-    """Estimate <f, g> from the overcompleteness integral of the family.
+@np.errstate(over="ignore", invalid="ignore")  # point() refuses a trace past double range
+def resolution_estimate(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensity):
+    """Estimate the target <f, g> from the overcompleteness integral of the
+    family, given the overlaps <f, phi_n> and <psi_n, g> below the truncation.
 
     The angle average of the cross phases is carried out in closed form
     (sin(Gamma * dE)/(Gamma * dE), which is what the quadrature it replaces
@@ -619,19 +601,11 @@ def resolution_estimate(f, g, phi_basis, psi_basis, s: Spectrum,
     T-matrix entry is a moment over sqrt(rho_a) conj(sqrt(rho_b)), and the
     denominators and each window's sinc are formed once per trace.
     """
-    n = n_trunc if n_trunc is not None else min(len(phi_basis), len(psi_basis), len(s))
+    n = len(f_coeff)
     if n < 2:
         raise GKError("need at least two levels")
-    if n > min(len(phi_basis), len(psi_basis), len(s)):
+    if n > min(len(g_coeff), len(s)):
         raise GKError("truncation exceeds the available basis or spectrum")
-    return _resolution(np.array([inner(f, phi_basis[i]) for i in range(n)]),
-                       np.array([inner(psi_basis[i], g) for i in range(n)]), inner(f, g), s, md)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # point() refuses a trace past double range
-def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensity):
-    """:func:`resolution_estimate` from the overlaps <f, phi_n> and
-    <psi_n, g> for n below the truncation, and the target <f, g>."""
     if not md.solved:
         raise GKError("resolution estimate needs a solved moment density")
     if not s.multiplicity_one:
@@ -639,7 +613,6 @@ def _resolution(f_coeff, g_coeff, target: complex, s: Spectrum, md: MomentDensit
             f"spectrum has (near-)coincident eigenvalues (min gap {s.min_gap:.3g}); "
             "the angle average cannot separate them"
         )
-    n = len(f_coeff)
     j_max = max(10.0, 40.0 * s.min_gap)
     e = s.energies[:n]
 
@@ -698,11 +671,11 @@ def state_pair(s: Spectrum, phi_levels, psi_levels, j: float, gamma: float, tol:
         psi_levels, _state_coefficients(s, "psi", j, gamma, n),
         lambda _, psi: inner(psi, phi0), n_overlaps)
     domain = gk_domain(s, phi_norms, psi_norms)
-    phi, psi = (_series(s, family, j, gamma, tol, domain, n, function)
+    phi, psi = (build_state(s, family, j, gamma, tol, domain, n, function)
                 for family, function in (("phi", phi_sum), ("psi", psi_sum)))
     # the first phi overlap is the target <phi_0, phi_0>
-    trace = (_resolution(np.array(phi_overlaps), np.array(psi_overlaps), phi_overlaps[0], s, md)
-             if md.solved else None)
+    trace = (resolution_estimate(np.array(phi_overlaps), np.array(psi_overlaps),
+                                 phi_overlaps[0], s, md) if md.solved else None)
     return phi, psi, domain, phi_norms, psi_norms, trace
 
 
@@ -718,8 +691,8 @@ def evolve(state: GKState, t: float) -> GKState:
     evolution under the adjoint).
     """
     t = float(t)
-    fresh = _series(state.spectrum, state.family, state.j, state.gamma + t, state.build_tol,
-                    state.domain, state.n_terms)
+    fresh = build_state(state.spectrum, state.family, state.j, state.gamma + t, state.build_tol,
+                        state.domain, state.n_terms)
     e = state.spectrum.energies[: state.n_terms]
     phases = np.exp(-1j * (e if state.family == "phi" else np.conjugate(e)) * t)
     direct = state.coefficients * phases
@@ -734,36 +707,19 @@ def evolve(state: GKState, t: float) -> GKState:
 # ---------------------------------------------------------------------------
 # gamma-dependent lowering operators
 
-def lowering_action(s: Spectrum, gamma: float, family: str = "phi",
-                    n_terms: int | None = None) -> np.ndarray:
-    """Matrix of the angle-dependent lowering operator on the first N levels.
-
-    Entry (n-1, n) is sqrt(E_n) exp(i (E_n - E_{n-1}) gamma); the psi
-    variant conjugates only the eigenvalues in the exponent, keeping
-    sqrt(E_n) itself, which is what the shared sqrt(rho_n) denominator of
-    the two coefficient families requires.  The ground column is zero and
-    the matrix is nilpotent at its own size.
-    """
-    if family not in ("phi", "psi"):
-        raise GKError("family must be 'phi' or 'psi'")
-    n = n_terms if n_terms is not None else len(s)
-    if n > len(s):
-        raise GKError("truncation exceeds the spectrum length")
-    e = s.energies[:n]
-    ph = e if family == "phi" else np.conjugate(e)
-    mat = np.zeros((n, n), dtype=np.complex128)
-    idx = np.arange(1, n)
-    mat[idx - 1, idx] = np.sqrt(e[idx]) * np.exp(1j * (ph[idx] - ph[idx - 1]) * gamma)
-    return mat
-
-
 def lowering_defect(state: GKState) -> float:
     """max |a(gamma) c - sqrt(J) c| over the truncated coefficient vector.
 
-    Interior entries cancel exactly because each sqrt(rho_n) step is the
-    principal sqrt(E_n); what remains is the top entry sqrt(J)|c_{N-1}|,
-    the truncation's own footprint.
+    The lowering operator a(gamma) has entry (n-1, n) sqrt(E_n) exp(i (E_n -
+    E_{n-1}) gamma), its exponent conjugated for psi, as the shared sqrt(rho_n)
+    denominator of the two families requires.  Interior entries cancel exactly
+    because each sqrt(rho_n) step is the principal sqrt(E_n); what remains is
+    the top entry sqrt(J)|c_{N-1}|, the truncation's own footprint.
     """
-    mat = lowering_action(state.spectrum, state.gamma, state.family, state.n_terms)
-    c = state.coefficients
+    n, c = state.n_terms, state.coefficients
+    e = state.spectrum.energies[:n]
+    ph = e if state.family == "phi" else np.conjugate(e)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    idx = np.arange(1, n)
+    mat[idx - 1, idx] = np.sqrt(e[idx]) * np.exp(1j * (ph[idx] - ph[idx - 1]) * state.gamma)
     return float(np.max(np.abs(mat @ c - math.sqrt(state.j) * c)))

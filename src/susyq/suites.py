@@ -7,12 +7,12 @@ sections (eigen-residuals, intertwining, biorthogonality, polynomial
 identities, classification tables, state-family identities) and notes.
 Each suite builds each of the record's families once and hands the same
 lists to every section; the second sector is read as the first one level
-down.  The three ladder suites read one level walk, ``_ladder_walk``, in
-which one stencil pass per level carrier forms every image the level's
-checks read; the deformed-harmonic suite feeds that walk's levels to
-``gk.state_pair``, the step the ``gk`` command builds its states with.  A
-user pair runs the same runner with no sections of its own.  The verify
-command renders these reports and turns them into exit codes.
+down.  The ladder suites read one level walk, ``_ladder_walk``: one stencil
+pass per level carrier forms the images that the level's checks
+(``intertwine_check``, ``superalgebra_check``, ``deformed_eigencheck``) read,
+and the deformed-harmonic suite feeds the levels to ``gk.state_pair``, the
+step of the ``gk`` command.  A user pair runs the same runner with no
+sections of its own.  The verify command turns the reports into exit codes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .deform import DeformationError, _basis_checks, _eigen_checks, _eigen_level
+from .deform import DeformationError, deformed_basis_report, deformed_eigencheck
 from .expr import differentiate, evaluate, parse, to_source
 from .gk import (
     action_identity,
@@ -49,14 +49,13 @@ from .numerics import (Grid, NonConvergenceError, RepresentationError, _pairing_
                        biorthogonality_defect, inner, relative_residual, sample)
 from .reporting import CheckResult
 from .susy import (
-    _doublet_checks,
-    _intertwine_record,
-    _vector_checks,
     apply_ops,
     build_pair,
     factorization_residuals,
+    intertwine_check,
     potential_identity_residual,
     probe_function,
+    superalgebra_check,
     vacua,
 )
 
@@ -158,8 +157,8 @@ def _ladder_walk(pair, energy, level, n_levels, h2=False):
         else:  # H1 on the scaled carrier, the rest on its values
             lv.h1 = apply_ops(pair, lv.phi, ["H1"])[0]
             lv.a, *up = apply_ops(pair, flat, ops)
-        lv.rec = _intertwine_record(n, energy(n), flat, lv.down, lv.a, lv.b_down,
-                                    pair.singular_points)
+        lv.rec = intertwine_check(n, energy(n), flat, lv.down, lv.a, lv.b_down,
+                                  pair.singular_points)
         yield lv
         lv.down, lv.b_down, lv.h2_down = flat, *(up + [None, None])[:2]
 
@@ -302,23 +301,21 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     s = spectrum_from_formula(m.energy, n_basis)
     psis = [m.psi1(n, grid) for n in range(n_eigen)]
     w = sample(d.w, grid).values
-    pairing, eigen, inter, vectors, doublets = 0.0, [0.0] * 4, [], [], []
+    pairing, worst, eigen, inter, algebra = 0.0, [0.0] * 4, [], [], []
 
     def phi_levels():
-        nonlocal pairing
+        nonlocal pairing, eigen
         for lv in _ladder_walk(pair, m.energy, lambda n: m.phi1(n, grid), n_ops, h2=True):
             n, phi = lv.n, lv.phi
             yield phi
             if n < n_eigen:
                 pairing = max(pairing, _pairing_defect(psis, n, phi))
-                _eigen_level(eigen, d, pair, w, m.energy(n), phi, lv.h1, psis[n],
-                             base(n, grid) if n else None)
+                eigen = deformed_eigencheck(worst, d, pair, w, m.energy(n), phi, lv.h1, psis[n],
+                                            base(n, grid) if n else None)
             inter.append(_intertwine_result(lv.rec))
             if n > 0:
-                vectors.extend(_vector_checks(pair, f"vector {n - 1}", phi, lv.down, lv.a,
-                                              lv.h1, lv.b_down, lv.h2_down))
-                doublets.extend(_doublet_checks(pair, n, phi, lv.down, lv.a, lv.b_down,
-                                                lv.rec.alpha, lv.rec.beta))
+                algebra.append(superalgebra_check(pair, n, phi, lv.down, lv.a, lv.h1, lv.b_down,
+                                                  lv.h2_down, lv.rec.alpha, lv.rec.beta))
         yield from (m.phi1(n, grid) for n in range(n_ops, n_basis))
 
     phi, psi, _, phi_norms, psi_norms, rep = state_pair(
@@ -352,10 +349,11 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     ]
 
     return {
-        "deformation": _basis_checks(d, pairing, phi_norms[:n_eigen], psi_norms[:n_eigen]),
-        "eigenfunctions": _eigen_checks(eigen),
+        "deformation": deformed_basis_report(d, pairing, phi_norms[:n_eigen], psi_norms[:n_eigen]),
+        "eigenfunctions": eigen,
         "intertwining": inter,
-        "superalgebra": vectors + doublets,
+        # every level's vector checks, then every level's doublet checks
+        "superalgebra": [c for part in zip(*algebra) for level in part for c in level],
         "states": states,
     }, ()
 

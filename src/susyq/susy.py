@@ -14,7 +14,7 @@ their adjoints are the same second-order form with (wA, wB) replaced by
 (conj wB, conj wA), carrying the dual potentials v1_dual, v2_dual.  This
 module builds the symbolic quadruple, applies all eight operators on the
 grid, computes the four factor vacua with decay classification, and verifies
-the intertwining relations and the 2x2 matrix superalgebra.
+the intertwining relations and the 2x2 matrix superalgebra level by level.
 """
 
 from __future__ import annotations
@@ -453,9 +453,10 @@ def _projection(target, image):
     return c, float(interior_norm((image, c, target), pad=0) / scale)
 
 
-def _intertwine_record(n: int, energy, phi1, phi2, a_image, b_image, exclude=()):
+def intertwine_check(n: int, energy, phi1, phi2, a_image, b_image, exclude=()):
     """Level n's record from A phi1 and, when the level has a partner phi2
-    (None for a zero-mode, which A must annihilate), B phi2."""
+    (None for a zero-mode, which A must annihilate), B phi2; the caller forms
+    the images and judges the residuals."""
     if phi2 is None:
         return IntertwineRecord(n, complex(energy), None, None,
                                 relative_residual(a_image, phi1, exclude=list(exclude)), 0.0, None)
@@ -466,32 +467,29 @@ def _intertwine_record(n: int, energy, phi1, phi2, a_image, b_image, exclude=())
     return IntertwineRecord(n, complex(energy), alpha, beta, residual_a, residual_b, product)
 
 
-def intertwine_check(p: SuperpotentialPair, eigpairs1, eigpairs2):
-    """Extract the intertwining coefficients of the two eigenfamilies.
-
-    ``eigpairs1`` is a list of (E_n, phi_n) for the first sector;
-    ``eigpairs2`` aligns entry n with the *same eigenvalue* in the second
-    sector, with None where no partner exists (a zero-mode).  Returns one
-    :class:`IntertwineRecord` per level; the caller judges its residuals.
-    """
-    out = []
-    for n, (energy, phi1) in enumerate(eigpairs1):
-        phi1 = phi1.materialize()
-        a_image = apply_A(p, phi1)
-        partner = eigpairs2[n] if n < len(eigpairs2) else None
-        phi2 = None if partner is None else partner[1].materialize()
-        out.append(_intertwine_record(n, energy, phi1, phi2, a_image,
-                                     None if phi2 is None else apply_B(p, phi2), p.singular_points))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # 2x2 superalgebra
 
-def _vector_checks(p: SuperpotentialPair, tag: str, f, g, af, h1f, bg, h2g, tol: float = 1e-5):
-    """The superalgebra checks of the test vector (f, g), given its images
-    A f, H1 f, B g and H2 g; see :func:`superalgebra_check`."""
-    ex = list(p.singular_points)
+def superalgebra_check(p: SuperpotentialPair, n: int, f, g, af, h1f, bg, h2g, alpha, beta):
+    """Verify the matrix superalgebra on the level-n doublet (f, g), given
+    its images A f, H1 f, B g and H2 g.
+
+    The charges Q_A (f, g) = (0, A f) and Q_B (f, g) = (B g, 0) and the
+    Hamiltonian H = diag(H1, H2) make each identity on v = (f, g), test
+    vector n - 1, a set of block identities, checked one sector at a time:
+
+    * {Q_A, Q_B} = H:  B A f - H1 f  and  A B g - H2 g;
+    * [H, Q_A] = 0:    H2 A f - A H1 f;
+    * [H, Q_B] = 0:    H1 B g - B H2 g.
+
+    Each residual is the two-sector interior norm over max(||H v||, ||v||).
+    Nilpotency of both charges holds by block structure and is reported as
+    0.  The doublet checks verify the mapping relations A f = alpha g and
+    B g = beta f; that each charge annihilates the opposite doublet is again
+    block structure, also reported as 0.  Returns (vector checks, doublet
+    checks), lists of CheckResult.
+    """
+    tol, ex, tag = 1e-5, list(p.singular_points), f"vector {n - 1}"
 
     def two_sector_norm(a, b):
         return float(np.hypot(interior_norm(a, exclude=ex), interior_norm(b, exclude=ex)))
@@ -499,7 +497,7 @@ def _vector_checks(p: SuperpotentialPair, tag: str, f, g, af, h1f, bg, h2g, tol:
     scale = max(two_sector_norm(h1f, h2g), two_sector_norm(f, g), 1e-300)
     b_af, h2_af = apply_ops(p, af, ["B", "H2"])
     a_bg, h1_bg = apply_ops(p, bg, ["A", "H1"])
-    return [
+    vector = [
         CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", 0.0, 1e-300),
         CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})",
                                   two_sector_norm((b_af, h1f), (a_bg, h2g)) / scale, tol),
@@ -508,48 +506,10 @@ def _vector_checks(p: SuperpotentialPair, tag: str, f, g, af, h1f, bg, h2g, tol:
         CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})",
                                   interior_norm((h1_bg, apply_B(p, h2g)), exclude=ex) / scale, tol),
     ]
-
-
-def _doublet_checks(p: SuperpotentialPair, n: int, phi1, phi2, a_image, b_image, alpha, beta,
-                   tol: float = 1e-5):
-    """The checks of the doublet (phi1, phi2) at level n, given A phi1 and
-    B phi2; see :func:`superalgebra_check`."""
-    ex = list(p.singular_points)
-    report = []
-    for image, c, want, label in ((a_image, alpha, phi2, "sector 1 -> 2 with alpha"),
-                                  (b_image, beta, phi1, "sector 2 -> 1 with beta")):
+    doublet = []
+    for image, c, want, label in ((af, alpha, g, "sector 1 -> 2 with alpha"),
+                                  (bg, beta, f, "sector 2 -> 1 with beta")):
         r = relative_residual((image, c, want), image, exclude=ex) if norm(image) > 0 else 0.0
-        report.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
-    report.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
-    return report
-
-
-def superalgebra_check(p: SuperpotentialPair, test_vectors, doublets=None, tol: float = 1e-5):
-    """Verify the matrix superalgebra on two-component test vectors.
-
-    The charges Q_A (f, g) = (0, A f) and Q_B (f, g) = (B g, 0) and the
-    Hamiltonian H = diag(H1, H2) make each identity on v = (f, g) a set of
-    block identities, checked one sector at a time:
-
-    * {Q_A, Q_B} = H:  B A f - H1 f  and  A B g - H2 g;
-    * [H, Q_A] = 0:    H2 A f - A H1 f;
-    * [H, Q_B] = 0:    H1 B g - B H2 g.
-
-    Each residual is the two-sector interior norm over max(||H v||, ||v||).
-    Nilpotency of both charges holds by block structure and is reported as
-    0.  ``doublets`` entries (n, E_n, phi1, phi2, alpha, beta) verify the
-    mapping relations A phi1 = alpha phi2 and B phi2 = beta phi1; that each
-    charge annihilates the opposite doublet is again block structure, also
-    reported as 0.  Each input takes one stencil pass for all of its images.
-    Returns a list of CheckResult.
-    """
-    report = []
-    for i, (f, g) in enumerate(test_vectors):
-        f, g = f.materialize(), g.materialize()
-        report += _vector_checks(p, f"vector {i}", f, g, *apply_ops(p, f, ["A", "H1"]),
-                                *apply_ops(p, g, ["B", "H2"]), tol)
-    for n, energy, phi1, phi2, alpha, beta in doublets or []:
-        phi1, phi2 = phi1.materialize(), phi2.materialize()
-        report += _doublet_checks(p, n, phi1, phi2, apply_A(p, phi1), apply_B(p, phi2),
-                                 alpha, beta, tol)
-    return report
+        doublet.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
+    doublet.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
+    return vector, doublet

@@ -11,7 +11,6 @@ import pytest
 
 from susyq.expr import differentiate, evaluate_array, parse
 from susyq.gk import (
-    build_state,
     action_identity,
     evolve,
     lowering_defect,
@@ -21,6 +20,7 @@ from susyq.gk import (
     pair_norm,
     resolution_estimate,
     spectrum_from_formula,
+    state_pair,
 )
 from susyq.models import (
     bs_classification,
@@ -34,6 +34,7 @@ from susyq.susy import (
     apply_A,
     apply_B,
     apply_H1,
+    apply_ops,
     build_pair,
     intertwine_check,
     potential_identity_residual,
@@ -50,6 +51,17 @@ def _criterion(num: int, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def grid():
     return Grid(12.0, 4097)
+
+
+def _ladder_levels(pair, phis, energy, n_levels):
+    """Levels 1..n_levels-1 of the ladder, each with the level below as its
+    partner: (level, its intertwining record, the images A phi_n, H1 phi_n,
+    B phi_{n-1} and H2 phi_{n-1}, from one ``apply_ops`` pass per carrier)."""
+    for n in range(1, n_levels):
+        a, h1 = apply_ops(pair, phis[n], ["A", "H1"])
+        b, h2 = apply_ops(pair, phis[n - 1], ["B", "H2"])
+        rec = intertwine_check(n, energy(n), phis[n], phis[n - 1], a, b, pair.singular_points)
+        yield n, rec, (a, h1, b, h2)
 
 
 @pytest.fixture(scope="module")
@@ -193,11 +205,8 @@ def test_criterion_06_deformed_susy(grid, deformed):
     bounds = all(norm(phis[n]) <= cap_phi and norm(psis[n]) <= cap_psi
                  for n in range(9))
 
-    pairs1 = [(2.0 * n, phis[n]) for n in range(9)]
-    pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]
-    recs = intertwine_check(m.pair, pairs1, pairs2)
-    worst_prod = max(rec.product_residual for rec in recs
-                     if rec.product_residual is not None)
+    worst_prod = max(rec.product_residual
+                     for _, rec, _ in _ladder_levels(m.pair, phis, m.energy, 9))
 
     _criterion(6, worst_pair < 1e-8 and worst_eig < 1e-5 and bounds
                and worst_prod < 1e-5,
@@ -207,15 +216,12 @@ def test_criterion_06_deformed_susy(grid, deformed):
 
 def test_criterion_07_superalgebra(deformed):
     m, phis, _ = deformed
-    pairs1 = [(2.0 * n, phis[n]) for n in range(11)]
-    pairs2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 11)]
-    recs = intertwine_check(m.pair, pairs1, pairs2)
-    doublets = [(rec.n, rec.energy, phis[rec.n], phis[rec.n - 1],
-                 rec.alpha, rec.beta)
-                for rec in recs if rec.n >= 1][:10]
-    assert len(doublets) == 10
-    vectors = [(phis[n], phis[n - 1]) for n in range(1, 11)]
-    checks = superalgebra_check(m.pair, vectors, doublets=doublets, tol=1e-5)
+    checks = []
+    for n, rec, (a, h1, b, h2) in _ladder_levels(m.pair, phis, m.energy, 11):
+        vector, doublet = superalgebra_check(m.pair, n, phis[n], phis[n - 1], a, h1, b, h2,
+                                             rec.alpha, rec.beta)
+        checks += vector + doublet
+    assert len(checks) == 10 * 7  # ten doublets, each also a test vector
     failing = [c.check for c in checks if not c.passed]
     _criterion(7, not failing, f"failing: {failing}")
 
@@ -232,17 +238,15 @@ def test_criterion_08_gk_states(hermite_basis):
     for _ in range(20):
         j = float(rng.uniform(0.05, 6.0))
         gamma = float(rng.uniform(0.0, 2.0 * math.pi))
-        phi = build_state(hermite_basis, s60, "phi", j=j, gamma=gamma)
-        psi = build_state(hermite_basis, s60, "psi", j=j, gamma=gamma)
+        phi, psi = state_pair(s60, hermite_basis, hermite_basis, j, gamma, 1e-10, 2)[:2]
         worst_norm = max(worst_norm, abs(pair_norm(phi, psi) - 1.0))
 
     worst_action = 0.0
     for s in (s60, s60_double):
-        phi = build_state(hermite_basis, s, "phi", j=1.7, gamma=0.9)
-        psi = build_state(hermite_basis, s, "psi", j=1.7, gamma=0.9)
+        phi, psi = state_pair(s, hermite_basis, hermite_basis, 1.7, 0.9, 1e-10, 2)[:2]
         worst_action = max(worst_action, abs(action_identity(phi, psi) - 1.7))
 
-    base = build_state(hermite_basis, s60, "phi", j=1.7, gamma=0.2)
+    base = state_pair(s60, hermite_basis, hermite_basis, 1.7, 0.2, 1e-10, 2)[0]
     stepped = evolve(evolve(base, 0.3), 0.4)
     direct = evolve(base, 0.7)
     worst_evolve = float(np.max(np.abs(stepped.coefficients
@@ -274,8 +278,10 @@ def test_criterion_10_resolution_trend(deformed):
     m, phis, psis = deformed
     s = spectrum_from_formula(m.energy, 13)
     md = moment_density(s)
-    rep = resolution_estimate(phis[0], phis[0], phis[:12], psis[:12], s, md,
-                              n_trunc=12)
+    # the overlaps state_pair's walk collects for the target <phi_0, phi_0>
+    rep = resolution_estimate(np.array([inner(phis[0], phis[n]) for n in range(12)]),
+                              np.array([inner(psis[n], phis[0]) for n in range(12)]),
+                              inner(phis[0], phis[0]), s, md)
     limits = tuple(p.gamma_limit for p in rep.gamma_trace)
     errs = [p.rel_error for p in rep.gamma_trace]
     worsened = sum(1 for i in range(1, len(errs)) if errs[i] > errs[i - 1])
@@ -286,8 +292,8 @@ def test_criterion_10_resolution_trend(deformed):
 
 def test_criterion_11_lowering_action(hermite_basis):
     s40 = spectrum_from_formula(float, 40)
-    worst = max(lowering_defect(build_state(hermite_basis[:40], s40, "phi",
-                                            j=1.0, gamma=g))
+    basis = hermite_basis[:40]
+    worst = max(lowering_defect(state_pair(s40, basis, basis, 1.0, g, 1e-10, 2)[0])
                 for g in (0.0, 1.0, math.pi))
     _criterion(11, worst < 1e-8, f"worst defect {worst:.3e}")
 

@@ -529,7 +529,7 @@ def test_gk_matches_the_list_route_bit_for_bit(tmp_path):
     # no frozen digest covers deformed-harmonic gk; the oracle holds both
     # families in lists and sums, norms and pairs them from there
     from susyq import cli
-    from susyq.gk import (_series, gk_domain, moment_density, resolution_estimate,
+    from susyq.gk import (build_state, gk_domain, moment_density, resolution_estimate,
                           spectrum_from_formula)
     from susyq.models import get_model
     from susyq.numerics import Grid, GridFunction, inner, norm
@@ -546,7 +546,7 @@ def test_gk_matches_the_list_route_bit_for_bit(tmp_path):
     domain = gk_domain(s, [norm(b) for b in phis], [norm(b) for b in psis])
     states, sums = [], []
     for family, basis in (("phi", phis), ("psi", psis)):
-        states.append(_series(s, family, 1.5, 0.5, 1e-8, domain, 20))
+        states.append(build_state(s, family, 1.5, 0.5, 1e-8, domain, 20))
         acc = np.zeros(grid.n_points, dtype=np.complex128)
         for c, b in zip(states[-1].coefficients, basis):
             acc += c * b.values
@@ -557,7 +557,9 @@ def test_gk_matches_the_list_route_bit_for_bit(tmp_path):
     assert json.dumps(rep["values"]["pair_norm_grid"]) == json.dumps(
         cli._jsonable(inner(*sums)))
 
-    trace = resolution_estimate(phis[0], phis[0], phis, psis, s, moment_density(s))
+    trace = resolution_estimate(np.array([inner(phis[0], b) for b in phis]),
+                                np.array([inner(b, phis[0]) for b in psis]),
+                                inner(phis[0], phis[0]), s, moment_density(s))
     want = [[stage, cli._fmt(p.gamma_limit), cli._fmt(p.j_max), str(p.n_trunc),
              cli._fmt(p.value.real), cli._fmt(p.value.imag), cli._fmt(p.abs_error),
              "" if p.rel_error is None else cli._fmt(p.rel_error)]
@@ -791,13 +793,53 @@ def test_bs_classify_reads_v0_and_takes_a_bound_r(tmp_path):
     from susyq import cli
 
     out = tmp_path / "o"
-    # at r = -0.5, v0 = 2 puts the v-zero on the node x = 0, which exits 3
     assert cli.main(["bs-classify", "--numeric", "--bind", "v0=2", "--r-values=2,1,0.5",
                      "--grid-n", "1025", "--out", str(out)]) == 0
     assert [row[-1] for row in read_csv(out / "bs-classification.csv")[1:]] == ["true"] * 3
     # a shared config binds r; the rates still come from --r-values
     assert cli.main(["bs-classify", "--bind", "r=3", "--r-values=1", "--out", str(out)]) == 0
     assert [row[0] for row in read_csv(out / "bs-classification.csv")[1:]] == ["1"]
+
+
+@pytest.mark.parametrize("argv, on_node", [
+    (["--bind", "v0=2"], "-0.5"),
+    (["--r-values=0"], "0"),
+], ids=["v0=2", "r=0"])
+def test_bs_classify_gives_a_pole_on_a_node_its_own_verdict(tmp_path, capsys, argv, on_node):
+    # x0 = ln((r+1) v0)/(r+1) is 0 at r = -0.5 with v0 = 2 and at r = 0 with
+    # v0 = 1: the node x = 0 of every odd-N grid, where no vacuum has a finite
+    # sample; that rate's verdict is its own, and every other row stays
+    from susyq import cli
+    from susyq.models import bs_classification
+
+    out = tmp_path / "o"
+    assert cli.main(["bs-classify", "--numeric", *argv, "--out", str(out)]) == 0
+    rows = read_csv(out / "bs-classification.csv")
+    pole = [row for row in rows if row[0] == on_node]
+    assert [row[-1] for row in pole] == ["pole_on_node"]
+    assert pole[0][1:-1] == [str(f).lower() for f in bs_classification(float(on_node)).flags()]
+    others = [row[0] for row in rows[1:] if row[0] != on_node]
+    if others:  # the same rates without the pole, as before
+        assert cli.main(["bs-classify", "--numeric", *argv, f"--r-values={','.join(others)}",
+                         "--out", str(tmp_path / "p")]) == 0
+        assert [row for row in rows if row[0] != on_node] == read_csv(
+            tmp_path / "p" / "bs-classification.csv")
+        assert all(row[-1] == "true" for row in rows[1:] if row[0] != on_node)
+    assert capsys.readouterr().err == ""
+
+
+def test_gk_needs_three_basis_terms(tmp_path, capsys):
+    # the norm-growth fit of each family reads three levels; fewer is a usage
+    # error, whether --n-terms or the spectrum file sets the count
+    from susyq import cli
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([0, 2]))
+    for argv in (["--n-terms", "2"], ["--spectrum-file", str(spec)]):
+        assert cli.main(["gk", "--model", "harmonic", *argv, "--grid-n", "257",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "susyq: need at least 3 basis terms to fit the norm growth\n")
 
 
 def test_bs_classification_table(tmp_path):

@@ -15,9 +15,10 @@ from susyq.deform import (
 )
 from susyq.expr import evaluate, parse
 from susyq.models import get_model
-from susyq.numerics import Grid, GridFunction, inner, norm, relative_residual, sample
-from susyq.susy import (apply_A, apply_H1, apply_H1_dag, apply_H2, apply_H2_dag, build_pair,
-                        intertwine_check)
+from susyq.numerics import (Grid, GridFunction, biorthogonality_defect, inner, norm,
+                            relative_residual, sample)
+from susyq.susy import (apply_A, apply_B, apply_H1, apply_H1_dag, apply_H2, apply_H2_dag,
+                        build_pair, intertwine_check)
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +108,24 @@ def test_norm_bounds(d, families):
         assert norm(phi) <= math.exp(d.M) * (1 + 1e-12)
     for psi in psis:
         assert norm(psi) <= math.exp(-d.m) * (1 + 1e-12)
-    checks = deformed_basis_report(d, phis, psis)
+    checks = deformed_basis_report(d, biorthogonality_defect(psis, phis),
+                                   [norm(phi) for phi in phis], [norm(psi) for psi in psis])
     assert all(c.passed for c in checks)
 
 
+def eigencheck(d, pair, energies, phis, psis, base):
+    """``deformed_eigencheck`` folded over the levels, each family read one
+    level at a time; the checks of the last level."""
+    worst, checks, w = [0.0] * 4, None, None
+    for n, (phi, psi, e_n) in enumerate(zip(phis, psis, base)):
+        w = sample(d.w, phi.grid).values if w is None else w
+        checks = deformed_eigencheck(worst, d, pair, w, energies[n], phi, apply_H1(pair, phi),
+                                     psi, e_n if n else None)
+    return checks
+
+
 def test_eigencheck_harmonic_base(d, base, families):
-    checks = deformed_eigencheck(d, deformed_pair(d), [2.0 * n for n in range(9)],
-                                 *families, base)
+    checks = eigencheck(d, deformed_pair(d), [2.0 * n for n in range(9)], *families, base)
     assert [c.check for c in checks] == [
         f"{family}: eigen-residuals" for family in
         ("h1 on phi1", "h1 adjoint on psi1", "h2 on phi2", "h2 adjoint on psi2")]
@@ -136,7 +148,7 @@ def test_eigencheck_lowers_the_base_as_the_base_pair_did_bit_for_bit(d, base, fa
                                  (apply_H2, sector2["phi2"], energies[1:]),
                                  (apply_H2_dag, sector2["psi2"], energies[1:]))]
     # generators: the check reads each family one level at a time
-    got = deformed_eigencheck(d, pair, energies, iter(phis), iter(psis), iter(base))
+    got = eigencheck(d, pair, energies, iter(phis), iter(psis), iter(base))
     assert np.array_equal(np.array([c.residual for c in got]).view(np.uint64),
                           np.array(want).view(np.uint64))
 
@@ -144,12 +156,9 @@ def test_eigencheck_lowers_the_base_as_the_base_pair_did_bit_for_bit(d, base, fa
 def test_intertwining_coefficients_sqrt_e(d, families):
     phis, _ = families
     pair = deformed_pair(d)
-    eig1 = [(2.0 * n, phis[n]) for n in range(9)]
-    eig2 = [None] + [(2.0 * n, phis[n - 1]) for n in range(1, 9)]
-    report = intertwine_check(pair, eig1, eig2)
-    for rec in report:
-        if rec.n == 0:
-            continue
+    for n in range(1, 9):
+        rec = intertwine_check(n, 2.0 * n, phis[n], phis[n - 1], apply_A(pair, phis[n]),
+                               apply_B(pair, phis[n - 1]))
         want = math.sqrt(2.0 * rec.n)
         assert rec.alpha == pytest.approx(want, rel=1e-5), rec.n
         assert rec.beta == pytest.approx(want, rel=1e-5), rec.n

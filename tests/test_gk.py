@@ -17,7 +17,6 @@ from susyq.gk import (
     build_state,
     evolve,
     gk_domain,
-    lowering_action,
     lowering_defect,
     moment_density,
     moment_residuals,
@@ -25,8 +24,9 @@ from susyq.gk import (
     pair_norm,
     resolution_estimate,
     spectrum_from_formula,
+    state_pair,
 )
-from susyq.gk import _finite_power_moments, _resolution, _sinc
+from susyq.gk import _finite_power_moments, _sinc
 from susyq.models import get_model
 from susyq.numerics import _BLOCK, Grid, GridFunction, _panel_simpson, inner, norm
 from susyq.susy import apply_H1
@@ -54,9 +54,16 @@ def dh(grid):
 @pytest.fixture(scope="module")
 def dh_pair_states(dh):
     _, phis, psis, s, dom = dh
-    phi = build_state(phis, s, "phi", j=1.0, gamma=0.7, tol=1e-8, domain=dom)
-    psi = build_state(psis, s, "psi", j=1.0, gamma=0.7, tol=1e-8, domain=dom)
+    phi, psi, domain, _, _, _ = state_pair(s, phis, psis, 1.0, 0.7, 1e-8, 2)
+    assert domain.j_min == dom.j_min  # the walk fits the fixture's domain
     return phi, psi
+
+
+def _overlaps(f, g, phis, psis, n):
+    """The overlaps <f, phi_k> and <psi_k, g> for k < n, and the target <f, g>:
+    what ``state_pair``'s walk hands ``resolution_estimate``."""
+    return (np.array([inner(f, phis[k]) for k in range(n)]),
+            np.array([inner(psis[k], g) for k in range(n)]), inner(f, g))
 
 
 @pytest.fixture(scope="module")
@@ -170,16 +177,15 @@ def test_flat_norms_and_growing_spectrum_certify_everything():
     assert dom.delta_e_ok
 
 
-def test_imaginary_drift_collapses_the_domain(harm):
+def test_imaginary_drift_collapses_the_domain():
     s = build_spectrum([n + 1j / (n + 1) for n in range(12)])
     dom = gk_domain(s, [1.0] * 12, [1.0] * 12)
     assert dom.j_min == 0.0
     assert not dom.delta_e_ok
     assert any("certified" in note for note in dom.notes)
     # even the vacuum label is refused once nothing is certified
-    basis = harm
     with pytest.raises(GKError):
-        build_state(basis[:12], s, "phi", j=0.0, domain=dom)
+        build_state(s, "phi", 0.0, 0.0, 1e-10, dom, 12)
 
 
 def test_constant_imaginary_part_is_harmless():
@@ -201,8 +207,8 @@ def test_deformed_oscillator_growth_stays_within_the_multiplier_bounds(dh):
 # state construction
 
 def test_vacuum_label_reproduces_the_ground_slot(dh):
-    _, phis, _, s, dom = dh
-    st = build_state(phis, s, "phi", j=0.0, gamma=1.3, domain=dom)
+    _, phis, psis, s, _ = dh
+    st = state_pair(s, phis, psis, 0.0, 1.3, 1e-10, 2)[0]
     assert st.k == 1.0
     assert st.tail == 0.0
     assert st.coefficients[0] == pytest.approx(1.0)
@@ -211,13 +217,11 @@ def test_vacuum_label_reproduces_the_ground_slot(dh):
 
 
 def test_state_input_validation(dh):
-    _, phis, _, s, dom = dh
+    _, _, _, s, dom = dh
+    with pytest.raises(GKError, match="family must be"):
+        build_state(s, "chi", 0.5, 0.0, 1e-10, dom, len(s))
     with pytest.raises(GKError):
-        build_state(phis, s, "chi", j=0.5, domain=dom)
-    with pytest.raises(GKError):
-        build_state(phis, s, "phi", j=-0.1, domain=dom)
-    with pytest.raises(GKError):
-        build_state([], s, "phi", j=0.5, domain=dom)
+        build_state(s, "phi", -0.1, 0.0, 1e-10, dom, len(s))
 
 
 @pytest.mark.parametrize("j", [0.0, 0.5])
@@ -226,36 +230,36 @@ def test_an_angle_label_whose_coefficients_overflow_is_rejected(dh, j):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any overflow warning
         with pytest.raises(GKError, match="gamma=1e\\+308 is too large"):
-            build_state(phis, s, "phi", j=j, gamma=1e308, domain=dom)
+            state_pair(s, phis, phis, j, 1e308, 1e-10, 2)
         # a constant imaginary part: exp(Im E_n gamma) overflows at a moderate label
         with pytest.raises(GKError, match="gamma=2000 is too large"):
-            build_state(phis, build_spectrum(s.energies + 0.5j), "phi", j=j, gamma=2000.0,
-                        domain=dom)
-    assert build_state(phis, s, "phi", j=j, gamma=1e200, domain=dom).tail >= 0.0
+            build_state(build_spectrum(s.energies + 0.5j), "phi", j, 2000.0, 1e-10, dom, len(s))
+    assert build_state(s, "phi", j, 1e200, 1e-10, dom, len(s)).tail >= 0.0
 
 
 def test_action_outside_certified_domain_rejected(harm):
-    basis = harm
     s = build_spectrum([1 - 1 / (n + 1) for n in range(20)])
+    with pytest.raises(GKError, match="certified domain"):
+        state_pair(s, harm, harm, 0.96, 0.0, 1e-10, 2)
     dom = gk_domain(s, [1.0] * 20, [1.0] * 20)
     assert dom.j_min == pytest.approx(s.radius)
-    with pytest.raises(GKError):
-        build_state(basis, s, "phi", j=0.96, domain=dom)
+    with pytest.raises(GKError, match="certified domain"):
+        build_state(s, "phi", 0.96, 0.0, 1e-10, dom, 20)
 
 
 def test_short_basis_leaves_a_visible_tail(harm):
-    basis = harm
+    norms = [norm(b) for b in harm[:8]]
     s = spectrum_from_formula(lambda n: 2.0 * n, 60)
     with pytest.raises(GKError, match="tail"):
-        build_state(basis[:8], s, "phi", j=9.0, tol=1e-10)
+        build_state(s, "phi", 9.0, 0.0, 1e-10, gk_domain(s, norms, norms), 8)
 
 
 def test_mixed_grids_rejected(dh):
     _, phis, _, s, dom = dh
     other = Grid(10.0, 1025)
     stray = GridFunction(other, np.exp(-other.x ** 2))
-    with pytest.raises(GKError):
-        build_state([phis[0], stray], s, "phi", j=0.1, domain=dom)
+    with pytest.raises(GKError, match="different grids"):
+        state_pair(s, [phis[0], stray], phis, 0.1, 0.0, 1e-10, 2)
 
 
 def test_payload_round_trips_through_json(dh_pair_states):
@@ -287,16 +291,16 @@ def test_pairing_is_one_across_random_labels(dh):
     for _ in range(20):
         j = float(rng.uniform(0.0, 6.0))
         gamma = float(rng.uniform(-3.0, 3.0))
-        phi = build_state(phis, s, "phi", j=j, gamma=gamma, tol=1e-6, domain=dom)
-        psi = build_state(psis, s, "psi", j=j, gamma=gamma, tol=1e-6, domain=dom)
+        phi = build_state(s, "phi", j, gamma, 1e-6, dom, len(s))
+        psi = build_state(s, "psi", j, gamma, 1e-6, dom, len(s))
         assert abs(pair_norm(phi, psi) - 1.0) <= 1e-12
 
 
 def test_pairing_validates_the_partners(dh):
     _, phis, psis, s, dom = dh
-    phi = build_state(phis, s, "phi", j=0.5, gamma=0.2, domain=dom)
-    psi = build_state(psis, s, "psi", j=0.5, gamma=0.2, domain=dom)
-    other = build_state(psis, s, "psi", j=0.7, gamma=0.2, domain=dom)
+    phi = build_state(s, "phi", 0.5, 0.2, 1e-10, dom, len(s))
+    psi = build_state(s, "psi", 0.5, 0.2, 1e-10, dom, len(s))
+    other = build_state(s, "psi", 0.7, 0.2, 1e-10, dom, len(s))
     with pytest.raises(GKError):
         pair_norm(phi, other)  # labels differ
     with pytest.raises(GKError):
@@ -445,7 +449,7 @@ def test_identity_estimate_approaches_the_target(dh):
     _, phis, psis, s, _ = dh
     md = moment_density(s)
     f = phis[0]
-    rep = resolution_estimate(f, f, phis[:12], psis[:12], s, md, n_trunc=12)
+    rep = resolution_estimate(*_overlaps(f, f, phis, psis, 12), s, md)
     errs = [p.abs_error for p in rep.gamma_trace]
     worsened = sum(1 for a, b in zip(errs, errs[1:]) if b > a)
     assert worsened <= 1
@@ -456,10 +460,8 @@ def test_identity_estimate_approaches_the_target(dh):
 def test_cross_estimates_stay_near_zero(dh):
     _, phis, psis, s, _ = dh
     md = moment_density(s)
-    diag = resolution_estimate(phis[1], psis[1], phis[:12], psis[:12], s, md,
-                               n_trunc=12)
-    cross = resolution_estimate(phis[1], psis[2], phis[:12], psis[:12], s, md,
-                                n_trunc=12)
+    diag = resolution_estimate(*_overlaps(phis[1], psis[1], phis, psis, 12), s, md)
+    cross = resolution_estimate(*_overlaps(phis[1], psis[2], phis, psis, 12), s, md)
     assert abs(cross.target) <= 1e-8
     assert all(p.rel_error is None for p in cross.gamma_trace)
     scale = abs(diag.estimate)
@@ -471,15 +473,24 @@ def test_resolution_preconditions(dh):
     _, phis, psis, s, _ = dh
     flat = build_spectrum([3.0] * 12)
     md = moment_density(s)
+    overlaps = _overlaps(phis[0], psis[0], phis, psis, 12)
     with pytest.raises(GKError, match="coincident"):
-        resolution_estimate(phis[0], psis[0], phis[:12], psis[:12], flat, md)
+        resolution_estimate(*overlaps, flat, md)
     unsolved = moment_density(spectrum_from_formula(lambda n: float(n * n), 12))
     with pytest.raises(GKError, match="density"):
-        resolution_estimate(phis[0], psis[0], phis[:12], psis[:12], s, unsolved)
+        resolution_estimate(*overlaps, s, unsolved)
+    with pytest.raises(GKError, match="at least two levels"):
+        resolution_estimate(*_overlaps(phis[0], psis[0], phis, psis, 1), s, md)
+    f_coeff, g_coeff, target = overlaps
+    with pytest.raises(GKError, match="truncation exceeds"):
+        resolution_estimate(f_coeff, g_coeff[:11], target, s, md)
+    with pytest.raises(GKError, match="truncation exceeds"):
+        resolution_estimate(f_coeff, g_coeff, target, spectrum_from_formula(lambda n: 2.0 * n, 11),
+                            md)
 
 
 def _oracle_resolution(f_coeff, g_coeff, s, md):
-    """The trace values of ``_resolution`` as its n^2 loop formed them: each
+    """The trace values of ``resolution_estimate`` as its n^2 loop formed them: each
     moment on a Simpson ladder of its own, each T-matrix entry one numpy
     scalar division by a numpy scalar product, the window at every point."""
     n = len(f_coeff)
@@ -515,7 +526,7 @@ def test_resolution_trace_matches_the_scalar_t_matrix_bit_for_bit(c, theta, n):
     s = spectrum_from_formula(lambda k: c * k * cmath.exp(1j * theta), n)
     md = moment_density(s)
     f_coeff, g_coeff = np.random.default_rng(n).normal(size=(2, n, 2)) @ np.array([1.0, 1.0j])
-    rep = _resolution(f_coeff, g_coeff, 0.8 - 0.3j, s, md)
+    rep = resolution_estimate(f_coeff, g_coeff, 0.8 - 0.3j, s, md)
     got = [p.value for p in rep.gamma_trace + rep.j_trace + rep.n_trace]
     want = _oracle_resolution(f_coeff, g_coeff, s, md)
     assert np.isfinite(got).all()
@@ -530,7 +541,8 @@ def test_a_trace_past_double_range_is_refused():
     family = [GridFunction(grid, grid.x ** n * np.exp(-grid.x ** 2 / 2)) for n in range(12)]
     s = build_spectrum([2 * n * cmath.exp(0.3j) for n in range(12)])
     with pytest.raises(GKError, match="leaves double range at Gamma=200"):
-        resolution_estimate(family[0], family[0], family, family, s, moment_density(s))
+        resolution_estimate(*_overlaps(family[0], family[0], family, family, 12), s,
+                            moment_density(s))
 
 
 # ---------------------------------------------------------------------------
@@ -547,26 +559,22 @@ def test_action_identity_returns_the_action(dh_pair_states, dh):
 
 def test_action_identity_for_unit_spaced_levels(harm):
     # the pairing telescopes for any E_0 = 0 ladder, not only even spacing
-    basis = harm
     s = spectrum_from_formula(lambda n: float(n), 20)
-    dom = gk_domain(s, [1.0] * 20, [1.0] * 20)
-    phi = build_state(basis, s, "phi", j=0.8, gamma=0.4, domain=dom)
-    psi = build_state(basis, s, "psi", j=0.8, gamma=0.4, domain=dom)
+    phi, psi = state_pair(s, harm, harm, 0.8, 0.4, 1e-10, 2)[:2]
     assert abs(action_identity(phi, psi) - 0.8) <= 1e-8
 
 
-def test_action_identity_preconditions(harm):
-    basis = harm
+def test_action_identity_preconditions():
     shifted = spectrum_from_formula(lambda n: n + 0.5, 20)
     dom = gk_domain(shifted, [1.0] * 20, [1.0] * 20)
-    phi = build_state(basis, shifted, "phi", j=0.5, domain=dom)
-    psi = build_state(basis, shifted, "psi", j=0.5, domain=dom)
+    phi = build_state(shifted, "phi", 0.5, 0.0, 1e-10, dom, 20)
+    psi = build_state(shifted, "psi", 0.5, 0.0, 1e-10, dom, 20)
     with pytest.raises(GKError, match="E_0"):
         action_identity(phi, psi)
     steady = build_spectrum([n + 0.4j for n in range(20)])
     dom2 = gk_domain(steady, [1.0] * 20, [1.0] * 20)
-    phi2 = build_state(basis, steady, "phi", j=0.5, domain=dom2)
-    psi2 = build_state(basis, steady, "psi", j=0.5, domain=dom2)
+    phi2 = build_state(steady, "phi", 0.5, 0.0, 1e-10, dom2, 20)
+    psi2 = build_state(steady, "psi", 0.5, 0.0, 1e-10, dom2, 20)
     with pytest.raises(GKError, match="real"):
         action_identity(phi2, psi2)
 
@@ -589,11 +597,10 @@ def test_evolution_composes(dh_pair_states):
         assert np.max(np.abs(two_step.coefficients - one_step.coefficients)) <= 1e-12
 
 
-def test_evolution_conjugates_for_the_dual_family(harm):
-    basis = harm
+def test_evolution_conjugates_for_the_dual_family():
     steady = build_spectrum([n + 0.4j for n in range(20)])
     dom = gk_domain(steady, [1.0] * 20, [1.0] * 20)
-    psi = build_state(basis, steady, "psi", j=0.5, gamma=0.0, domain=dom)
+    psi = build_state(steady, "psi", 0.5, 0.0, 1e-10, dom, 20)
     moved = evolve(psi, 0.6)
     expected = psi.coefficients * np.exp(-1j * np.conjugate(steady.energies[:20]) * 0.6)
     assert np.max(np.abs(moved.coefficients - expected)) <= 1e-12
@@ -602,44 +609,24 @@ def test_evolution_conjugates_for_the_dual_family(harm):
 # ---------------------------------------------------------------------------
 # lowering operators
 
-def test_lowering_matrix_structure():
-    s = spectrum_from_formula(lambda n: 2.0 * n, 8)
-    mat = lowering_action(s, gamma=0.0)
-    assert np.allclose(np.diag(mat, k=1), np.sqrt(s.energies[1:]))
-    off = mat - np.diag(np.diag(mat, k=1), k=1)
-    assert np.max(np.abs(off)) == 0.0
-    assert np.max(np.abs(mat[:, 0])) == 0.0
-    assert mat.imag.max() == 0.0  # gamma = 0 with a real spectrum
-    assert np.max(np.abs(np.linalg.matrix_power(mat, 8))) == 0.0
-
-
 def test_states_are_lowering_eigenvectors(dh):
-    _, phis, psis, s, dom = dh
+    _, _, _, s, dom = dh
     for gamma in (0.0, 1.0, math.pi):
-        phi = build_state(phis, s, "phi", j=1.0, gamma=gamma, domain=dom)
-        psi = build_state(psis, s, "psi", j=1.0, gamma=gamma, domain=dom)
+        phi = build_state(s, "phi", 1.0, gamma, 1e-10, dom, len(s))
+        psi = build_state(s, "psi", 1.0, gamma, 1e-10, dom, len(s))
         assert lowering_defect(phi) <= 1e-8
         assert lowering_defect(psi) <= 1e-8
 
 
-def test_lowering_handles_complex_spectra(harm):
+def test_lowering_handles_complex_spectra():
     # interior rows cancel to rounding; what survives is the top row's
     # truncation footprint sqrt(J) |c_{N-1}|
-    basis = harm
     steady = build_spectrum([n + 0.4j for n in range(20)])
     dom = gk_domain(steady, [1.0] * 20, [1.0] * 20)
     for family in ("phi", "psi"):
-        st = build_state(basis, steady, family, j=0.8, gamma=1.1, domain=dom)
+        st = build_state(steady, family, 0.8, 1.1, 1e-10, dom, 20)
         footprint = math.sqrt(st.j) * abs(st.coefficients[-1])
         assert lowering_defect(st) <= footprint * (1 + 1e-6) + 1e-14
-
-
-def test_lowering_truncation_bounds():
-    s = spectrum_from_formula(lambda n: float(n), 12)
-    with pytest.raises(GKError):
-        lowering_action(s, 0.0, n_terms=15)
-    small = lowering_action(s, 0.0, n_terms=5)
-    assert small.shape == (5, 5)
 
 
 def test_oscillator_like_growth_keeps_an_open_domain(grid):
@@ -650,6 +637,6 @@ def test_oscillator_like_growth_keeps_an_open_domain(grid):
     assert math.isinf(s.radius)
     dom = gk_domain(s, [norm(b) for b in basis], [norm(b) for b in basis])
     assert math.isinf(dom.j_min)
-    st = build_state(basis, s, "phi", j=0.5, gamma=0.0, tol=1e-3, domain=dom)
+    st = build_state(s, "phi", 0.5, 0.0, 1e-3, dom, n)
     assert st.tail <= 1e-3
     assert 0.0 < st.k < 1.0

@@ -49,6 +49,17 @@ def test_every_imported_name_is_read(path):
     assert [name for name, _, _ in _imports(tree) if name not in read] == []
 
 
+@pytest.mark.parametrize("name", ["suites.py", "cli.py"])
+def test_the_suites_and_the_cli_call_each_check_through_its_public_entry_point(name):
+    # the names the suites and the CLI run are the ones a reader, a test or a
+    # trace sees: no private helper of the check modules stands in for them
+    tree = _tree(pathlib.Path(susyq.__file__).parent / name)
+    private = [f"{node.module}.{alias}" for _, node, alias in _imports(tree)
+               if node is not None and (node.module or "").split(".")[-1] in ("susy", "deform", "gk")
+               and alias.startswith("_")]
+    assert private == []
+
+
 def test_the_cli_imports_no_private_name_of_another_module():
     tree = _tree(pathlib.Path(susyq.__file__).parent / "cli.py")
     private = [f"{node.module}.{name}" for _, node, name in _imports(tree)

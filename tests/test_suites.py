@@ -11,7 +11,7 @@ from susyq import models
 from susyq.models import ModelError, ModelRecord
 from susyq.numerics import Grid
 from susyq.suites import suite_names, verify_model, verify_pair
-from susyq.susy import intertwine_check
+from susyq.susy import apply_A, apply_B, intertwine_check
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +188,11 @@ def test_ladder_suites_take_one_pass_per_level_carrier(grid, stencil_passes, nam
 def test_ladder_walk_records_are_those_of_intertwine_check(grid, suites, name):
     m = models.get_model(name)
     phis = [m.phi1(n, grid) for n in range(9)]
-    want = intertwine_check(m.pair, [(m.energy(n), f) for n, f in enumerate(phis)],
-                            [None] + [(m.energy(n), phis[n - 1]) for n in range(1, 9)])
+    # the oracle: each level materialized and each image from a pass of its own
+    flat = [f.materialize() for f in phis]
+    want = [intertwine_check(n, m.energy(n), flat[n], flat[n - 1] if n else None,
+                             apply_A(m.pair, flat[n]), apply_B(m.pair, flat[n - 1]) if n else None,
+                             m.pair.singular_points) for n in range(9)]
     got = [lv.rec for lv in suites_module._ladder_walk(m.pair, m.energy, phis.__getitem__, 9)]
     # repr keeps every bit of a float, the sign of a zero included
     assert [repr(astuple(r)) for r in got] == [repr(astuple(r)) for r in want]

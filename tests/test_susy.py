@@ -24,6 +24,7 @@ from susyq.susy import (
     apply_H1,
     apply_H1_dag,
     apply_H2,
+    apply_ops,
     build_pair,
     factorization_residuals,
     intertwine_check,
@@ -291,11 +292,23 @@ def eig_families(g, n_levels):
     return fns1, pairs1, pairs2
 
 
+def intertwine_records(p, pairs1, pairs2):
+    """``intertwine_check`` at each level of the aligned families, each image
+    formed from the level's own carrier."""
+    recs = []
+    for n, (energy, phi1) in enumerate(pairs1):
+        phi2 = None if pairs2[n] is None else pairs2[n][1]
+        recs.append(intertwine_check(n, energy, phi1, phi2, apply_A(p, phi1),
+                                     None if phi2 is None else apply_B(p, phi2),
+                                     p.singular_points))
+    return recs
+
+
 def test_intertwine_check_recovers_sqrt_energies():
     g = default_grid()
     p = harmonic_pair()
     fns1, pairs1, pairs2 = eig_families(g, 7)
-    recs = intertwine_check(p, pairs1, pairs2)
+    recs = intertwine_records(p, pairs1, pairs2)
     assert recs[0].alpha is None and recs[0].product_residual is None
     assert recs[0].residual_a < 1e-6
     for r in recs[1:]:
@@ -312,7 +325,7 @@ def test_intertwine_check_flags_wrong_partner():
     fns1, pairs1, pairs2 = eig_families(g, 5)
     broken = list(pairs2)
     broken[2] = (4.0, fns1[3])  # not proportional to A phi_2
-    recs = intertwine_check(p, pairs1, broken)
+    recs = intertwine_records(p, pairs1, broken)
     assert recs[2].residual_a > 0.1
     assert max(r.residual_a for r in recs[:2] + recs[3:]) < 1e-6
 
@@ -338,22 +351,28 @@ def test_projection_defect_is_the_carrier_residual_bit_for_bit(n_points):
         assert got == float(norm(image - c * target) / norm(image))
 
 
+def superalgebra(p, n, f, g, alpha=0.0, beta=0.0):
+    """``superalgebra_check`` of (f, g) as the level-n doublet, its images
+    formed one pass per component."""
+    return superalgebra_check(p, n, f, g, *apply_ops(p, f, ["A", "H1"]),
+                              *apply_ops(p, g, ["B", "H2"]), alpha, beta)
+
+
 def test_superalgebra_on_harmonic_doublets():
     g = default_grid()
     p = harmonic_pair()
     fns1, _, _ = eig_families(g, 5)
-    vectors = [
-        (fns1[0], fns1[1]),
-        (
-            sample(parse("exp(0 - x^2 / 3) * x"), g),
-            sample(parse("exp(0 - x^2 / 2) * (1 + 1i * sin(x))"), g),
-        ),
-    ]
-    doublets = [
-        (n, 2.0 * n, fns1[n], fns1[n - 1], math.sqrt(2.0 * n), math.sqrt(2.0 * n))
-        for n in range(1, 5)
-    ]
-    report = superalgebra_check(p, vectors, doublets=doublets, tol=1e-5)
+    report = []
+    for n in range(1, 5):
+        vector, doublet = superalgebra(p, n, fns1[n], fns1[n - 1],
+                                       math.sqrt(2.0 * n), math.sqrt(2.0 * n))
+        report += vector + doublet
+    # test vectors that are no doublet: only the vector checks apply
+    for f, h in ((fns1[0], fns1[1]),
+                 (sample(parse("exp(0 - x^2 / 3) * x"), g),
+                  sample(parse("exp(0 - x^2 / 2) * (1 + 1i * sin(x))"), g))):
+        report += superalgebra(p, 0, f, h)[0]
+    assert len(report) == 4 * 7 + 8
     assert all(r.passed for r in report)
     nil = [r for r in report if "nilpotency" in r.check]
     assert nil and all(r.residual == 0.0 for r in nil)
@@ -467,13 +486,23 @@ def _deformed_superalgebra_input():
     phis = [m.phi1(n, g) for n in range(4)]
     vectors = [(phis[n], phis[n - 1]) for n in range(1, 4)]
     doublets = [(n, 2.0 * n, phis[n], phis[n - 1], complex(math.sqrt(2.0 * n), 0.1), math.sqrt(2.0 * n))
-                for n in range(1, 3)]
+                for n in range(1, 4)]
     return m.pair, vectors, doublets
+
+
+def _superalgebra_levels(p, doublets):
+    """The per-level checks over the doublets, vector checks first."""
+    vectors, pairs = [], []
+    for n, _, phi1, phi2, alpha, beta in doublets:
+        vector, doublet = superalgebra(p, n, phi1, phi2, alpha, beta)
+        vectors += vector
+        pairs += doublet
+    return vectors + pairs
 
 
 def test_superalgebra_shares_the_charge_images_bit_for_bit():
     p, vectors, doublets = _deformed_superalgebra_input()
-    got = superalgebra_check(p, vectors, doublets=doublets)
+    got = _superalgebra_levels(p, doublets)
     want = _superalgebra_in_blocks(p, vectors, doublets)
     assert [r.check for r in got] == [r.check for r in want]
     assert [r.passed for r in got] == [r.passed for r in want]
@@ -482,13 +511,13 @@ def test_superalgebra_shares_the_charge_images_bit_for_bit():
 
 
 def test_superalgebra_applies_each_charge_once_per_vector(stencil_passes):
-    p, vectors, doublets = _deformed_superalgebra_input()
-    superalgebra_check(p, vectors, doublets=doublets)
-    # per vector, ten images from six inputs: f gives A f and H1 f, g gives
-    # B g and H2 g, A f gives B A f and H2 A f, B g gives A B g and H1 B g,
-    # H1 f gives A H1 f and H2 g gives B H2 g; per doublet, A phi1 and B phi2
-    assert stencil_passes == {"passes": 6 * len(vectors) + 2 * len(doublets),
-                              "images": 10 * len(vectors) + 2 * len(doublets)}
+    p, _, doublets = _deformed_superalgebra_input()
+    _superalgebra_levels(p, doublets)
+    # per level, ten images from six inputs: phi1 gives A phi1 and H1 phi1,
+    # phi2 gives B phi2 and H2 phi2, A phi1 gives B A phi1 and H2 A phi1,
+    # B phi2 gives A B phi2 and H1 B phi2, H1 phi1 gives A H1 phi1 and H2
+    # phi2 gives B H2 phi2; the doublet checks read A phi1 and B phi2 again
+    assert stencil_passes == {"passes": 6 * len(doublets), "images": 10 * len(doublets)}
 
 
 bounded = st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3)
