@@ -20,10 +20,9 @@ for r in (2.0, 1.0, 0.5, -0.5, -1.0, -2.0):
     pts = np.linspace(-4.0, 4.0, 161)
     if x0 is not None:
         pts = pts[np.abs(pts - x0) > 0.3]
-    wa = evaluate_array(pair.w_a, pts)
-    wb = evaluate_array(pair.w_b, pts)
+    wa, wb, dwa = evaluate_array([pair.w_a, pair.w_b, differentiate(pair.w_a)], pts)
     drift_gap = np.max(np.abs((wb - wa) - (1.0 - r)))
-    v1_gap = np.max(np.abs(wa * wb - evaluate_array(differentiate(pair.w_a), pts) - r))
+    v1_gap = np.max(np.abs(wa * wb - dwa - r))
 
     pole = "none" if x0 is None else f"x0 = {x0:.6f}"
     print(f"r = {r:+.1f}: drift gap {drift_gap:.1e}, V1 gap {v1_gap:.1e}, pole {pole}")
@@ -39,6 +38,6 @@ for r in (2.0, 1.0, 0.5, -0.5, -1.0, -2.0):
 # the r = -1 branch degenerates to a rational partner potential
 m = get_model("black-scholes", r=-1.0, v0=1.0)
 pts = np.linspace(2.0, 4.0, 9)
-v2 = evaluate_array(m.pair.v2, pts)
+[v2] = evaluate_array([m.pair.v2], pts)
 print("r = -1 partner potential vs 2/(x-v0)^2 - 1:",
       np.max(np.abs(v2 - (2.0 / (pts - 1.0) ** 2 - 1.0))))

@@ -81,23 +81,23 @@ class Deformation:
     M: float
     grid: Grid
     notes: list = field(default_factory=list)
-    # (grid, array) of the last grid each multiplier was sampled on
-    _multiplier: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _inverse_dual: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (grid, e^q, e^{-conj q}) on the last grid q was sampled on
+    _multipliers: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
+
+    def _on(self, grid: Grid | None) -> tuple:
+        g = grid or self.grid
+        if self._multipliers[0] != g:
+            q = sample(self.q, g).values
+            self._multipliers = (g, _read_only(np.exp(q)), _read_only(np.exp(-np.conjugate(q))))
+        return self._multipliers
 
     def multiplier_values(self, grid: Grid | None = None) -> np.ndarray:
-        """e^q on the grid; read-only, computed once per grid."""
-        g = grid or self.grid
-        if self._multiplier[0] != g:
-            self._multiplier = (g, _read_only(np.exp(sample(self.q, g).values)))
-        return self._multiplier[1]
+        """e^q on the grid; read-only, computed once per grid with its dual."""
+        return self._on(grid)[1]
 
     def inverse_dual_values(self, grid: Grid | None = None) -> np.ndarray:
-        """e^{-conj q} on the grid; read-only, computed once per grid."""
-        g = grid or self.grid
-        if self._inverse_dual[0] != g:
-            self._inverse_dual = (g, _read_only(np.exp(-np.conjugate(sample(self.q, g).values))))
-        return self._inverse_dual[1]
+        """e^{-conj q} on the grid; read-only, computed once per grid with e^q."""
+        return self._on(grid)[2]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -15,13 +15,15 @@ other than ``x``.
 
 The only simplifications performed are constant folding and the 0/1 identity
 eliminations; trees otherwise print back exactly as structured, and
-``parse(str(e))`` evaluates identically to ``e``.
+``parse(str(e))`` evaluates identically to ``e``.  ``evaluate_array`` takes a
+record's roots together and evaluates each distinct subtree once on the array.
 """
 
 from __future__ import annotations
 
 import cmath
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -63,12 +65,18 @@ class EvalDomainError(ExprError):
 
 
 class Expr:
-    """Base node.  Subclasses implement ``_ev``, ``diff``, ``conj``, ``__str__``."""
+    """Base node.  Subclasses implement ``_op``, ``diff``, ``conj``, ``__str__``."""
 
     _prec = 4  # atoms; lower binds looser
 
-    def _ev(self, x):
+    def _kids(self) -> tuple:
+        return ()
+
+    def _op(self, x, *kid_values):  # this node's value from its children's
         raise NotImplementedError
+
+    def _ev(self, x):  # a leaf's; the scalar recursion of nodes with children
+        return self._op(x)
 
     def diff(self) -> "Expr":
         raise NotImplementedError
@@ -108,7 +116,7 @@ class Const(Expr):
     def __init__(self, value):
         self.value = complex(value)
 
-    def _ev(self, x):
+    def _op(self, x):
         return self.value
 
     def diff(self):
@@ -132,7 +140,7 @@ class Var(Expr):
 
     __slots__ = ()
 
-    def _ev(self, x):
+    def _op(self, x):
         return x
 
     def diff(self):
@@ -145,15 +153,24 @@ class Var(Expr):
         return "x"
 
 
-class Add(Expr):
+class _Binary(Expr):
     __slots__ = ("a", "b")
-    _prec = 1
 
     def __init__(self, a, b):
         self.a, self.b = a, b
 
+    def _kids(self):
+        return self.a, self.b
+
     def _ev(self, x):
-        return self.a._ev(x) + self.b._ev(x)
+        return self._op(x, self.a._ev(x), self.b._ev(x))
+
+
+class Add(_Binary):
+    _prec = 1
+
+    def _op(self, x, a, b):
+        return a + b
 
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
@@ -167,15 +184,11 @@ class Add(Expr):
         return f"{self._paren(self.a, 1)} + {self._paren(self.b, 2)}"
 
 
-class Mul(Expr):
-    __slots__ = ("a", "b")
+class Mul(_Binary):
     _prec = 2
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x):
-        return self.a._ev(x) * self.b._ev(x)
+    def _op(self, x, a, b):
+        return a * b
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -187,19 +200,12 @@ class Mul(Expr):
         return f"{self._paren(self.a, 2)} * {self._paren(self.b, 2)}"
 
 
-class Div(Expr):
-    __slots__ = ("a", "b")
+class Div(_Binary):
     _prec = 2
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _ev(self, x):
-        num = self.a._ev(x)
-        den = self.b._ev(x)
-        if np.isscalar(den) or np.ndim(den) == 0:
-            if den == 0:
-                raise EvalDomainError("division by zero", x)
+    def _op(self, x, num, den):
+        if (np.isscalar(den) or np.ndim(den) == 0) and den == 0:
+            raise EvalDomainError("division by zero", x)
         return num / den
 
     def diff(self):
@@ -213,15 +219,24 @@ class Div(Expr):
         return f"{self._paren(self.a, 2)} / {self._paren(self.b, 3)}"
 
 
-class Neg(Expr):
+class _Unary(Expr):
     __slots__ = ("a",)
-    _prec = 2
 
     def __init__(self, a):
         self.a = a
 
+    def _kids(self):
+        return (self.a,)
+
     def _ev(self, x):
-        return -self.a._ev(x)
+        return self._op(x, self.a._ev(x))
+
+
+class Neg(_Unary):
+    _prec = 2
+
+    def _op(self, x, a):
+        return -a
 
     def diff(self):
         return _neg(self.a.diff())
@@ -233,23 +248,21 @@ class Neg(Expr):
         return f"-{self._paren(self.a, 3)}"
 
 
-class Pow(Expr):
+class Pow(_Unary):
     """Integer power; negative exponents allowed and mean division."""
 
-    __slots__ = ("a", "n")
+    __slots__ = ("n",)
     _prec = 3
 
     def __init__(self, a, n: int):
         self.a, self.n = a, int(n)
 
-    def _ev(self, x):
-        base = self.a._ev(x)
-        if self.n < 0 and (np.isscalar(base) or np.ndim(base) == 0):
-            if base == 0:
-                raise EvalDomainError("zero raised to a negative power", x)
+    def _op(self, x, base):
+        if self.n < 0 and (np.isscalar(base) or np.ndim(base) == 0) and base == 0:
+            raise EvalDomainError("zero raised to a negative power", x)
         try:
             return base ** self.n
-        except OverflowError:  # Python scalars raise where numpy gives inf
+        except (OverflowError, ZeroDivisionError):  # Python scalars raise where numpy gives inf
             return np.power(np.asarray(base), self.n)
 
     def diff(self):
@@ -263,12 +276,11 @@ class Pow(Expr):
         return f"{self._paren(self.a, 4)}^{self.n}"
 
 
-class _Fn(Expr):
-    __slots__ = ("a",)
+class _Fn(_Unary):
     name = "?"
 
-    def __init__(self, a):
-        self.a = a
+    def _op(self, x, a):
+        return self.ufunc(a)
 
     def conj(self):
         # exp/sin/cos/tanh have real Taylor coefficients, so conj(f(u(x))) =
@@ -280,40 +292,28 @@ class _Fn(Expr):
 
 
 class Exp(_Fn):
-    name = "exp"
-
-    def _ev(self, x):
-        return np.exp(self.a._ev(x))
+    name, ufunc = "exp", np.exp
 
     def diff(self):
         return _mul(self, self.a.diff())
 
 
 class Sin(_Fn):
-    name = "sin"
-
-    def _ev(self, x):
-        return np.sin(self.a._ev(x))
+    name, ufunc = "sin", np.sin
 
     def diff(self):
         return _mul(Cos(self.a), self.a.diff())
 
 
 class Cos(_Fn):
-    name = "cos"
-
-    def _ev(self, x):
-        return np.cos(self.a._ev(x))
+    name, ufunc = "cos", np.cos
 
     def diff(self):
         return _neg(_mul(Sin(self.a), self.a.diff()))
 
 
 class Tanh(_Fn):
-    name = "tanh"
-
-    def _ev(self, x):
-        return np.tanh(self.a._ev(x))
+    name, ufunc = "tanh", np.tanh
 
     def diff(self):
         return _mul(_add(Const(1.0), _neg(_pow(Tanh(self.a), 2))), self.a.diff())
@@ -324,14 +324,11 @@ class LogAbs(_Fn):
 
     name = "ln"
 
-    def _ev(self, x):
-        v = self.a._ev(x)
+    def _op(self, x, v):
         mag = np.abs(v)
-        if np.isscalar(mag) or np.ndim(mag) == 0:
-            if mag == 0:
-                raise EvalDomainError("log of zero", x)
-        with np.errstate(divide="ignore"):
-            return np.log(mag) + 0j if np.ndim(mag) else complex(np.log(mag))
+        if (np.isscalar(mag) or np.ndim(mag) == 0) and mag == 0:
+            raise EvalDomainError("log of zero", x)
+        return np.log(mag) + 0j if np.ndim(mag) else complex(np.log(mag))  # ln 0 = -inf on arrays
 
     def diff(self):
         return _div(self.a.diff(), self.a)
@@ -400,7 +397,7 @@ def _pow(a, n: int):
             value = a.value ** n
             if cmath.isfinite(value):
                 return Const(value)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # a negative power whose reciprocal underflows
             pass
         raise ExprError(f"constant power {a}^{n} is out of float range")
     return Pow(a, n)
@@ -597,15 +594,53 @@ def evaluate(e: Expr, x: float) -> complex:
     return value
 
 
-def evaluate_array(e: Expr, x: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation on a real array; no finiteness check here.
+def _temporary(t, other, x) -> bool:
+    """Whether numpy reuses t's buffer for ``t op other`` when t is a fresh temporary
+    (of at least NPY_MIN_ELIDE_BYTES, 256 KiB)."""
+    return (isinstance(t, np.ndarray) and t is not x and t.nbytes >= 256 * 1024
+            and np.result_type(t, other) == t.dtype)
 
-    Grid-level pole detection (with the offending point reported) lives on the
-    sampling side, which knows the grid.
-    """
+
+def _walk_order(e, kid_values, x) -> list:
+    """e's operand values in the order numpy took them in the recursive walk, where each
+    was a fresh temporary: for a sum or product ``a op b`` with only b reusable, ``b op a``
+    in b's buffer, unless a is a numpy scalar, which computes ``a op b`` itself.  Complex
+    products and NaN payloads of sums depend on the order."""
+    if isinstance(e, (Add, Mul)) and _temporary(kid_values[1], kid_values[0], x) and not (
+            isinstance(kid_values[0], np.generic) or _temporary(*kid_values, x)):
+        return kid_values[::-1]
+    return kid_values
+
+
+def evaluate_array(roots, x: np.ndarray) -> list:
+    """The roots on a real array as one DAG: subtrees of one structure (type, children,
+    exponent, constant bits, so 0.0 and -0.0 stay apart) are one node, evaluated once in
+    the recursion's post-order, so the first EvalDomainError is the recursion's, and
+    dropped after its last reader.  Equal roots share one array, which callers must not
+    write; a constant root fills x's shape.  Poles are left to the sampling side."""
     x = np.asarray(x, dtype=float)
+    nodes, at_key, at_id = [], {}, {}  # post-order (node, kid positions); key -> and id -> position
+
+    def visit(e):
+        if id(e) not in at_id:
+            kids = tuple([visit(k) for k in e._kids()])
+            tag = np.complex128(e.value).tobytes() if isinstance(e, Const) else getattr(e, "n", None)
+            p = at_id[id(e)] = at_key.setdefault((type(e), kids, tag), len(nodes))
+            if p == len(nodes):
+                nodes.append((e, kids))
+        return at_id[id(e)]
+
+    at = [visit(e) for e in roots]
+    readers = Counter(k for _, kids in nodes for k in kids) + Counter({p: float("inf") for p in at})
+    values = [None] * len(nodes)
     with np.errstate(all="ignore"):
-        values = np.asarray(e._ev(x), dtype=np.complex128)
-    if values.shape != x.shape:  # constant expression
-        values = np.full(x.shape, complex(values), dtype=np.complex128)
-    return values
+        for p, (e, kids) in enumerate(nodes):
+            values[p] = e._op(x, *_walk_order(e, [values[k] for k in kids], x))
+            for k in kids:
+                readers[k] -= 1
+                if not readers[k]:
+                    values[k] = None
+    for p in dict.fromkeys(at):
+        v = np.asarray(values[p], dtype=np.complex128)
+        values[p] = v if v.shape == x.shape else np.full(x.shape, complex(v), dtype=np.complex128)
+    return [values[p] for p in at]

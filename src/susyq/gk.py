@@ -667,9 +667,13 @@ def state_pair(s: Spectrum, phi_levels, psi_levels, j: float, gamma: float, tol:
     n_overlaps = n_overlaps if md.solved else 0
     phi_norms, phi_sum, phi_overlaps, phi0 = _walk(
         phi_levels, _state_coefficients(s, "phi", j, gamma, n), inner, n_overlaps)
-    psi_norms, psi_sum, psi_overlaps, _ = _walk(
+    if phi0 is None:
+        raise GKError("the phi family is empty: no level to build a state from")
+    psi_norms, psi_sum, psi_overlaps, psi0 = _walk(
         psi_levels, _state_coefficients(s, "psi", j, gamma, n),
         lambda _, psi: inner(psi, phi0), n_overlaps)
+    if psi0 is None:
+        raise GKError("the psi family is empty: no level to build a state from")
     domain = gk_domain(s, phi_norms, psi_norms)
     phi, psi = (build_state(s, family, j, gamma, tol, domain, n, function)
                 for family, function in (("phi", phi_sum), ("psi", psi_sum)))

@@ -39,8 +39,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .deform import DEFAULT_DEFORMATION_Q, _read_only, build_deformation, deformed_pair
-from .expr import Const, Exp, LogAbs, Var, differentiate, parse
-from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, inner, sample,
+from .expr import Const, Exp, LogAbs, Var, differentiate, evaluate_array, parse
+from .numerics import (Grid, GridFunction, _reject_non_finite, default_grid, inner,
                        stencil_pass)
 from .reporting import CheckResult
 from .susy import (
@@ -408,14 +408,6 @@ def bs_classification(r: float) -> BSRow:
     return BSRow(r=float(r), phi0_1=False, phi0_2=good, psi0_1=False, psi0_2=good)
 
 
-def _bs_scaled_exponential(grid, log_expr):
-    """e^{g(x)} carried as values=1 with exact first/second log-derivatives."""
-    g = sample(log_expr, grid).values.real
-    dg = sample(differentiate(log_expr), grid).values.real
-    d2g = sample(differentiate(differentiate(log_expr)), grid).values.real
-    return GridFunction(grid, np.ones(grid.n_points, dtype=np.complex128), g, dg, d2g)
-
-
 def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
     """Superpotential pair for the rate-r generator, with closed-form vacua.
 
@@ -469,10 +461,16 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
         "psi0_1": Const(-1.0) * x + log_u,
         "psi0_2": Const(r) * x - log_u,
     }
+    # each vacuum e^g is carried as values 1 with its exact log-derivatives g' and g''
+    ladders = [d for g in vacuum_logs.values()
+               for d in (g, differentiate(g), differentiate(differentiate(g)))]
 
     def vacua_fn(grid, normalization):
-        records = {label: VacuumRecord.measure(label, _bs_scaled_exponential(grid, log), pair)
-                   for label, log in vacuum_logs.items()}
+        logs = iter([GridFunction(grid, v).values.real for v in evaluate_array(ladders, grid.x)])
+        ones = _read_only(np.ones(grid.n_points, dtype=np.complex128))
+        records = {label: VacuumRecord.measure(
+                       label, GridFunction(grid, ones, next(logs), next(logs), next(logs)), pair)
+                   for label in vacuum_logs}
         return finalize_vacua(records, normalization)
 
     return ModelRecord(

@@ -300,7 +300,7 @@ def as_scaled(f) -> GridFunction:
 def sample(e: Expr, grid: Grid) -> GridFunction:
     """Evaluate an expression on the grid; poles are reported, not returned
     (the carrier raises PoleOnGridError for a non-finite sample)."""
-    return GridFunction(grid, evaluate_array(e, grid.x))
+    return GridFunction(grid, evaluate_array([e], grid.x)[0])
 
 
 @lru_cache(maxsize=64)

@@ -37,7 +37,6 @@ from .numerics import (
     interior_norm,
     norm,
     relative_residual,
-    sample,
     stencil_pass,
 )
 from .reporting import CheckResult
@@ -92,16 +91,20 @@ class SuperpotentialPair:
 
     def samples(self, grid: Grid) -> dict:
         """Potential and superpotential arrays on the grid, cached and
-        read-only; fields that hold one expression object share one array."""
+        read-only: one expression DAG, each distinct subexpression sampled
+        once, a pole reported in field order.  Fields that hold one object
+        share one array; another object gets its own, copied if equal."""
         if grid not in self._cache:
-            by_expr = {}
-            for name in self._SAMPLED:
-                e = getattr(self, name)
-                if id(e) not in by_expr:
-                    by_expr[id(e)] = sample(e, grid).values
-                    by_expr[id(e)].flags.writeable = False
-            self._cache[grid] = {name: by_expr[id(getattr(self, name))]
-                                 for name in self._SAMPLED}
+            fields = [getattr(self, name) for name in self._SAMPLED]
+            of_field, taken = {}, set()
+            for e, values in zip(fields, evaluate_array(fields, grid.x)):
+                GridFunction(grid, values)  # PoleOnGridError at a non-finite sample
+                if id(e) not in of_field:  # equal roots of two objects get two arrays: shared,
+                    # a large-N heap peaks under glibc's trim threshold and stays big (ROADMAP 6)
+                    of_field[id(e)] = values.copy() if id(values) in taken else values
+                    of_field[id(e)].flags.writeable = False
+                    taken.add(id(values))
+            self._cache[grid] = {name: of_field[id(e)] for name, e in zip(self._SAMPLED, fields)}
         return self._cache[grid]
 
     def __repr__(self):
@@ -136,8 +139,8 @@ def build_pair(w_a: Expr, w_b: Expr, singular_points=(), simplified=None) -> Sup
     if "q1" in simplified:  # the drift itself is read only to check its reduced form
         derived["q1"] = p.q1
     try:
-        at = {name: evaluate_array(e, xs) for name, e in derived.items()}
-        reduced = {name: evaluate_array(e, xs) for name, e in simplified.items()}
+        values = evaluate_array([*derived.values(), *simplified.values()], xs)
+        at, reduced = dict(zip(derived, values)), dict(zip(simplified, values[len(derived):]))
         finite = np.logical_and.reduce([np.isfinite(v) for v in [*at.values(), *reduced.values()]])
     except EvalDomainError:  # a constant subexpression fails at every point
         finite = np.zeros(len(xs), dtype=bool)

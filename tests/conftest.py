@@ -54,6 +54,26 @@ def stencil_passes(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def array_evaluations(monkeypatch):
+    """The expression nodes evaluated on an array from the moment the fixture
+    is set up, in order: each node whose value is an array computed from x
+    (x itself and constant subexpressions are not counted)."""
+    import susyq.expr
+
+    nodes = []
+    for cls in vars(susyq.expr).values():
+        if isinstance(cls, type) and issubclass(cls, susyq.expr.Expr) and "_op" in vars(cls):
+            def counted(self, x, *kid_values, _op=vars(cls)["_op"]):
+                value = _op(self, x, *kid_values)
+                if isinstance(value, np.ndarray) and value is not x:
+                    nodes.append(self)
+                return value
+
+            monkeypatch.setattr(cls, "_op", counted)
+    return nodes
+
+
 # ``--hypothesis-profile=long``: the long fuzz runs of the command line and of
 # the float formatter
 settings.register_profile("long", max_examples=2000)

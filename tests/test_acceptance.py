@@ -128,20 +128,19 @@ def test_criterion_02_black_scholes_assembly():
         if x0 is not None:
             pts = pts[np.abs(pts - x0) > 0.3]
 
-        drift = evaluate_array(pair.q1, pts)
+        drift, wa, wb, dwa, dwb, v2 = evaluate_array(
+            [pair.q1, pair.w_a, pair.w_b, differentiate(pair.w_a), differentiate(pair.w_b),
+             pair.v2], pts)
         worst_exact = max(worst_exact,
                           float(np.max(np.abs(drift - (1.0 - r)))))
-        wa = evaluate_array(pair.w_a, pts)
-        wb = evaluate_array(pair.w_b, pts)
         worst = max(worst, float(np.max(np.abs((wb - wa) - (1.0 - r)))))
-        v1_raw = wa * wb - evaluate_array(differentiate(pair.w_a), pts)
+        v1_raw = wa * wb - dwa
         worst = max(worst, float(np.max(np.abs(v1_raw - r))))
 
         if r == -1.0:
             want = 2.0 / (pts - 1.0) ** 2 - 1.0
-            v2 = evaluate_array(pair.v2, pts)
             worst = max(worst, float(np.max(np.abs(v2 - want))))
-            v2_raw = wa * wb + evaluate_array(differentiate(pair.w_b), pts)
+            v2_raw = wa * wb + dwb
             worst = max(worst, float(np.max(np.abs(v2_raw - want))))
     _criterion(2, worst_exact == 0.0 and worst < 1e-9,
                f"exact gap {worst_exact:.3e}, raw gap {worst:.3e}")

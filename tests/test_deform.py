@@ -194,3 +194,15 @@ def test_multipliers_are_sampled_once_per_grid_and_read_only():
         assert method(large) is not first  # only the last grid is kept
         assert np.array_equal(method(large).view(np.uint64), first.view(np.uint64))
         assert np.array_equal(method().view(np.uint64), want(d.grid).view(np.uint64))
+
+
+def test_both_multipliers_come_from_one_sample_of_q(monkeypatch):
+    import susyq.deform
+
+    d = build_deformation(DEFAULT_DEFORMATION_Q)
+    grid = Grid(12.0, 1025)
+    sampled = []
+    monkeypatch.setattr(susyq.deform, "sample", lambda e, g: sampled.append(g) or sample(e, g))
+    d.multiplier_values(grid)
+    d.inverse_dual_values(grid)
+    assert sampled == [grid]

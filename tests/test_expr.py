@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from grammar import GRAMMATICAL
 from susyq.expr import (
+    Add,
+    Const,
+    Div,
     EvalDomainError,
     ExprError,
+    LogAbs,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
+    Var,
     conjugate,
     differentiate,
     evaluate,
@@ -18,6 +29,7 @@ from susyq.expr import (
     parse_bindings,
     to_source,
 )
+from susyq.susy import SuperpotentialPair
 
 DIFF_TOL = 1e-8
 
@@ -209,7 +221,12 @@ def test_scalar_power_overflow_is_a_domain_error_like_the_array_inf():
     assert err.value.x == 8.0
     with pytest.raises(EvalDomainError):
         evaluate(parse("(x + 1i)^400"), 8.0)
-    assert np.isinf(evaluate_array(e, np.array([8.0]))[0].real)
+    assert np.isinf(evaluate_array([e], np.array([8.0]))[0][0].real)
+    # a negative power of a base whose cube underflows: Python divides by zero, numpy gives inf
+    tiny = parse("(1e-150 * x)^-3")
+    with pytest.raises(EvalDomainError):
+        evaluate(tiny, 1.0)
+    assert np.isinf(evaluate_array([tiny], np.array([1.0]))[0][0].real)
     # past the overflow the value is exact again
     assert evaluate(parse("exp(0 - x^400)"), 8.0) == 0.0
 
@@ -219,6 +236,7 @@ def test_scalar_power_overflow_is_a_domain_error_like_the_array_inf():
     ("k^3", {"k": [1e200, 1e200]}, "out of float range"),
     ("k^101", {"k": [1e200, 1e200]}, "out of float range"),
     ("k^2", {"k": 1e200}, "out of float range"),
+    ("(0.5^400)^-3", None, "out of float range"),  # the reciprocal of an underflow
 ])
 def test_constant_powers_fold_to_finite_numbers_or_raise(text, bindings, message):
     with pytest.raises(ExprError, match=message):
@@ -229,7 +247,7 @@ def test_constant_powers_fold_to_finite_numbers_or_raise(text, bindings, message
 def test_array_evaluation_matches_scalar():
     e = parse("tanh(x) * exp(0.25i * x^2) + 1/(x - 20)")
     xs = np.linspace(-3, 3, 11)
-    arr = evaluate_array(e, xs)
+    [arr] = evaluate_array([e], xs)
     for j, x in enumerate(xs):
         assert arr[j] == pytest.approx(evaluate(e, float(x)), abs=1e-14)
 
@@ -274,3 +292,101 @@ def test_print_parse_round_trip_evaluates_identically(src, x):
         return  # overflowing tower of exps; round trip is not meaningful
     rt = evaluate(parse(to_source(e)), x)
     assert rt == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one DAG per record against the field-by-field walk
+
+def _field_by_field(e, x):
+    """e on the array x by the recursive walk, one node at a time.  A sum's
+    or product's operands are fresh temporaries, so numpy may compute the
+    result in the buffer of either, and in that operand order."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Add):
+        return _field_by_field(e.a, x) + _field_by_field(e.b, x)
+    if isinstance(e, Mul):
+        return _field_by_field(e.a, x) * _field_by_field(e.b, x)
+    if isinstance(e, Neg):
+        return -_field_by_field(e.a, x)
+    v = _field_by_field(e.a, x)
+    if isinstance(e, Div):
+        den = _field_by_field(e.b, x)
+        if np.ndim(den) == 0 and den == 0:
+            raise EvalDomainError("division by zero", x)
+        return v / den
+    if isinstance(e, Pow):
+        if e.n < 0 and np.ndim(v) == 0 and v == 0:
+            raise EvalDomainError("zero raised to a negative power", x)
+        try:
+            return v ** e.n
+        except OverflowError:
+            return np.power(np.asarray(v), e.n)
+    if isinstance(e, LogAbs):
+        if np.ndim(v) == 0 and abs(v) == 0:
+            raise EvalDomainError("log of zero", x)
+        return np.log(np.abs(v)) + 0j if np.ndim(v) else complex(np.log(np.abs(v)))
+    return {"exp": np.exp, "sin": np.sin, "cos": np.cos, "tanh": np.tanh}[e.name](v)
+
+
+def _walked(e, x):
+    with np.errstate(all="ignore"):
+        v = np.asarray(_field_by_field(e, x), dtype=np.complex128)
+    return v if v.shape == x.shape else np.full(x.shape, complex(v), dtype=np.complex128)
+
+
+# 32769 points: float64 arrays too reach numpy's 256 KiB temporary-elision size
+@settings(deadline=None)
+@given(w_a=GRAMMATICAL, w_b=GRAMMATICAL, n=st.sampled_from([257, 32769]))
+def test_drawn_pairs_sample_as_one_dag_bit_for_bit(w_a, w_b, n):
+    try:
+        p = SuperpotentialPair(parse(w_a, {"k": -1.3, "a": 0.4}), parse(w_b, {"k": -1.3, "a": 0.4}))
+        fields = [getattr(p, name) for name in p._SAMPLED]
+        roots = fields + [differentiate(e) for e in fields]
+    except ExprError:  # folding a constant failed: no pair to sample
+        event("no pair")
+        return
+    x = np.linspace(-12.0, 12.0, n)  # x = 0 is a node: poles give inf and nan points
+    try:
+        got = evaluate_array(roots, x)
+    except EvalDomainError as err:
+        with warnings.catch_warnings(), pytest.raises(EvalDomainError) as first:
+            warnings.simplefilter("ignore")
+            for e in roots:
+                _walked(e, x)
+        assert str(err) == str(first.value)
+        event("domain error")
+        return
+    event("non-finite points" if not all(np.isfinite(v).all() for v in got) else "finite")
+    for i, (e, values) in enumerate(zip(roots, got)):
+        assert np.array_equal(values.view(np.uint64), _walked(e, x).view(np.uint64)), i
+
+
+@pytest.mark.parametrize("source", [
+    "exp(0.3i)^-3 * (x - 0.3i)",  # a numpy scalar times a temporary: numpy keeps the order
+    "(0.5 + 0.2i) * (x - 0.3i)",  # a Python scalar times a temporary: numpy computes it swapped
+    "x * (x + 0.2i) + tanh(x) * 0.7i",
+])
+def test_products_keep_the_operand_order_of_the_walk(source):
+    x = np.linspace(-12.0, 12.0, 32769)
+    [got] = evaluate_array([parse(source)], x)
+    assert np.array_equal(got.view(np.uint64), _walked(parse(source), x).view(np.uint64))
+
+
+def test_constants_differing_in_a_zero_sign_are_separate_nodes():
+    x = np.array([-1.0, 1.0])
+    roots = [Const(0.0), Const(-0.0), Mul(Var(), Const(0j)), Mul(Var(), Const(complex(-0.0, 0.0)))]
+    got = evaluate_array(roots, x)
+    for e, values in zip(roots, got):
+        assert np.array_equal(values.view(np.uint64), _walked(e, x).view(np.uint64))
+    for a, b in (got[:2], got[2:]):
+        assert not np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_equal_roots_share_one_array_and_constant_roots_fill_the_grid():
+    x = np.linspace(-1.0, 1.0, 5)
+    first, again, const = evaluate_array([parse("x^2 + 1"), parse("x^2 + 1"), parse("2 + 1i")], x)
+    assert again is first
+    assert np.array_equal(const, np.full(5, 2 + 1j))

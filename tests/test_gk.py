@@ -224,6 +224,14 @@ def test_state_input_validation(dh):
         build_state(s, "phi", -0.1, 0.0, 1e-10, dom, len(s))
 
 
+def test_an_empty_family_is_named_in_a_gk_error(dh):
+    _, phis, psis, s, _ = dh
+    with pytest.raises(GKError, match="the phi family is empty"):
+        state_pair(s, [], psis, 0.5, 0.0, 1e-10, 2)
+    with pytest.raises(GKError, match="the psi family is empty"):
+        state_pair(s, phis, [], 0.5, 0.0, 1e-10, 2)
+
+
 @pytest.mark.parametrize("j", [0.0, 0.5])
 def test_an_angle_label_whose_coefficients_overflow_is_rejected(dh, j):
     _, phis, _, s, dom = dh

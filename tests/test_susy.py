@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
-from susyq.expr import EvalDomainError, ExprError, differentiate, evaluate, parse
-from susyq.numerics import Grid, GridFunction, default_grid, inner, interior_norm, norm, sample
+from susyq.expr import EvalDomainError, ExprError, Var, differentiate, evaluate, parse
+from susyq.numerics import (Grid, GridFunction, PoleOnGridError, default_grid, inner,
+                             interior_norm, norm, sample)
 from susyq.susy import (
     SuperpotentialPair,
     apply_A,
@@ -76,24 +77,61 @@ def test_opposite_superpotentials_share_potentials():
     assert np.max(np.abs(s["v1"] - s["v2"])) < 1e-14
 
 
-def test_a_field_repeated_in_a_pair_is_sampled_once(monkeypatch):
-    from susyq import numerics
+def _walk_operations(e) -> tuple:
+    """(depends on x, array operations of the field-by-field walk): the
+    nodes of the tree, counted each time they occur, computed from x."""
+    kids = [_walk_operations(k) for k in (getattr(e, "a", None), getattr(e, "b", None)) if k]
+    depends = isinstance(e, Var) or any(d for d, _ in kids)
+    return depends, sum(n for _, n in kids) + (depends and not isinstance(e, Var))
+
+
+def test_a_field_repeated_in_a_pair_is_sampled_once(array_evaluations):
     from susyq.models import get_model
 
     p = get_model("black-scholes", r=-0.7).pair  # v2_dual is v2's expression
     assert p.v2_dual is p.v2
+    distinct = {id(getattr(p, name)): getattr(p, name) for name in p._SAMPLED}.values()
+    assert sum(_walk_operations(e)[1] for e in distinct) == 50
     grid = Grid(12.0, 4097)
-    calls = []
-    evaluate_array = numerics.evaluate_array
-    monkeypatch.setattr(numerics, "evaluate_array",
-                        lambda e, x: calls.append(e) or evaluate_array(e, x))
+    del array_evaluations[:]
     s = p.samples(grid)
-    assert len(calls) == 8
+    assert len(array_evaluations) == 17  # each distinct subexpression once
     assert s["v2_dual"] is s["v2"] and not s["v2"].flags.writeable
-    monkeypatch.undo()
+    # dw_a and dw_b agree in structure but are two objects: two arrays, as before
+    assert p.dw_a is not p.dw_b and s["dw_a"] is not s["dw_b"]
+    assert all(not a.flags.writeable for a in s.values())
     for name in p._SAMPLED:
         want = sample(getattr(p, name), grid).values
         assert np.array_equal(s[name].view(np.uint64), want.view(np.uint64)), name
+
+
+def test_black_scholes_vacuum_logs_are_one_dag(array_evaluations):
+    from susyq.models import get_model
+
+    m = get_model("black-scholes", r=-0.7)
+    grid = Grid(12.0, 4097)
+    m.pair.samples(grid)
+    del array_evaluations[:]
+    m.vacua(grid)
+    # four logs and their first two derivatives: 149 operations walked field by field
+    assert len(array_evaluations) == 27
+
+
+def test_poles_in_two_fields_are_reported_for_the_earlier_field():
+    # w_b's pole at x = -2 comes first on the grid, but w_a is sampled first
+    p = build_pair(parse("1/(x - 1)"), parse("1/(x + 2)"))
+    with pytest.raises(PoleOnGridError) as err:
+        p.samples(Grid(12.0, 49))
+    assert str(err.value) == ("non-finite sample (pole or overflow) at x=1.0 "
+                              "(grid index 26, 1 offending point)")
+
+
+def test_failing_constant_subexpressions_raise_the_first_in_field_order():
+    # w_b's failing constant is the deeper one; w_a's is reached first
+    p = SuperpotentialPair(parse("x * sin(0)^-1"), parse("x / sin(sin(0))"))
+    with pytest.raises(EvalDomainError) as err:
+        p.samples(Grid(12.0, 49))
+    assert str(err.value) == "zero raised to a negative power at every x"
 
 
 def test_potential_identity_residual_small_for_models():
