@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import re
+import struct
 from collections import Counter
 
 import numpy as np
@@ -624,7 +625,8 @@ def evaluate_array(roots, x: np.ndarray) -> list:
     def visit(e):
         if id(e) not in at_id:
             kids = tuple([visit(k) for k in e._kids()])
-            tag = np.complex128(e.value).tobytes() if isinstance(e, Const) else getattr(e, "n", None)
+            tag = (struct.pack("<dd", e.value.real, e.value.imag) if isinstance(e, Const)
+                   else getattr(e, "n", None))
             p = at_id[id(e)] = at_key.setdefault((type(e), kids, tag), len(nodes))
             if p == len(nodes):
                 nodes.append((e, kids))

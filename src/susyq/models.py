@@ -89,17 +89,21 @@ def hermite(n: int, x):
         raise ValueError("n must be nonnegative")
     z = np.asarray(x)
     z = z.astype(np.result_type(z.dtype, np.float64))
-    h_prev = np.ones_like(z)
-    if n == 0:
-        out = h_prev
-    else:
-        h = 2 * z
-        for m in range(1, n):
-            h, h_prev = 2 * z * h - 2 * m * h_prev, h
-        out = h
-    if np.ndim(x) == 0:
-        return out.item()
-    return out
+    h, h_prev = np.ones_like(z), np.empty_like(z)
+    for m in range(n):
+        h, h_prev = _hermite_step(m, z, h, h_prev), h
+    return h.item() if np.ndim(x) == 0 else h
+
+
+def _hermite_step(m: int, z: np.ndarray, h: np.ndarray, h_prev: np.ndarray) -> np.ndarray:
+    """H_{m+1}(z) = 2 z H_m - 2 m H_{m-1} from ``h`` = H_m and ``h_prev`` =
+    H_{m-1} (unread for m = 0, where H_1 = 2 z), written over ``h_prev``."""
+    if m == 0:
+        return np.multiply(2, z, out=h_prev)
+    # out of place: a one-point complex product over a factor can change bits
+    t = 2 * z * h
+    np.multiply(2 * m, h_prev, out=h_prev)
+    return np.subtract(t, h_prev, out=h_prev)
 
 
 class _HermiteLadder:
@@ -109,8 +113,8 @@ class _HermiteLadder:
     level then costs one recurrence step instead of n.  The state is the
     argument c x and the last two levels for one grid and one c; a lower
     level, another grid or another c starts again from level 0.  Each step
-    does the operations of ``hermite`` with the same operands in the same
-    order.  Each call returns a new array with the bits of ``hermite(n, z)``.
+    is ``hermite``'s step, so each call returns a new array with the bits of
+    ``hermite(n, z)``.
     It must be new: numpy evaluates ``c * new_array`` in the new array's
     buffer as ``new_array * c``, and complex products in numpy are not
     bitwise commutative, so ``c`` times a shared array would differ from
@@ -129,16 +133,8 @@ class _HermiteLadder:
             self._h, self._h_prev = np.ones_like(z), np.empty_like(z)
         z = self._key[2]
         while self._level < n:
-            m, h, h_prev = self._level, self._h, self._h_prev
-            if m == 0:
-                np.multiply(2, z, out=h_prev)
-            else:
-                # 2 * z * h - 2 * m * h_prev, the result written over h_prev
-                t = 2 * z
-                t *= h
-                np.multiply(2 * m, h_prev, out=h_prev)
-                np.subtract(t, h_prev, out=h_prev)
-            self._level, self._h, self._h_prev = m + 1, h_prev, h
+            h = _hermite_step(self._level, z, self._h, self._h_prev)
+            self._level, self._h, self._h_prev = self._level + 1, h, self._h
         return self._h.copy()
 
     def envelope(self, grid: Grid, c, make) -> np.ndarray:

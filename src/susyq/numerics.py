@@ -26,8 +26,8 @@ zero terms can change only a zero's sign and the parts of a point that is
 already non-finite, and no output reads either: a zero's sign matters only
 at a branch cut, while images reach reports only through norms and
 magnitudes, and a carrier rejects a non-finite point by its first index
-and the count, whatever its parts.  Real input (a log scale) is divided by
-d, as the real expression does, and keeps its bits.
+and the count, whatever its parts.  Real input is multiplied by 1/d too,
+and a scaled carrier is differentiated through its exact log derivatives.
 
 Every operator and every residual runs on the blocked kernels: each
 derivative, and each operator built on one, is a job of a ``stencil_pass``,
@@ -73,6 +73,7 @@ __all__ = [
     "derivative",
     "inner",
     "biorthogonality_defect",
+    "pairing_defect",
     "norm",
     "integrate_halfline",
     "cumulative_antiderivative",
@@ -190,10 +191,9 @@ class GridFunction:
 
     With ``log_scale`` None the function is ``values`` itself.  With a real
     ``log_scale`` array it is ``values * exp(log_scale)``, which keeps
-    families that grow like exp(exp(x)) representable; ``dlog``/``d2log``
-    optionally carry exact derivatives of ``log_scale`` (available whenever
-    the scale came from a known superpotential), and finite differences fill
-    in when absent.  ``+`` and ``-`` need operands with the same scale.
+    families that grow like exp(exp(x)) representable; ``dlog`` and ``d2log``
+    carry its exact derivatives, which a derivative of the carrier reads.
+    ``+`` and ``-`` need operands with the same scale.
     The scale arrays are shared, not copied: by ``with_values`` and by the
     levels of one model family, which hold them read-only.
     """
@@ -211,21 +211,22 @@ class GridFunction:
             total = values.sum()
         if not np.isfinite(total):
             _reject_non_finite(grid, ~np.isfinite(values))
-        if log_scale is not None:
-            log_scale = np.asarray(log_scale, dtype=float)
-            if log_scale.shape != (grid.n_points,):
-                raise ValueError("log_scale must match the grid length")
-            if not np.isfinite(log_scale).all():
-                raise ValueError("log_scale must be finite")
         self.grid = grid
         self.values = values
-        self.log_scale = log_scale
-        self.dlog = None if dlog is None else np.asarray(dlog, dtype=float)
-        self.d2log = None if d2log is None else np.asarray(d2log, dtype=float)
+        for name, a in (("log_scale", log_scale), ("dlog", dlog), ("d2log", d2log)):
+            if a is not None:
+                a = np.asarray(a, dtype=float)
+                if a.shape != (grid.n_points,):
+                    raise ValueError(f"{name} must match the grid length")
+                if not np.isfinite(a).all():
+                    raise ValueError(f"{name} must be finite")
+            setattr(self, name, a)
 
     def with_values(self, values) -> "GridFunction":
-        """Same grid and scale (with its derivatives), new prefactor values."""
-        return GridFunction(self.grid, values, self.log_scale, self.dlog, self.d2log)
+        """Same grid and (checked, shared) scale arrays, new prefactor values."""
+        f = GridFunction(self.grid, values)
+        f.log_scale, f.dlog, f.d2log = self.log_scale, self.dlog, self.d2log
+        return f
 
     def __add__(self, other):
         _check_same_carrier(self, other)
@@ -290,8 +291,8 @@ def _log_scale(f) -> np.ndarray:
 
 
 def as_scaled(f) -> GridFunction:
-    """``f`` with an explicit scale array: zeros when it has none."""
-    return f if f.log_scale is not None else GridFunction(f.grid, f.values, _log_scale(f))
+    """``f`` with an explicit scale array: zeros, and zero derivatives, when it has none."""
+    return f if f.log_scale is not None else GridFunction(f.grid, f.values, *[_log_scale(f)] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +336,11 @@ class _Stencil:
     The central stencil runs on the float64 view, where neighbour j+1 of a
     complex array sits two doubles further on, with the operations of the
     complex expression (v[j-2] - 8 v[j-1] + 8 v[j+1] - v[j+2]) / (12 h) and
-    its second-order sibling.  A result matches that expression except for
-    a zero's sign and the parts of a non-finite point, which no output
-    reads (see the module docstring).  The two points at each edge take
-    one-sided stencils.
+    its second-order sibling, but every input, real or complex, is
+    multiplied by 1 / (12 h).  A complex result matches the expression
+    except for a zero's sign and the parts of a non-finite point, which no
+    output reads (see the module docstring).  The two points at each edge
+    take one-sided stencils.
     """
 
     def __init__(self, values: np.ndarray, h: float, orders):
@@ -348,7 +350,7 @@ class _Stencil:
         self.a = v.view(np.float64)
         self.s = self.a.size // v.size  # doubles per element: 2 for complex, 1 for real
         self.tmp = np.empty(min(_BLOCK, len(v)) * self.s)
-        self.scale = {order: 12 * h if order == 1 else 12 * h * h for order in orders}
+        self.inverse = {order: 1.0 / (12 * h if order == 1 else 12 * h * h) for order in orders}
         n = len(v)
         self.edges = []  # (order, point, weights, neighbour indices)
         for order in orders:
@@ -387,10 +389,7 @@ class _Stencil:
                     np.multiply(v3, 16, out=t)
                     o += t
                     o -= v4
-                if s == 1:
-                    o /= self.scale[order]
-                else:
-                    o *= 1.0 / self.scale[order]
+                o *= self.inverse[order]
         for order, j, w, idx in self.edges:
             if lo <= j < hi:
                 outs[order][j - lo] = np.dot(w, v[idx])
@@ -407,9 +406,10 @@ def stencil_pass(f, jobs) -> list:
     ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]`` for each
     k in ``orders`` (1, 2 or both).  Every job reads the same derivative
     block, so a combine must not write into ``v`` or ``d``; ``t`` and ``u``
-    are scratch it may overwrite.  The scaled derivatives are formed as the
-    whole-array expressions of a scaled ``derivative`` form them, operation
-    by operation.
+    are scratch it may overwrite.  On a scaled carrier they are formed from
+    its exact ``dlog`` and ``d2log`` as the whole-array expressions of a
+    scaled ``derivative`` form them, operation by operation; a carrier
+    without one that a job reads raises ValueError.
 
     A complex product must not be written over one of its factors: on a
     one-point block numpy then takes a loop whose last bit can differ.
@@ -425,10 +425,9 @@ def stencil_pass(f, jobs) -> list:
     d = {k: np.empty(m, dtype=np.complex128) for k in need}
     t, u = np.empty((2, m), dtype=np.complex128)
     if scale is not None:
-        given = {1: f.dlog, 2: f.d2log}
-        fitted = [k for k in need if given[k] is None]
-        log_stencil = _Stencil(scale, h, fitted)
-        sd = {k: np.empty(m) for k in fitted}
+        for name in ("dlog", "d2log")[: need[-1]]:
+            if getattr(f, name) is None:
+                raise ValueError(f"a scaled carrier needs {name} for an order {need[-1]} pass")
         r = np.empty(m)
     outs = [np.empty(n, dtype=np.complex128) for _ in jobs]
     for lo, hi in _blocks(n):
@@ -437,19 +436,17 @@ def stencil_pass(f, jobs) -> list:
         v = f.values[sl]
         db = stencil.into(lo, hi, {j: d[j][:k] for j in need})
         if scale is not None:
-            s = log_stencil.into(lo, hi, {j: sd[j][:k] for j in fitted})
-            s.update((j, given[j][sl]) for j in need if j not in s)
-            rb, tb = r[:k], t[:k]
+            s1, rb, tb = f.dlog[sl], r[:k], t[:k]
             if 2 in wanted:  # v2 + 2 * s1 * v1 + (s2 + s1 * s1) * v
-                np.multiply(2, s[1], out=rb)
+                np.multiply(2, s1, out=rb)
                 np.multiply(rb, db[1], out=tb)
                 db[2] += tb
-                np.multiply(s[1], s[1], out=rb)
-                np.add(s[2], rb, out=rb)
+                np.multiply(s1, s1, out=rb)
+                np.add(f.d2log[sl], rb, out=rb)
                 np.multiply(rb, v, out=tb)
                 db[2] += tb
             if 1 in wanted:  # v1 + s1 * v
-                np.multiply(s[1], v, out=tb)
+                np.multiply(s1, v, out=tb)
                 db[1] += tb
         for (orders, combine), out in zip(jobs, outs):
             combine(sl, v, *(db[j] for j in orders), out[sl], t[:k], u[:k])
@@ -537,10 +534,10 @@ def biorthogonality_defect(left, right) -> float:
     only ``left`` is held whole.  A maximum is exact in any order.
     """
     left = list(left)
-    return max([0.0] + [_pairing_defect(left, b, r_b) for b, r_b in enumerate(right)])
+    return max([0.0] + [pairing_defect(left, b, r_b) for b, r_b in enumerate(right)])
 
 
-def _pairing_defect(left, b: int, r_b) -> float:
+def pairing_defect(left, b: int, r_b) -> float:
     """max |<l_a, r_b> - delta_ab| over the family ``left``: column b of
     :func:`biorthogonality_defect`."""
     worst = 0.0

@@ -45,8 +45,8 @@ from .models import (
     get_model,
     pb_identities,
 )
-from .numerics import (Grid, NonConvergenceError, RepresentationError, _pairing_defect,
-                       biorthogonality_defect, inner, relative_residual, sample)
+from .numerics import (Grid, NonConvergenceError, RepresentationError, biorthogonality_defect,
+                       inner, pairing_defect, relative_residual, sample)
 from .reporting import CheckResult
 from .susy import (
     apply_ops,
@@ -309,7 +309,7 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
             n, phi = lv.n, lv.phi
             yield phi
             if n < n_eigen:
-                pairing = max(pairing, _pairing_defect(psis, n, phi))
+                pairing = max(pairing, pairing_defect(psis, n, phi))
                 eigen = deformed_eigencheck(worst, d, pair, w, m.energy(n), phi, lv.h1, psis[n],
                                             base(n, grid) if n else None)
             inter.append(_intertwine_result(lv.rec))

@@ -377,12 +377,17 @@ def test_products_keep_the_operand_order_of_the_walk(source):
 
 def test_constants_differing_in_a_zero_sign_are_separate_nodes():
     x = np.array([-1.0, 1.0])
-    roots = [Const(0.0), Const(-0.0), Mul(Var(), Const(0j)), Mul(Var(), Const(complex(-0.0, 0.0)))]
+    inf = 1e308 * 10  # constant folding can make inf, and nan as its difference with itself
+    roots = [Const(0.0), Const(-0.0), Mul(Var(), Const(0j)), Mul(Var(), Const(complex(-0.0, 0.0))),
+             Const(inf), Const(-inf), Const(inf - inf), Const(-(inf - inf))]
     got = evaluate_array(roots, x)
     for e, values in zip(roots, got):
         assert np.array_equal(values.view(np.uint64), _walked(e, x).view(np.uint64))
-    for a, b in (got[:2], got[2:]):
+    for a, b in (got[:2], got[2:4], got[4:6], got[6:]):
         assert not np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    # equal constants are one node, a nan one too, although nan != nan
+    first, again = evaluate_array([Const(inf - inf), Const(inf - inf)], x)
+    assert again is first
 
 
 def test_equal_roots_share_one_array_and_constant_roots_fill_the_grid():

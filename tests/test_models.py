@@ -62,6 +62,45 @@ def test_hermite_complex_argument():
     assert hermite(3, z) == pytest.approx(8 * z**3 - 12 * z, rel=1e-14)
 
 
+def _hermite_oracle(n, z):
+    """The three-term recurrence as out-of-place array expressions."""
+    h_prev, h = np.ones_like(z), 2 * z
+    if n == 0:
+        return h_prev
+    for m in range(1, n):
+        h, h_prev = 2 * z * h - 2 * m * h_prev, h
+    return h
+
+
+def test_hermite_and_the_ladder_are_the_out_of_place_recurrence_bit_for_bit():
+    from susyq.models import _HermiteLadder, _ladder_argument
+
+    rng = np.random.default_rng(3)
+    for size in (1, 2, 5, 50, 16385):
+        re = rng.uniform(-5, 5, size)
+        for z in (re, re + 1j * rng.uniform(-5, 5, size)):
+            for n in range(40):
+                assert _same_bits(hermite(n, z), _hermite_oracle(n, z)), (size, z.dtype, n)
+    ladder = _HermiteLadder()
+    for g in (Grid(12.0, 33), Grid(12.0, 16385)):
+        for c in (None, cmath.exp(0.3j), cmath.exp(-0.3j)):
+            z = _ladder_argument(g, c)
+            for n in list(range(30)) + [7, 29, 0]:
+                assert _same_bits(ladder(n, g, c), _hermite_oracle(n, z)), (g, c, n)
+
+
+def test_a_scalar_hermite_value_has_the_bits_of_its_array_element():
+    rng = np.random.default_rng(4)
+    re = rng.uniform(-5, 5, 50)
+    for z in (re, re + 1j * rng.uniform(-5, 5, 50)):
+        for n in range(40):
+            values = hermite(n, z)
+            for j, point in enumerate(z.tolist()):
+                got = hermite(n, point)
+                assert type(got) is type(point), (n, j)
+                assert _same_bits(np.array([got]), values[j : j + 1]), (n, j)
+
+
 def test_hermite_function_orthonormal(grid):
     f2 = hermite_function(2, grid.x)
     f3 = hermite_function(3, grid.x)
@@ -549,3 +588,22 @@ def test_second_sector_is_the_first_one_level_down(name):
             for attr in ("values", "log_scale", "dlog", "d2log"):
                 a, b = getattr(got, attr), getattr(want, attr)
                 assert (a is None and b is None) or _same_bits(a, b), (name, n, attr)
+
+
+def test_every_scaled_carrier_a_model_builds_carries_both_scale_derivatives():
+    # a scaled carrier is differentiated only through dlog and d2log, so every
+    # family level and every factor vacuum with a scale must carry both
+    g = Grid(12.0, 1025)
+    scaled = []
+    for entry in models_list():
+        m = get_model(entry["name"])
+        carriers = [(f"{fam} {n}", getattr(m, fam)(n, g))
+                    for fam in ("phi1", "psi1") if getattr(m, fam) is not None for n in range(4)]
+        if m.pair is not None or m.vacua_fn is not None:
+            carriers += [(rec.label, rec.function) for rec in m.vacua(g).records()]
+        for label, f in carriers:
+            if f.log_scale is not None:
+                scaled.append(entry["name"])
+                assert f.dlog is not None and f.d2log is not None, (entry["name"], label)
+    # the guard is not empty: the pseudo-bosonic families and every vacuum are scaled
+    assert {"pseudo-bosonic", "black-scholes", "harmonic"} <= set(scaled)

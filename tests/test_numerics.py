@@ -114,6 +114,37 @@ def test_scaled_derivative_uses_exact_scale_derivatives():
     assert np.allclose(d2.values, 2 + 4 * g.x**2, rtol=1e-12, atol=1e-9)
 
 
+def test_a_scaled_derivative_needs_the_exact_scale_derivatives_it_reads():
+    g = Grid(3.0, 65)
+    p = susy.build_pair(parse("x"), parse("x + 1"))
+    values, scale = np.exp(-g.x**2), 0.3 * g.x**2
+    bare = GridFunction(g, values, scale)
+    for call in (lambda: derivative(bare, 1), lambda: derivative(bare, 2),
+                 lambda: susy.apply_A(p, bare), lambda: susy.apply_H1(p, bare)):
+        with pytest.raises(ValueError, match="dlog"):
+            call()
+    # a first-order pass reads dlog only, and gives the bits of a full carrier
+    first = GridFunction(g, values, scale, dlog=0.6 * g.x)
+    full = GridFunction(g, values, scale, 0.6 * g.x, np.full(g.n_points, 0.6))
+    assert np.array_equal(_bits(derivative(first, 1).values), _bits(_derivative_oracle(full, 1)))
+    assert np.array_equal(_bits(susy.apply_A(p, first).values),
+                          _bits(_operator_oracles(p, full)["A"]))
+    for call in (lambda: derivative(first, 2), lambda: susy.apply_H1(p, first),
+                 lambda: susy.apply_ops(p, first, ["A", "H1"])):
+        with pytest.raises(ValueError, match="d2log"):
+            call()
+
+
+def test_scale_derivatives_must_be_finite_and_match_the_grid():
+    g = Grid(3.0, 65)
+    ones, nan = np.ones(g.n_points), np.full(g.n_points, np.nan)
+    for name in ("dlog", "d2log"):
+        with pytest.raises(ValueError, match=f"{name} must match the grid length"):
+            GridFunction(g, ones, g.x, **{name: np.ones(10)})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GridFunction(g, ones, g.x, **{name: nan})
+
+
 def test_inner_is_conjugate_linear_in_first_slot():
     g = Grid(6.0, 129)
     f = sample(parse("exp(0 - x^2) * (1 + 2i)"), g)
@@ -148,13 +179,16 @@ def _plain_and_zero_scaled():
     """One function as a plain carrier and as a carrier with log_scale = 0."""
     g = Grid(6.0, 257)
     v = np.exp(-g.x**2 / 2) * (1 + 0.3j * g.x)
-    return GridFunction(g, v), GridFunction(g, v, np.zeros(g.n_points))
+    zeros = np.zeros(g.n_points)
+    return GridFunction(g, v), GridFunction(g, v, zeros, zeros, zeros)
 
 
 def test_zero_log_scale_agrees_with_the_plain_carrier():
     plain, scaled = _plain_and_zero_scaled()
     for order in (1, 2):
         assert np.array_equal(derivative(scaled, order).values, derivative(plain, order).values)
+        assert np.array_equal(derivative(numerics.as_scaled(plain), order).values,
+                              derivative(plain, order).values)
     for f in (plain, scaled):
         with pytest.raises(ValueError):
             derivative(f, 3)
@@ -285,10 +319,13 @@ def _bits(a):
 
 
 def _fd_interior_oracle(v, h, order):
-    """The interior stencil as the complex array expressions it replaced."""
+    """The interior stencil as array expressions: the complex expression it
+    replaced, and for float64 input the real sum times 1 / (12 h**order)."""
     if order == 1:
-        return (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    return (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h * h)
+        total, d = v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:], 12 * h
+    else:
+        total, d = -v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:], 12 * h * h
+    return total * (1.0 / d) if v.dtype == np.float64 else total / d
 
 
 def _stencil_inputs(n):
@@ -320,7 +357,7 @@ def _stencil_inputs(n):
 
 def _stencil_values(v, h, order):
     """``_Stencil`` run over every block of ``v``, as ``stencil_pass`` runs it
-    on the samples and on a log scale whose derivatives it fits."""
+    on a carrier's samples."""
     stencil = _Stencil(v, h, (order,))
     out = np.empty_like(stencil.v)
     for lo, hi in _blocks(len(out)):
@@ -332,8 +369,8 @@ def _assert_stencil_contract(got, want, case):
     """``got`` against the complex-expression oracle ``want``.  Where the
     oracle is finite, ``got`` is equal by == on the float64 view and
     bit-equal at every nonzero part: it may differ only in a zero's sign.
-    Where the oracle is not finite, neither is ``got``.  Float64 input keeps
-    exact bits."""
+    Where the oracle is not finite, neither is ``got``.  Float64 input has
+    the bits of the real oracle, which multiplies by 1 / d."""
     assert got.dtype == want.dtype, case
     if got.dtype == np.float64:
         assert np.array_equal(_bits(got), _bits(want)), case
@@ -424,13 +461,12 @@ def _derivative_oracle(f, order):
     h = f.grid.spacing
     if f.log_scale is None:
         return _fd_oracle(f.values, h, order)
-    s1 = f.dlog if f.dlog is not None else _fd_oracle(f.log_scale, h, 1).real
+    s1 = f.dlog
     v1 = _fd_oracle(f.values, h, 1)
     if order == 1:
         return v1 + s1 * f.values
     v2 = _fd_oracle(f.values, h, 2)
-    s2 = f.d2log if f.d2log is not None else _fd_oracle(f.log_scale, h, 2).real
-    return v2 + 2 * s1 * v1 + (s2 + s1 * s1) * f.values
+    return v2 + 2 * s1 * v1 + (f.d2log + s1 * s1) * f.values
 
 
 def _operator_oracles(p, f):
@@ -451,7 +487,8 @@ def _operator_oracles(p, f):
 
 
 def _carriers(grid, rng):
-    """Plain and scaled carriers, -0.0 samples among them."""
+    """Plain and scaled carriers, with the exact derivatives of each scale;
+    -0.0 samples among them."""
     n = grid.n_points
     x = grid.x
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(-x**2 / 8)
@@ -459,14 +496,13 @@ def _carriers(grid, rng):
     signed.real[::7] = -0.0
     signed.imag[n // 2] = -0.0
     signed[n - 3] = complex(-0.0, -0.0)
-    scale = 0.3 * x**2 - 0.5 * x
+    scale, dlog, d2log = 0.3 * x**2 - 0.5 * x, 0.6 * x - 0.5, np.full(n, 0.6)
     return {
         "plain": GridFunction(grid, z),
         "plain with -0.0": GridFunction(grid, signed),
-        "scaled, fitted scale derivatives": GridFunction(grid, signed, scale),
-        "scaled, exact scale derivatives": GridFunction(grid, z, scale, 0.6 * x - 0.5,
-                                                        np.full(n, 0.6)),
-        "scaled, one exact derivative": GridFunction(grid, signed, -scale, -0.6 * x + 0.5),
+        "scaled with -0.0": GridFunction(grid, signed, scale, dlog, d2log),
+        "scaled": GridFunction(grid, z, scale, dlog, d2log),
+        "negated scale with -0.0": GridFunction(grid, signed, -scale, -dlog, -d2log),
     }
 
 
@@ -486,6 +522,12 @@ def test_blocked_operators_are_the_composed_expressions_bit_for_bit(n):
 
 
 _ALL_OPERATORS = ["A_dag", "H1_dag", "A", "H2", "B_dag", "H2_dag", "B", "H1"]
+
+
+def _tilted(grid, values):
+    """``values`` on the log scale 0.1 x, with its exact derivatives."""
+    return GridFunction(grid, values, 0.1 * grid.x, np.full(grid.n_points, 0.1),
+                        np.zeros(grid.n_points))
 
 
 @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
@@ -520,7 +562,7 @@ def test_a_shared_pass_reports_the_first_job_whose_image_overflows(n):
     values = np.ones(n, dtype=np.complex128)
     # first derivatives stay finite, second ones overflow
     values[_BLOCK - 5 : _BLOCK] = [1e303, -1e303, 1e303, -1e303, 1e303]
-    for f in (GridFunction(grid, values), GridFunction(grid, values, 0.1 * grid.x)):
+    for f in (GridFunction(grid, values), _tilted(grid, values)):
         with np.errstate(all="ignore"):
             for ops in (["A", "H1", "B", "H2_dag"], ["B_dag", "H2", "H1"], _ALL_OPERATORS):
                 assert np.isfinite(getattr(susy, f"apply_{ops[0]}")(p, f).values).all()
@@ -538,7 +580,7 @@ def test_an_overflowing_stencil_is_reported_as_the_composed_expression_reports_i
     values = np.ones(n, dtype=np.complex128)
     values[_BLOCK - 5 : _BLOCK] = [1e307, -1e307, 1e307, -1e307, 1e307]  # reads across the block edge
     values[-40] = 1e307
-    for f in (GridFunction(grid, values), GridFunction(grid, values, 0.1 * grid.x)):
+    for f in (GridFunction(grid, values), _tilted(grid, values)):
         with np.errstate(all="ignore"):
             for op, want in _operator_oracles(p, f).items():
                 with pytest.raises(PoleOnGridError) as expected:
@@ -578,7 +620,7 @@ def test_drawn_stencil_inputs_meet_the_complex_expression_oracle(n, complex_inpu
         if not complex_input:
             return
         # each operator reports a non-finite image as the composed expression does
-        for f in (GridFunction(grid, v), GridFunction(grid, v, 0.1 * grid.x)):
+        for f in (GridFunction(grid, v), _tilted(grid, v)):
             for op, want in _operator_oracles(_OVERFLOW_PAIR, f).items():
                 try:
                     GridFunction(grid, want)

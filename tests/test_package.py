@@ -55,7 +55,7 @@ def test_the_suites_and_the_cli_call_each_check_through_its_public_entry_point(n
     # trace sees: no private helper of the check modules stands in for them
     tree = _tree(pathlib.Path(susyq.__file__).parent / name)
     private = [f"{node.module}.{alias}" for _, node, alias in _imports(tree)
-               if node is not None and (node.module or "").split(".")[-1] in ("susy", "deform", "gk")
+               if node is not None and (node.module or "").split(".")[-1] in ("susy", "deform", "gk", "numerics")
                and alias.startswith("_")]
     assert private == []
 
