@@ -14,6 +14,7 @@ as an internal error with exit 2, after its traceback on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -61,6 +62,8 @@ _EXIT_VERIFY_FAILED = 1
 _EXIT_CONFIG = 2
 _EXIT_POLE = 3
 _EXIT_DOMAIN = 4
+# glibc's malloc_trim, which main calls after every command; abs (a no-op) elsewhere
+_MALLOC_TRIM = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "malloc_trim", abs)
 
 _TOLERANCE_NAMES = ("state",)  # the named tolerances some command reads
 
@@ -822,3 +825,5 @@ def main(argv=None) -> int:
         traceback.print_exc(file=sys.stderr)
         print(f"susyq: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return _EXIT_CONFIG
+    finally:  # hand freed heap back: glibc keeps it resident, split at points that vary by run
+        _MALLOC_TRIM(0)

@@ -87,7 +87,8 @@ class Deformation:
     def _on(self, grid: Grid | None) -> tuple:
         g = grid or self.grid
         if self._multipliers[0] != g:
-            q = sample(self.q, g).values
+            # complex even for a real q: numpy's real exp can differ from the complex one
+            q = sample(self.q, g).values.astype(np.complex128, copy=False)
             self._multipliers = (g, _read_only(np.exp(q)), _read_only(np.exp(-np.conjugate(q))))
         return self._multipliers
 
@@ -167,7 +168,7 @@ def deformed_eigencheck(worst: list, d: Deformation, pair: SuperpotentialPair, w
     worst[1] = max(worst[1], relative_residual((apply_H1_dag(pair, psi), e, psi), psi))
     if e_n is not None:
         grid = e_n.grid
-        lowered = stencil_pass(e_n, [_first_order(w, +1.0, False)])[0].values / math.sqrt(e)
+        lowered = (stencil_pass(e_n, [_first_order(w, +1.0, False)])[0] / math.sqrt(e)).values
         for i, op, t in ((2, apply_H2, d.multiplier_values(grid)),
                          (3, apply_H2_dag, d.inverse_dual_values(grid))):
             f = GridFunction(grid, t * lowered)

@@ -323,7 +323,7 @@ def _swanson_applier(theta: float, rotation_sign: float):
             np.add(np.multiply(-kin, d2, out=t), out, out=u)
             np.multiply(0.5 * sec, u, out=out)
 
-        return stencil_pass(f, [((2,), combine)])[0]
+        return stencil_pass(f, [((2,), combine, pot, kin)])[0]
 
     return apply_h
 
@@ -463,7 +463,7 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
 
     def vacua_fn(grid, normalization):
         logs = iter([GridFunction(grid, v).values.real for v in evaluate_array(ladders, grid.x)])
-        ones = _read_only(np.ones(grid.n_points, dtype=np.complex128))
+        ones = _read_only(np.ones(grid.n_points))
         records = {label: VacuumRecord.measure(
                        label, GridFunction(grid, ones, next(logs), next(logs), next(logs)), pair)
                    for label in vacuum_logs}
@@ -552,14 +552,13 @@ def pseudo_bosonic_model(k: float = -1.0, n_max: int = 14) -> ModelRecord:
     psi_scale = _scale_per_grid(lambda xs, e: (e - xs**2 / 2.0, e - xs, e - 1.0))
 
     def phi1(n, grid):
-        return GridFunction(grid, poly_values(n, grid.x).astype(np.complex128), *phi_scale(grid))
+        return GridFunction(grid, poly_values(n, grid.x), *phi_scale(grid))
 
     def psi1(n, grid):
         if n_psi < sys.float_info.min:
             raise ModelError(f"dual levels need |k| < {_PB_DUAL_K_LIMIT:.4f}: at k={k!r} "
                              "their normalization exp(-k^2/2)/sqrt(2 pi) underflows")
-        return GridFunction(grid, n_psi * poly_values(n, grid.x).astype(np.complex128),
-                            *psi_scale(grid))
+        return GridFunction(grid, n_psi * poly_values(n, grid.x), *psi_scale(grid))
 
     return ModelRecord(
         name="pseudo-bosonic",

@@ -1,33 +1,35 @@
 """Uniform grids, finite differences, and quadrature.
 
 Everything in the package runs on a fixed symmetric grid [-L, L].  One value
-carrier, ``GridFunction``, holds finite complex ``values`` and an optional
-real ``log_scale`` array; with a scale the function is
-``values * exp(log_scale)``.  Families that grow like exp(exp(x)) are not
-representable as doubles on a wide grid, but their pairings with decaying
-partners are perfectly finite; the scale keeps the exponent symbolic until
-the inner product combines them, so those pairings (and shift-invariant
-relative residuals) are computed without overflow.  Without a scale every
-operation runs the plain formulas.
+carrier, ``GridFunction``, holds finite ``values``, float64 for a real
+function and complex128 otherwise, and an optional real ``log_scale`` array;
+with a scale the function is ``values * exp(log_scale)``.  Families that
+grow like exp(exp(x)) are not representable as doubles on a wide grid, but
+their pairings with decaying partners are finite; the scale keeps the
+exponent symbolic until the inner product combines them, so those pairings
+(and shift-invariant relative residuals) are computed without overflow.
 
 Derivatives are 4th-order central differences in the interior with one-sided
 stencils of matching order at the edges.  Inner products use composite Simpson
 weights, conjugate-linear in the first slot.  Residual checks should drop the
 outermost 5 points per edge, where one-sided stencils live.
 
-The interior stencil runs on the float64 view of the samples, so a complex
-array costs real multiplies instead of complex ones.  numpy multiplies a
-sample a + bi by a weight c as by c + 0j, giving c*a - 0*b and c*b + 0*a,
-and divides by a real d as by d + 0j, giving (a + b*0)*(1/d) and
-(b - a*0)*(1/d).  The view drops the zero terms and multiplies by 1/d
-(dividing by d changes the last bit of about a third of the doubles), so
-every nonzero finite part has the complex expression's bits.  Dropping the
-zero terms can change only a zero's sign and the parts of a point that is
-already non-finite, and no output reads either: a zero's sign matters only
-at a branch cut, while images reach reports only through norms and
-magnitudes, and a carrier rejects a non-finite point by its first index
-and the count, whatever its parts.  Real input is multiplied by 1/d too,
-and a scaled carrier is differentiated through its exact log derivatives.
+A float64 carrier gets the bits of the complex128 carrier of the same values,
+up to a zero's sign.  numpy multiplies a + bi by a real c as by c + 0j,
+giving c*a - 0*b and c*b + 0*a, and divides by a real d as by d + 0j, giving
+(a + b*0)*(1/d) and (b - a*0)*(1/d): dropping the zero terms changes only a
+zero's sign (or the parts of a point already non-finite), so the real path
+multiplies by 1/d wherever the complex one divides (dividing changes the
+last bit of about a third of the doubles).  The interior stencil runs on the
+float64 view of either dtype with that rule.  Sums, products and abs keep
+their bits; a complex sum adds in another pairwise order than a real one, so
+``inner`` writes real terms into the real parts of a complex buffer and sums
+that.  A zero's sign matters only at a branch cut: images reach reports
+only through norms and magnitudes, a real vacuum's prefactor has phase +0 as
+the complex one does, and a carrier rejects a non-finite point by its first
+index and the count, whatever its parts.  Samples are computed in complex
+arithmetic (numpy's real exp can differ from the complex one in the last
+bit) and kept as float64 when every imaginary part is zero.
 
 Every operator and every residual runs on the blocked kernels: each
 derivative, and each operator built on one, is a job of a ``stencil_pass``,
@@ -187,8 +189,11 @@ def _reject_non_finite(grid: Grid, bad: np.ndarray):
 
 
 class GridFunction:
-    """Complex samples on a grid, optionally carried as ``values * exp(log_scale)``.
+    """Samples on a grid, optionally carried as ``values * exp(log_scale)``.
 
+    ``values`` stay float64 when given as float64 and are complex128
+    otherwise; ``f / d`` multiplies float64 values by ``1 / d`` for a real
+    ``d``, as numpy divides complex ones (see the module docstring).
     With ``log_scale`` None the function is ``values`` itself.  With a real
     ``log_scale`` array it is ``values * exp(log_scale)``, which keeps
     families that grow like exp(exp(x)) representable; ``dlog`` and ``d2log``
@@ -202,7 +207,7 @@ class GridFunction:
     __array_ufunc__ = None
 
     def __init__(self, grid: Grid, values, log_scale=None, dlog=None, d2log=None):
-        values = np.asarray(values, dtype=np.complex128)
+        values = _as_samples(values)
         if values.shape != (grid.n_points,):
             raise ValueError(f"expected {grid.n_points} values, got shape {values.shape}")
         # a finite sum rules out every non-finite sample in one reduction; a
@@ -215,7 +220,7 @@ class GridFunction:
         self.values = values
         for name, a in (("log_scale", log_scale), ("dlog", dlog), ("d2log", d2log)):
             if a is not None:
-                a = np.asarray(a, dtype=float)
+                a = np.ascontiguousarray(a, dtype=float)
                 if a.shape != (grid.n_points,):
                     raise ValueError(f"{name} must match the grid length")
                 if not np.isfinite(a).all():
@@ -241,6 +246,9 @@ class GridFunction:
 
     def __rmul__(self, c):
         return self.with_values(c * self.values)
+
+    def __truediv__(self, d):
+        return self.with_values(_over(self.values, d))
 
     def log_magnitude(self) -> np.ndarray:
         """log|f| pointwise; -inf where the prefactor vanishes."""
@@ -273,6 +281,20 @@ class ScaledGridFunction(GridFunction):
     __init__ = GridFunction.__init__
 
 
+def _as_samples(values) -> np.ndarray:
+    """float64 samples as they are, anything else as complex128."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float64 else values.astype(np.complex128, copy=False)
+
+
+def _over(a, d, out=None):
+    """``a / d`` for a real divisor ``d``: numpy divides a complex ``a`` by a
+    real as ``a * (1 / d)``, so float64 ``a`` is multiplied by ``1 / d``."""
+    if a.dtype == np.float64 and not np.iscomplexobj(d):
+        return np.multiply(a, np.divide(1.0, d, out=out), out=out)
+    return np.divide(a, d, out=out)
+
+
 def _same_scale(f, g) -> bool:
     """True when both carriers have no scale or equal scale arrays."""
     a, b = f.log_scale, g.log_scale
@@ -299,9 +321,11 @@ def as_scaled(f) -> GridFunction:
 # sampling and differentiation
 
 def sample(e: Expr, grid: Grid) -> GridFunction:
-    """Evaluate an expression on the grid; poles are reported, not returned
-    (the carrier raises PoleOnGridError for a non-finite sample)."""
-    return GridFunction(grid, evaluate_array([e], grid.x)[0])
+    """Evaluate an expression on the grid, as float64 when every imaginary
+    part is zero (of either sign); poles are reported, not returned (the
+    carrier raises PoleOnGridError for a non-finite sample)."""
+    v = evaluate_array([e], grid.x)[0]
+    return GridFunction(grid, v if v.imag.any() else np.ascontiguousarray(v.real))
 
 
 @lru_cache(maxsize=64)
@@ -400,16 +424,17 @@ def stencil_pass(f, jobs) -> list:
     """``f`` with new values from each job, all from one cache-blocked pass
     over its samples; one carrier per job.
 
-    A job is ``(orders, combine)``.  For each block of points, the stencil
-    runs once, and ``combine(sl, v, *d, out, t, u)`` of each job writes the
-    block's values into ``out``: ``sl`` is the block's slice, ``v`` is
-    ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]`` for each
-    k in ``orders`` (1, 2 or both).  Every job reads the same derivative
-    block, so a combine must not write into ``v`` or ``d``; ``t`` and ``u``
-    are scratch it may overwrite.  On a scaled carrier they are formed from
-    its exact ``dlog`` and ``d2log`` as the whole-array expressions of a
-    scaled ``derivative`` form them, operation by operation; a carrier
-    without one that a job reads raises ValueError.
+    A job is ``(orders, combine, *fields)``.  For each block of points, the
+    stencil runs once, and ``combine(sl, v, *d, out, t, u)`` of each job
+    writes the block's values into ``out``: ``sl`` is the block's slice,
+    ``v`` is ``f.values[sl]`` and ``d`` holds ``derivative(f, k).values[sl]``
+    for each k in ``orders`` (1, 2 or both).  Every job reads the same
+    derivative block, so a combine must not write into ``v`` or ``d``; ``t``
+    and ``u`` are scratch it may overwrite, float64 like ``out`` when ``f``
+    and the job's ``fields`` (arrays or scalars) are real.  On a scaled
+    carrier ``d`` is formed from its exact ``dlog`` and ``d2log`` as the
+    whole-array expressions of a scaled ``derivative`` form them, operation
+    by operation; a carrier without one that a job reads raises ValueError.
 
     A complex product must not be written over one of its factors: on a
     one-point block numpy then takes a loop whose last bit can differ.
@@ -417,26 +442,27 @@ def stencil_pass(f, jobs) -> list:
     grid = f.grid
     n, h = grid.n_points, grid.spacing
     scale = f.log_scale
-    wanted = set().union(*(orders for orders, _ in jobs))
+    wanted = set().union(*(orders for orders, *_ in jobs))
     # a scaled second derivative reads the first derivative of the values too
     need = sorted(wanted | ({1} if scale is not None else set()))
     stencil = _Stencil(f.values, h, need)
     m = min(_BLOCK, n)
-    d = {k: np.empty(m, dtype=np.complex128) for k in need}
-    t, u = np.empty((2, m), dtype=np.complex128)
+    dtypes = [np.result_type(f.values, *fields) for _, _, *fields in jobs]
+    d = {k: np.empty(m, dtype=f.values.dtype) for k in need}
+    scratch = {dt: np.empty((2, m), dtype=dt) for dt in {f.values.dtype, *dtypes}}
     if scale is not None:
         for name in ("dlog", "d2log")[: need[-1]]:
             if getattr(f, name) is None:
                 raise ValueError(f"a scaled carrier needs {name} for an order {need[-1]} pass")
         r = np.empty(m)
-    outs = [np.empty(n, dtype=np.complex128) for _ in jobs]
+    outs = [np.empty(n, dtype=dt) for dt in dtypes]
     for lo, hi in _blocks(n):
         k = hi - lo
         sl = slice(lo, hi)
         v = f.values[sl]
         db = stencil.into(lo, hi, {j: d[j][:k] for j in need})
         if scale is not None:
-            s1, rb, tb = f.dlog[sl], r[:k], t[:k]
+            s1, rb, tb = f.dlog[sl], r[:k], scratch[f.values.dtype][0, :k]
             if 2 in wanted:  # v2 + 2 * s1 * v1 + (s2 + s1 * s1) * v
                 np.multiply(2, s1, out=rb)
                 np.multiply(rb, db[1], out=tb)
@@ -448,8 +474,8 @@ def stencil_pass(f, jobs) -> list:
             if 1 in wanted:  # v1 + s1 * v
                 np.multiply(s1, v, out=tb)
                 db[1] += tb
-        for (orders, combine), out in zip(jobs, outs):
-            combine(sl, v, *(db[j] for j in orders), out[sl], t[:k], u[:k])
+        for (orders, combine, *_), out in zip(jobs, outs):
+            combine(sl, v, *(db[j] for j in orders), out[sl], *scratch[out.dtype][:, :k])
     return [f.with_values(out) for out in outs]
 
 
@@ -474,15 +500,18 @@ def inner(f, g) -> complex:
     counts as scale zero.
     """
     _check_same_grid(f, g)
-    w = f.grid.simpson_weights
+    n, w = f.grid.n_points, f.grid.simpson_weights
+    dt = np.result_type(f.values, g.values)
+    real = dt == np.float64
+    # real terms are summed as complex: a real sum adds in another pairwise order
     if f.log_scale is None and g.log_scale is None:
-        return complex(np.sum(w * np.conjugate(f.values) * g.values))
-    n = f.grid.n_points
+        terms = w * (f.values if real else np.conjugate(f.values)) * g.values
+        return complex(np.sum(terms.astype(np.complex128, copy=False)))
+    weighted = np.empty(n, dtype=np.complex128)  # w times the integrand
     m = min(_BLOCK, n)
     zeros = np.zeros(m)
-    p, c = np.empty(m, dtype=np.complex128), np.empty(m, dtype=np.complex128)
+    p, c = np.empty(m, dtype=dt), np.empty(m, dtype=dt)
     s, mag, log_mag = np.empty(m), np.empty(m), np.empty(m)
-    weighted = np.empty(n, dtype=np.complex128)  # w times the integrand
 
     # no complex product is written over a factor (see stencil_pass)
     def integrand(lo, hi):
@@ -491,7 +520,8 @@ def inner(f, g) -> complex:
         pb, mb, lb, sb = p[:k], mag[:k], log_mag[:k], s[:k]
         np.add(zeros[:k] if f.log_scale is None else f.log_scale[lo:hi],
                zeros[:k] if g.log_scale is None else g.log_scale[lo:hi], out=sb)
-        np.multiply(np.conjugate(f.values[lo:hi], out=c[:k]), g.values[lo:hi], out=pb)
+        fb = f.values[lo:hi]
+        np.multiply(fb if real else np.conjugate(fb, out=c[:k]), g.values[lo:hi], out=pb)
         np.abs(pb, out=mb)
         with np.errstate(divide="ignore"):
             np.log(mb, out=lb)
@@ -502,12 +532,12 @@ def inner(f, g) -> complex:
         """w * (p / |p|) * exp(s + log|p|) into ``weighted``, 0 where p is 0."""
         cb = c[: hi - lo]
         if mb.min() > 0:
-            np.multiply(np.divide(pb, mb, out=cb), np.exp(lb, out=lb), out=pb)
+            np.multiply(_over(pb, mb, out=cb), np.exp(lb, out=lb), out=pb)
             cb = pb
         else:
             cb[:] = 0
             nz = mb > 0
-            cb[nz] = (pb[nz] / mb[nz]) * np.exp(lb[nz])
+            cb[nz] = _over(pb[nz], mb[nz]) * np.exp(lb[nz])
         np.multiply(w[lo:hi], cb, out=weighted[lo:hi])
 
     # the largest log|integrand| and its first point, as np.argmax of the
@@ -568,8 +598,11 @@ class _Difference:
 
     def __init__(self, terms):
         self.a, self.c, self.b = terms if len(terms) == 3 else (terms[0], None, terms[1])
+        if isinstance(self.c, complex) and not self.c.imag:  # a pairing of real carriers
+            self.c = self.c.real  # c + 0j times b has the bits of c times b, up to a zero's sign
         _check_same_carrier(self.a, self.b)
         self.grid, self.log_scale = self.a.grid, self.a.log_scale
+        self.dtype = np.result_type(self.a.values, self.b.values, 0.0 if self.c is None else self.c)
 
     def carrier(self) -> GridFunction:
         return self.a - (self.b if self.c is None else self.c * self.b)
@@ -597,7 +630,7 @@ def _weighted_norms(grid: Grid, funcs: list, mask: np.ndarray, shift=None) -> li
     n = grid.n_points
     m = min(_BLOCK, n)
     sw, wb, e2 = grid.simpson_weights, np.empty(m), np.empty(m)
-    d = np.empty(m, dtype=np.complex128)
+    d = [None if isinstance(f, GridFunction) else np.empty(m, dtype=f.dtype) for f in funcs]
     terms = np.empty((len(funcs), n))
     for lo, hi in _blocks(n):
         sl, k = slice(lo, hi), hi - lo
@@ -606,10 +639,10 @@ def _weighted_norms(grid: Grid, funcs: list, mask: np.ndarray, shift=None) -> li
             e = np.subtract(shift[0][sl], shift[1], out=e2[:k])
             np.clip(e, -_LOG_HUGE, 0.0, out=e)
             np.exp(np.multiply(2, e, out=e), out=e)
-        for row, f in zip(terms, funcs):
-            v = f.values[sl] if isinstance(f, GridFunction) else f.block(sl, d[:k])
-            t = np.abs(v, out=row[sl])
-            np.square(t, out=t)
+        for row, f, buf in zip(terms, funcs, d):
+            v = f.values[sl] if buf is None else f.block(sl, buf[:k])
+            # |v|**2, and v**2 for real v: abs is exact, so the bits agree
+            t = np.square(v if v.dtype == np.float64 else np.abs(v, out=row[sl]), out=row[sl])
             np.multiply(w, t, out=t)
             if shift is not None:
                 t *= e
@@ -706,9 +739,9 @@ def cumulative_antiderivative(values: np.ndarray, grid: Grid, dvalues) -> np.nda
     the result is 4th-order accurate, which the downstream
     annihilation-residual checks rely on.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = _as_samples(values)
     h = grid.spacing
-    t = np.empty(grid.n_points, dtype=np.complex128)
+    t = np.empty(grid.n_points, dtype=values.dtype)
     t[0] = 0.0
     np.cumsum((values[1:] + values[:-1]) * (h / 2.0), out=t[1:])
     dv = np.asarray(dvalues)

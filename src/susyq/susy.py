@@ -93,17 +93,19 @@ class SuperpotentialPair:
         """Potential and superpotential arrays on the grid, cached and
         read-only: one expression DAG, each distinct subexpression sampled
         once, a pole reported in field order.  Fields that hold one object
-        share one array; another object gets its own, copied if equal."""
+        share one array, as do a complex pair's fields of one structure.  A
+        pair whose fields are all real (zero imaginary parts) holds float64."""
         if grid not in self._cache:
             fields = [getattr(self, name) for name in self._SAMPLED]
-            of_field, taken = {}, set()
-            for e, values in zip(fields, evaluate_array(fields, grid.x)):
+            sampled = evaluate_array(fields, grid.x)
+            real = not any(values.imag.any() for values in sampled)
+            of_field = {}
+            for i, e in enumerate(fields):
+                values, sampled[i] = sampled[i], None  # a real pair's complex arrays go one by one
                 GridFunction(grid, values)  # PoleOnGridError at a non-finite sample
-                if id(e) not in of_field:  # equal roots of two objects get two arrays: shared,
-                    # a large-N heap peaks under glibc's trim threshold and stays big (ROADMAP 6)
-                    of_field[id(e)] = values.copy() if id(values) in taken else values
+                if id(e) not in of_field:
+                    of_field[id(e)] = np.ascontiguousarray(values.real) if real else values
                     of_field[id(e)].flags.writeable = False
-                    taken.add(id(values))
             self._cache[grid] = {name: of_field[id(e)] for name, e in zip(self._SAMPLED, fields)}
         return self._cache[grid]
 
@@ -179,7 +181,7 @@ def _first_order(w, deriv_sign, conj_w):
         np.multiply(np.conjugate(w[sl], out=u) if conj_w else w[sl], v, out=t)
         out += t
 
-    return (1,), combine
+    return (1,), combine, w
 
 
 def _second_order(drift, potential, dual):
@@ -193,7 +195,7 @@ def _second_order(drift, potential, dual):
         np.multiply(potential[sl], v, out=t)
         out += t
 
-    return (1, 2), combine
+    return (1, 2), combine, drift, potential
 
 
 # each operator's stencil job from the pair's samples; H1 and H2 go through
@@ -350,7 +352,7 @@ def _exp_vacuum(grid: Grid, w_vals, dw_vals, sign: float) -> GridFunction:
     z = sign * w_anti
     return GridFunction(
         grid,
-        np.exp(1j * z.imag),
+        np.exp(1j * z.imag) if np.iscomplexobj(z) else np.ones(grid.n_points),
         z.real,
         dlog=sign * np.real(w_vals),
         d2log=sign * np.real(dw_vals),
@@ -367,7 +369,7 @@ def _normalize_unit(rec: VacuumRecord, notes: list):
         notes.append(f"{rec.label}: norm overflows on this grid, left unnormalized")
         return
     if scale > 0:
-        rec.function = rec.function.with_values(rec.function.values / scale)
+        rec.function = rec.function / scale
 
 
 def _normalize_paired(phi: VacuumRecord, psi: VacuumRecord, notes: list):
@@ -381,7 +383,7 @@ def _normalize_paired(phi: VacuumRecord, psi: VacuumRecord, notes: list):
     if abs(pairing) < 1e-300:
         notes.append(f"{phi.label}/{psi.label}: pairing vanishes, left unnormalized")
         return
-    phi.function = phi.function.with_values(phi.function.values / pairing)
+    phi.function = phi.function / pairing
 
 
 def vacua(p: SuperpotentialPair, grid: Grid | None = None, normalization: str = "raw") -> Vacua:

@@ -71,6 +71,19 @@ def test_potentials_real_model_emits_seven_columns(tmp_path):
     assert meta["complex_valued"] is False
 
 
+@pytest.mark.parametrize("model,complex_valued", [
+    ("harmonic", False), ("deformed-harmonic", True), ("black-scholes", False),
+    ("pseudo-bosonic", False), ("swanson", None)])
+def test_potentials_meta_says_which_models_are_complex_valued(tmp_path, model, complex_valued):
+    # real pairs are sampled as float64: the flag still reads the values
+    r = run_cli("potentials", "--model", model, "--grid-n", "257", "--out", str(tmp_path))
+    if complex_valued is None:  # no factorized pair
+        assert r.returncode == 2 and not (tmp_path / "potentials-meta.json").exists()
+        return
+    assert r.returncode == 0, r.stderr
+    assert read_json(tmp_path / "potentials-meta.json")["complex_valued"] is complex_valued
+
+
 def test_potentials_marks_the_partner_pole(tmp_path):
     out = tmp_path / "o"
     r = run_cli("potentials", "--model", "black-scholes",
@@ -317,6 +330,22 @@ def test_internal_error_prints_its_traceback(monkeypatch, capsys):
     assert 'raise RuntimeError("forced failure")' in err
     assert err.endswith("susyq: internal error: RuntimeError: forced failure\n")
     assert out == ""
+
+
+def test_main_trims_the_heap_after_every_command(monkeypatch, capsys):
+    from susyq import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
+    assert cli.main(["models-list"]) == 0
+
+    def broken(cfg):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "models-list", broken)
+    assert cli.main(["models-list"]) == 2
+    assert calls == [0, 0]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")])

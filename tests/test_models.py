@@ -10,6 +10,7 @@ from numpy.polynomial import hermite as np_hermite
 from susyq.expr import evaluate, parse
 from susyq.models import (
     ModelError,
+    ModelRecord,
     bs_classification,
     bs_numeric_flags,
     get_model,
@@ -607,3 +608,27 @@ def test_every_scaled_carrier_a_model_builds_carries_both_scale_derivatives():
                 assert f.dlog is not None and f.d2log is not None, (entry["name"], label)
     # the guard is not empty: the pseudo-bosonic families and every vacuum are scaled
     assert {"pseudo-bosonic", "black-scholes", "harmonic"} <= set(scaled)
+
+
+def _dtypes(arrays):
+    return {a.dtype for a in arrays}
+
+
+def test_real_families_are_float64_and_complex_ones_stay_complex128():
+    # the float64 kernels give the complex bits, so a real family that fell
+    # back to complex128 would only be slower: this guards the dtype itself
+    g = Grid(12.0, 1025)
+    user = build_pair(parse("x + a*tanh(x)", {"a": 0.37}), parse("x + c*tanh(x)", {"c": -0.41}))
+    real = {name: get_model(name) for name in ("harmonic", "pseudo-bosonic", "black-scholes")}
+    real["user pair"] = ModelRecord(name="user-pair", params={}, pair=user, energy=None)
+    for name, m in real.items():
+        assert _dtypes(m.pair.samples(g).values()) == {np.dtype(np.float64)}, name
+        levels = [fam(n, g) for fam in (m.phi1, m.psi1) if fam is not None for n in range(4)]
+        vacua = [rec.function for rec in m.vacua(g).records()]
+        assert _dtypes(f.values for f in levels + vacua) <= {np.dtype(np.float64)}, name
+        assert vacua and (levels or name in ("black-scholes", "user pair")), name
+    complex_ = [get_model("deformed-harmonic"), get_model("swanson")]
+    assert _dtypes(complex_[0].pair.samples(g).values()) == {np.dtype(np.complex128)}
+    for m in complex_:
+        levels = [fam(n, g) for fam in (m.phi1, m.psi1) for n in range(4)]
+        assert _dtypes(f.values for f in levels) == {np.dtype(np.complex128)}, m.name

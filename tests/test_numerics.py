@@ -1,5 +1,6 @@
 """Grid, quadrature, derivative, and carrier checks against closed forms."""
 
+import copy
 import math
 
 import numpy as np
@@ -400,9 +401,10 @@ def test_fd_interior_is_the_complex_expression_bit_for_bit(n, order):
 
 
 def _masked_inner(f, g):
-    """The scaled pairing with the zero-product mask applied everywhere."""
+    """The scaled pairing with the zero-product mask applied everywhere, on
+    complex128 samples: a real carrier has the bits of the complex one."""
     s = f.log_scale + g.log_scale
-    p = np.conjugate(f.values) * g.values
+    p = np.conjugate(f.values.astype(np.complex128)) * g.values.astype(np.complex128)
     mag = np.abs(p)
     with np.errstate(divide="ignore"):
         log_mag = s + np.log(mag)
@@ -633,6 +635,115 @@ def test_drawn_stencil_inputs_meet_the_complex_expression_oracle(n, complex_inpu
                     _assert_stencil_contract(got, want, op)
 
 
+# ---------------------------------------------------------------------------
+# float64 carriers against complex128 carriers holding the same values
+
+def _assert_real_carrier_contract(got, want, case):
+    """``got``, computed from float64 carriers, against ``want``, computed
+    from complex128 carriers of the same values.  Where ``want`` is finite,
+    every part is equal by == and bit-equal unless it is zero: only a zero's
+    sign may differ.  Where ``want`` is not finite, neither is ``got``."""
+    g = np.atleast_1d(np.asarray(got)).astype(np.complex128)
+    w = np.atleast_1d(np.asarray(want)).astype(np.complex128)
+    finite = np.isfinite(w)
+    assert not np.isfinite(g[~finite]).any(), case
+    g, w = g[finite].view(np.float64), w[finite].view(np.float64)
+    assert np.array_equal(g, w), case
+    assert np.array_equal(_bits(g[w != 0]), _bits(w[w != 0])), case
+
+
+def _complex_twin(x):
+    """A carrier, or a pair's samples on ``grid``, held as complex128."""
+    if isinstance(x, GridFunction):
+        return GridFunction(x.grid, x.values.astype(np.complex128), x.log_scale, x.dlog, x.d2log)
+    pair, grid = x
+    twin = copy.copy(pair)
+    twin._cache = {grid: {k: v.astype(np.complex128) for k, v in pair.samples(grid).items()}}
+    return twin
+
+
+def _outcome(measure, *args):
+    """``measure(*args)``, or the text of the grid error it raises."""
+    try:
+        return measure(*args)
+    except (PoleOnGridError, RepresentationError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _assert_same_outcome(measure, real_args, complex_args, case):
+    with np.errstate(all="ignore"):
+        got, want = _outcome(measure, *real_args), _outcome(measure, *complex_args)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want, case
+    else:
+        _assert_real_carrier_contract(got, want, case)
+
+
+_COMPLEX_PAIR = susy.build_pair(parse("x + 0.3i * cos(x)"), parse("x - 0.5 * tanh(x)"))
+
+
+# the length ranges put about half the examples at the block edge; a log
+# scale of slope 150 takes pairings past the float range on [-3, 3]
+@settings(deadline=None)
+@given(n=st.integers(16, _BLOCK + 40) | st.integers(_BLOCK - 4, _BLOCK + 40),
+       parts=st.lists(_STENCIL_PARTS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1),
+       slope=st.sampled_from([None, 0.1, -2.0, 150.0]),
+       a=st.floats(-0.9, 0.9), c=st.floats(-0.9, 0.9))
+def test_drawn_real_carrier_has_the_bits_of_the_complex_carrier(n, parts, seed, slope, a, c):
+    # numpy divides a complex value by a real d as a * (1 / d), so the float64
+    # path multiplies by the reciprocal wherever the complex one divides
+    rng = np.random.default_rng(seed)
+    grid = Grid(3.0, n)
+    scale = () if slope is None else (slope * grid.x, np.full(n, slope), np.zeros(n))
+    # the factors give the parts many mantissas, so that summation order shows
+    f = GridFunction(grid, rng.choice(parts, n) * rng.uniform(0.5, 2.0, n), *scale)
+    g = f.with_values(np.where(np.arange(n) % 5 == 0, 0.0, rng.choice(parts, n)))
+    fc, gc = _complex_twin(f), _complex_twin(g)
+    assert f.values.dtype == np.float64 and fc.values.dtype == np.complex128
+    real_pair = susy.build_pair(parse("x + a*tanh(x)", {"a": a}), parse("x + c*tanh(x)", {"c": c}))
+    assert real_pair.samples(grid)["v1_dual"].dtype == np.float64
+
+    for pair, dtype in ((real_pair, np.float64), (_COMPLEX_PAIR, np.complex128)):
+        twin = _complex_twin((pair, grid))
+        with np.errstate(all="ignore"):
+            got = _outcome(susy.apply_ops, pair, f, _ALL_OPERATORS)
+            want = _outcome(susy.apply_ops, twin, fc, _ALL_OPERATORS)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+            continue
+        for op, image, expected in zip(_ALL_OPERATORS, got, want):
+            assert image.values.dtype == dtype, op
+            _assert_real_carrier_contract(image.values, expected.values, op)
+
+    _assert_same_outcome(inner, (f, g), (fc, gc), "inner")
+    _assert_same_outcome(inner, (g, f), (gc, fc), "inner, swapped")
+    _assert_same_outcome(inner, (f, f.with_values(np.zeros(n))), (fc, fc.with_values(np.zeros(n))),
+                         "inner with a zero integrand")
+    _assert_same_outcome(norm, (f,), (fc,), "norm")
+    _assert_same_outcome(interior_norm, (f, 3, [0.25]), (fc, 3, [0.25]), "interior norm")
+    # a pairing of real carriers is a complex c with a zero imaginary part
+    for k in (2.0, 0.3 - 0.7j, 1.5 + 0j, complex(-1.5, -0.0)):
+        _assert_same_outcome(relative_residual, ((f, k, g), g), ((fc, k, gc), gc), "residual")
+        _assert_same_outcome(interior_norm, ((f, k, g),), ((fc, k, gc),), "residual norm")
+    with np.errstate(all="ignore"):
+        _assert_real_carrier_contract(cumulative_antiderivative(f.values, grid, g.values),
+                                      cumulative_antiderivative(fc.values, grid, gc.values),
+                                      "antiderivative")
+
+    wide = Grid(12.0, n)
+    twin = _complex_twin((real_pair, wide))
+    for normalization in ("raw", "unit", "paired"):
+        got, want = susy.vacua(real_pair, wide, normalization), susy.vacua(twin, wide, normalization)
+        assert got.notes == want.notes
+        for mine, theirs in zip(got.records(), want.records()):
+            case = (normalization, mine.label)
+            # a pairing is complex, so a paired phi is divided into complex values
+            assert normalization == "paired" or mine.function.values.dtype == np.float64, case
+            _assert_real_carrier_contract(mine.function.values, theirs.function.values, case)
+            assert np.array_equal(_bits(mine.function.log_scale), _bits(theirs.function.log_scale))
+            assert mine.summary() == theirs.summary(), case
+
+
 def _scaled_inner_oracle(f, g):
     """The scaled branch of ``inner`` as whole-array expressions."""
     ls = lambda c: c.log_scale if c.log_scale is not None else np.zeros(c.grid.n_points)
@@ -752,7 +863,8 @@ def test_a_residual_given_as_its_terms_is_the_carrier_expression_bit_for_bit(n):
     rng = np.random.default_rng(n + 2)
     for case, b in _carriers(grid, rng).items():
         a = b.with_values(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for c in [None, 2.0, np.float64(-1.5), 0.3 - 0.7j]:
+        # 1.5 + 0j is taken as 1.5, as a pairing of real carriers is
+        for c in [None, 2.0, np.float64(-1.5), 0.3 - 0.7j, 1.5 + 0j]:
             terms = (a, b) if c is None else (a, c, b)
             want = _difference_oracle(a, c, b)
             # every block, the last one holding one point, has the expression's bits

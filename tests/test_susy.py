@@ -97,12 +97,19 @@ def test_a_field_repeated_in_a_pair_is_sampled_once(array_evaluations):
     s = p.samples(grid)
     assert len(array_evaluations) == 17  # each distinct subexpression once
     assert s["v2_dual"] is s["v2"] and not s["v2"].flags.writeable
-    # dw_a and dw_b agree in structure but are two objects: two arrays, as before
+    # dw_a and dw_b agree in structure but are two objects: a real pair gives each its own array
     assert p.dw_a is not p.dw_b and s["dw_a"] is not s["dw_b"]
     assert all(not a.flags.writeable for a in s.values())
     for name in p._SAMPLED:
         want = sample(getattr(p, name), grid).values
         assert np.array_equal(s[name].view(np.uint64), want.view(np.uint64)), name
+
+
+def test_a_complex_pair_shares_the_array_of_fields_of_one_structure():
+    p = build_pair(parse("x + 0.5i*tanh(x)"), parse("x + 0.5i*tanh(x)"))
+    s = p.samples(Grid(12.0, 49))
+    assert p.w_a is not p.w_b and s["w_a"] is s["w_b"] and not s["w_a"].flags.writeable
+    assert s["w_a"].dtype == np.complex128
 
 
 def test_black_scholes_vacuum_logs_are_one_dag(array_evaluations):
