@@ -56,7 +56,7 @@ print("lowering defect |a(gamma) c - sqrt(J) c|:", lowering_defect(phi))
 
 md = moment_density(s)
 print("moment density:", md.label)
-worst = max(c.residual for c in moment_residuals(s, md, n_max=10))
+worst = max(c.residual for c in moment_residuals(s, md))
 print("moment residuals (n <= 10), worst:", worst)
 
 # <phi_0, phi_0> from the overlaps <phi_0, phi_n> and <psi_n, phi_0>, n < 12

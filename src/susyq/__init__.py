@@ -10,177 +10,22 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .expr import (
-    EvalDomainError,
-    Expr,
-    ExprError,
-    ParseError,
-    conjugate,
-    differentiate,
-    evaluate,
-    parse,
-    parse_bindings,
-    to_source,
-)
-from .numerics import (
-    Grid,
-    GridFunction,
-    NonConvergenceError,
-    NumericsError,
-    PoleOnGridError,
-    RepresentationError,
-    ScaledGridFunction,
-    as_scaled,
-    biorthogonality_defect,
-    default_grid,
-    derivative,
-    fitted_decay_exponents,
-    inner,
-    integrate_halfline,
-    norm,
-    relative_residual,
-    sample,
-)
-from .reporting import CheckResult
-from .susy import (
-    SuperpotentialPair,
-    Vacua,
-    VacuumRecord,
-    apply_A,
-    apply_A_dag,
-    apply_B,
-    apply_B_dag,
-    apply_H1,
-    apply_H1_dag,
-    apply_H2,
-    apply_H2_dag,
-    build_pair,
-    intertwine_check,
-    superalgebra_check,
-    vacua,
-)
-from .models import (
-    ModelError,
-    ModelRecord,
-    bs_classification,
-    bs_numeric_flags,
-    get_model,
-    models_list,
-    pb_identities,
-)
-from .deform import (
-    DEFAULT_DEFORMATION_Q,
-    Deformation,
-    DeformationError,
-    build_deformation,
-    deformed_basis_report,
-    deformed_eigencheck,
-    deformed_pair,
-)
-from .gk import (
-    GKError,
-    GKState,
-    Spectrum,
-    action_identity,
-    build_spectrum,
-    build_state,
-    evolve,
-    gk_domain,
-    lowering_defect,
-    moment_density,
-    moment_residuals,
-    normalization_K,
-    pair_norm,
-    resolution_estimate,
-    spectrum_from_formula,
-    state_pair,
-)
-from .suites import VerifySuite, suite_names, verify_model, verify_pair
+from .expr import *
+from .numerics import *
+from .reporting import *
+from .susy import *
+from .models import *
+from .deform import *
+from .gk import *
+from .suites import *
 
-__all__ = [
-    "__version__",
-    # expressions
-    "Expr",
-    "ExprError",
-    "ParseError",
-    "EvalDomainError",
-    "parse",
-    "parse_bindings",
-    "differentiate",
-    "conjugate",
-    "evaluate",
-    "to_source",
-    # grids and quadrature
-    "Grid",
-    "GridFunction",
-    "ScaledGridFunction",
-    "NumericsError",
-    "PoleOnGridError",
-    "RepresentationError",
-    "NonConvergenceError",
-    "default_grid",
-    "as_scaled",
-    "sample",
-    "derivative",
-    "inner",
-    "biorthogonality_defect",
-    "norm",
-    "integrate_halfline",
-    "relative_residual",
-    "fitted_decay_exponents",
-    "CheckResult",
-    # factorized pairs
-    "SuperpotentialPair",
-    "Vacua",
-    "VacuumRecord",
-    "build_pair",
-    "apply_A",
-    "apply_B",
-    "apply_A_dag",
-    "apply_B_dag",
-    "apply_H1",
-    "apply_H2",
-    "apply_H1_dag",
-    "apply_H2_dag",
-    "vacua",
-    "intertwine_check",
-    "superalgebra_check",
-    # model registry
-    "ModelRecord",
-    "ModelError",
-    "get_model",
-    "models_list",
-    "bs_classification",
-    "bs_numeric_flags",
-    "pb_identities",
-    # bounded deformations
-    "Deformation",
-    "DeformationError",
-    "DEFAULT_DEFORMATION_Q",
-    "build_deformation",
-    "deformed_pair",
-    "deformed_basis_report",
-    "deformed_eigencheck",
-    # bicoherent states
-    "GKError",
-    "Spectrum",
-    "GKState",
-    "build_spectrum",
-    "spectrum_from_formula",
-    "gk_domain",
-    "normalization_K",
-    "build_state",
-    "pair_norm",
-    "action_identity",
-    "evolve",
-    "lowering_defect",
-    "moment_density",
-    "moment_residuals",
-    "resolution_estimate",
-    "state_pair",
-    # verification suites
-    "VerifySuite",
-    "verify_model",
-    "verify_pair",
-    "suite_names",
-]
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"]
+__all__ += expr.__all__
+__all__ += numerics.__all__
+__all__ += reporting.__all__
+__all__ += susy.__all__
+__all__ += models.__all__
+__all__ += deform.__all__
+__all__ += gk.__all__
+__all__ += suites.__all__

@@ -40,6 +40,7 @@ __all__ = [
     "differentiate",
     "conjugate",
     "evaluate",
+    "evaluate_array",
     "to_source",
 ]
 

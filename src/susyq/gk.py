@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _BLOCK, GridFunction, _same_scale, inner, integrate_halfline, norm
+from .numerics import (_BLOCK, _SIMPSON_REFINES, GridFunction, _same_scale, inner,
+                       integrate_halfline, norm)
 from .reporting import CheckResult
 
 __all__ = [
@@ -195,6 +196,8 @@ def _fit_norm_bound(norms, label: str):
 
 _DELTA_E_TOL = 1e-8  # largest settled gap between imaginary parts of eigenvalues
 MIN_TERMS = 3  # the fewest levels a state is built over: a growth fit reads three norms
+_MOMENT_N_MAX = 10  # the highest moment moment_residuals checks
+_MOMENT_TOL = 1e-8  # largest relative error of a checked moment
 
 
 @dataclass(eq=False)
@@ -505,7 +508,7 @@ def _finite_power_moments(density, powers, j_upper: float) -> np.ndarray:
     # substitute J = u^2 so half-integer powers stay smooth at the origin
     b, ex = math.sqrt(j_upper), 2.0 * np.asarray(powers, dtype=float) + 1.0
     values, refining = np.full(len(ex), np.nan), np.arange(len(ex))  # nothing settles on NaN
-    for m in (8 << k for k in range(14)):  # _panel_simpson's max_refine levels from 8 panels
+    for m in (8 << k for k in range(_SIMPSON_REFINES)):  # _panel_simpson's levels
         u = np.linspace(0.0, b, m + 1)
         dens = np.asarray(density(u * u), dtype=float)
         col, val, step = ex[refining, None], np.empty(len(refining)), max(1, 2 * _BLOCK // (m + 1))
@@ -526,14 +529,13 @@ def _finite_power_moments(density, powers, j_upper: float) -> np.ndarray:
     return values
 
 
-def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
-                     rel_tol: float = 1e-8):
+def moment_residuals(s: Spectrum, md: MomentDensity):
     """Check the half-line integral of J^n times the density against
-    |rho_n| for n <= n_max, one relative-error check per moment."""
+    |rho_n| for n <= _MOMENT_N_MAX, one relative-error check per moment."""
     if not md.solved:
         raise GKError("no solved moment density to verify")
     checks = []
-    top = min(n_max, len(s) - 1)
+    top = min(_MOMENT_N_MAX, len(s) - 1)
     for n in range(top + 1):
         want = math.exp(s.log_abs_rho[n])
         got = integrate_halfline(
@@ -541,7 +543,7 @@ def moment_residuals(s: Spectrum, md: MomentDensity, n_max: int = 10,
             * np.asarray(md.density(jv), dtype=float)
         )
         err = abs(got - want) / abs(want)
-        checks.append(CheckResult.from_residual(f"moment n={n}", err, rel_tol))
+        checks.append(CheckResult.from_residual(f"moment n={n}", err, _MOMENT_TOL))
     return checks
 
 

@@ -462,7 +462,10 @@ def black_scholes_model(r: float = 1.0, v0: float = 1.0) -> ModelRecord:
                for d in (g, differentiate(g), differentiate(differentiate(g)))]
 
     def vacua_fn(grid, normalization):
-        logs = iter([GridFunction(grid, v).values.real for v in evaluate_array(ladders, grid.x)])
+        logs = evaluate_array(ladders, grid.x)
+        for i in range(len(logs)):  # each complex array goes before the next is copied
+            logs[i] = np.ascontiguousarray(GridFunction(grid, logs[i]).values.real)
+        logs = iter(logs)
         ones = _read_only(np.ones(grid.n_points))
         records = {label: VacuumRecord.measure(
                        label, GridFunction(grid, ones, next(logs), next(logs), next(logs)), pair)

@@ -81,6 +81,7 @@ __all__ = [
     "cumulative_antiderivative",
     "relative_residual",
     "interior_norm",
+    "DecayFit",
     "fitted_decay_exponents",
 ]
 
@@ -668,7 +669,7 @@ def _cached_interior_mask(half_width: float, n_points: int, pad: int, exclude: t
     return mask
 
 
-def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None) -> float:
+def relative_residual(num, den, exclude: list | None = None) -> float:
     """||num|| / ||den|| over the interior, shift-invariant for scaled input.
 
     ``num`` and ``den`` must share their scale array, an unscaled carrier
@@ -679,7 +680,7 @@ def relative_residual(num, den, pad: int = EDGE_PAD, exclude: list | None = None
     num = _Difference(num) if isinstance(num, tuple) else num
     _check_same_grid(num, den)
     grid = num.grid
-    mask = _interior_mask(grid, pad, exclude)
+    mask = _interior_mask(grid, EDGE_PAD, exclude)
     shift = None
     if num.log_scale is not None or den.log_scale is not None:
         scale = _log_scale(num)
@@ -753,11 +754,16 @@ def cumulative_antiderivative(values: np.ndarray, grid: Grid, dvalues) -> np.nda
 # ---------------------------------------------------------------------------
 # adaptive quadrature on [0, inf) and oscillatory averages
 
-def _panel_simpson(f, a: float, b: float, rel_tol: float, max_refine: int = 14) -> float:
+_SIMPSON_REFINES = 14  # panel refinements from 8 intervals before a panel's last value stands
+_HALFLINE_TOL = 1e-10  # two successive panels below this share of the total end the sum
+_HALFLINE_DOUBLINGS = 40  # panels [0, 1] to [2^38, 2^39] before NonConvergenceError
+
+
+def _panel_simpson(f, a: float, b: float, rel_tol: float) -> float:
     """Composite Simpson on [a, b], refined by doubling until stable."""
     m = 8
     prev = None
-    for _ in range(max_refine):
+    for _ in range(_SIMPSON_REFINES):
         xs = np.linspace(a, b, m + 1)
         ys = np.asarray(f(xs), dtype=float)
         h = (b - a) / m
@@ -769,7 +775,7 @@ def _panel_simpson(f, a: float, b: float, rel_tol: float, max_refine: int = 14) 
     return prev
 
 
-def integrate_halfline(f, tol: float = 1e-10, max_doublings: int = 40) -> float:
+def integrate_halfline(f) -> float:
     """Integrate a decaying real integrand over [0, inf) by panel doubling.
 
     Panels [0,1], [1,2], [2,4], ... are each integrated by refined Simpson;
@@ -778,11 +784,11 @@ def integrate_halfline(f, tol: float = 1e-10, max_doublings: int = 40) -> float:
     total = 0.0
     edges = [0.0, 1.0]
     small_streak = 0
-    for _ in range(max_doublings):
+    for _ in range(_HALFLINE_DOUBLINGS):
         a, b = edges
-        part = _panel_simpson(f, a, b, rel_tol=tol * 1e-2)
+        part = _panel_simpson(f, a, b, rel_tol=_HALFLINE_TOL * 1e-2)
         total += part
-        if abs(part) <= tol * max(1.0, abs(total)) / 2:
+        if abs(part) <= _HALFLINE_TOL * max(1.0, abs(total)) / 2:
             small_streak += 1
             if small_streak >= 2:
                 return total
@@ -790,5 +796,5 @@ def integrate_halfline(f, tol: float = 1e-10, max_doublings: int = 40) -> float:
             small_streak = 0
         edges = [b, 2 * b]
     raise NonConvergenceError(
-        f"half-line integral did not converge after {max_doublings} panel doublings"
+        f"half-line integral did not converge after {_HALFLINE_DOUBLINGS} panel doublings"
     )

@@ -341,7 +341,7 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
             float(np.max(np.abs(two_step.coefficients - one_step.coefficients))), 1e-12),
         CheckResult.from_residual("states are lowering-operator eigenvectors",
                                   lowering_defect(phi), 1e-8),
-        *moment_residuals(s, moment_density(s), n_max=10),
+        *moment_residuals(s, moment_density(s)),
         CheckResult("identity-resolution error improves along the angle-window trace",
                     float(worsened), 2.0, worsened <= 1),
         CheckResult.from_residual("identity-resolution error at the widest window",

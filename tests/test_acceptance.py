@@ -266,7 +266,7 @@ def test_criterion_09_moment_densities():
         if not md.solved:
             ok, bad = False, bad + [(name, "unsolved")]
             continue
-        checks = moment_residuals(s, md, n_max=10, rel_tol=1e-8)
+        checks = moment_residuals(s, md)
         failing = [c.check for c in checks if not c.passed]
         if failing:
             ok, bad = False, bad + [(name, failing)]

@@ -324,7 +324,7 @@ def test_linear_spectra_get_exponential_densities():
     lin = spectrum_from_formula(lambda n: float(n), 14)
     md = moment_density(lin)
     assert md.solved and md.scale == pytest.approx(1.0)
-    checks = moment_residuals(lin, md, n_max=10)
+    checks = moment_residuals(lin, md)
     assert len(checks) == 11
     assert all(c.passed for c in checks)
     assert max(c.residual for c in checks) <= 1e-8
@@ -332,7 +332,7 @@ def test_linear_spectra_get_exponential_densities():
     dbl = spectrum_from_formula(lambda n: 2.0 * n, 14)
     md2 = moment_density(dbl)
     assert md2.scale == pytest.approx(2.0)
-    assert all(c.passed for c in moment_residuals(dbl, md2, n_max=10))
+    assert all(c.passed for c in moment_residuals(dbl, md2))
 
 
 def _oracle_moment(density, power, j_upper):
@@ -393,7 +393,7 @@ def _oscillating(j):  # unresolved at every level: Simpson never settles on it
 def test_shared_ladder_moments_keep_the_last_value_of_an_unsettled_power():
     powers = [0.0, 0.5, 3.0]
     want = [_oracle_moment(_oscillating, p, 9.0) for p in powers]
-    assert all(levels == 14 for _, levels in want)  # max_refine exhausted
+    assert all(levels == 14 for _, levels in want)  # every _SIMPSON_REFINES level run
     got = _finite_power_moments(_oscillating, powers, 9.0)
     assert np.array_equal(_bits(got), _bits([value for value, _ in want]))
 

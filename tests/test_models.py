@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,24 @@ def test_bs_vacua_annihilation_is_near_exact(grid):
     v = m.vacua(grid)
     for rec in (v.phi0_1, v.phi0_2, v.psi0_1, v.psi0_2):
         assert rec.annihilation_residual < 1e-10, rec.label
+
+
+def test_bs_vacua_peak_stays_within_twice_what_they_keep():
+    # the twelve sampled log ladders are complex; each is copied to float64 and
+    # dropped before the next, so the peak is what the vacua keep plus a few
+    # arrays in flight (about 1.85x); holding every complex ladder until the
+    # records exist peaks near 2.8x
+    m = get_model("black-scholes", r=1.3)
+    grid = Grid(12.0, 65537)
+    m.vacua(grid)  # one-time set-up stays out of the count
+    tracemalloc.start()
+    try:
+        v = m.vacua(grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.phi0_2.in_l2
+    assert peak <= 2 * kept
 
 
 def test_bs_classification_table(grid):

@@ -312,7 +312,7 @@ def test_halfline_integral_gaussian():
 
 def test_halfline_integral_raises_without_decay():
     with pytest.raises(NonConvergenceError):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t), max_doublings=12)
+        integrate_halfline(lambda t: 1.0 / (1.0 + t))
 
 
 def _bits(a):
@@ -873,9 +873,10 @@ def test_a_residual_given_as_its_terms_is_the_carrier_expression_bit_for_bit(n):
                                   for lo, hi in _blocks(n)])
             assert np.array_equal(_bits(got), _bits(want.values)), (case, c)
             for kw in ({}, {"pad": 0}, {"exclude": [0.3, -2.0]}):
+                assert interior_norm(terms, **kw) == interior_norm(want, **kw), (case, c, kw)
+            for kw in ({}, {"exclude": [0.3, -2.0]}):  # a residual always drops EDGE_PAD points per edge
                 assert relative_residual(terms, b, **kw) == relative_residual(want, b, **kw), \
                     (case, c, kw)
-                assert interior_norm(terms, **kw) == interior_norm(want, **kw), (case, c, kw)
 
 
 @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 3])
