@@ -9,17 +9,17 @@ Each suite builds each of the record's families once and hands the same
 lists to every section; the second sector is read as the first one level
 down.  The ladder suites read one level walk, ``_ladder_walk``: one stencil
 pass per level carrier forms the images that the level's checks
-(``intertwine_check``, ``superalgebra_check``, ``deformed_eigencheck``) read,
-and the deformed-harmonic suite feeds the levels to ``gk.state_pair``, the
-step of the ``gk`` command.  A user pair runs the same runner with no
-sections of its own.  The verify command turns the reports into exit codes.
+(``intertwine_check``, ``superalgebra_check``, ``deformed_eigencheck``) read
+and then drop; the deformed-harmonic suite feeds the levels to
+``gk.state_pair``, the step of the ``gk`` command, holding its paired duals as
+real Hermite factors.  A user pair runs the same runner with no sections of
+its own.  The verify command turns the reports into exit codes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,8 +45,8 @@ from .models import (
     get_model,
     pb_identities,
 )
-from .numerics import (Grid, NonConvergenceError, RepresentationError, biorthogonality_defect,
-                       inner, pairing_defect, relative_residual, sample)
+from .numerics import (Grid, GridFunction, NonConvergenceError, RepresentationError,
+                       biorthogonality_defect, inner, pairing_defect, relative_residual, sample)
 from .reporting import CheckResult
 from .susy import (
     apply_ops,
@@ -146,7 +146,8 @@ def _ladder_walk(pair, energy, level, n_levels, h2=False):
     values.  Yields one namespace, updated in place so that a level's images
     are dropped before the next pass: ``n``, ``phi``, its images ``a`` and
     ``h1``, its intertwining record ``rec``, and its partner ``down`` (the
-    level below, materialized) with the images ``b_down`` and ``h2_down``."""
+    level below, materialized) with the images ``b_down`` and ``h2_down``;
+    the reader may drop ``a``, ``b_down`` and ``h2_down`` once it has read them."""
     lv = SimpleNamespace(down=None, b_down=None, h2_down=None)
     for n in range(n_levels):
         lv.n, lv.phi, lv.a, lv.h1 = n, level(n), None, None
@@ -290,16 +291,23 @@ def _black_scholes_sections(m, pair, grid, own_in_l2):
 
 def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
     """Levels 0-25 of each family read once by ``state_pair``, phi first.
-    Each of phi levels 0-10 comes from the ladder walk and runs its ladder
-    checks once the pair step has read it; its images are then dropped.
-    Only duals 0-8, which the pairing matrix pairs with every level, are
-    held whole.  The sections are assembled in report order; each residual
-    is a maximum over levels, exact in any order."""
+    Each of phi levels 0-10 comes from the ladder walk and, once the pair
+    step has read it, runs its intertwining and superalgebra checks, drops
+    the images only they read, then runs its pairing column and
+    eigen-residuals.  Only duals 0-8, paired with every level, are held, as
+    their real factors e_0..e_8, formed one at a time as ``psi1`` forms them.
+    Sections are assembled in report order; each residual is a maximum over
+    levels, exact in any order."""
     d = m.extras["deformation"]
-    base = m.extras["base_eigenfunction"]
     n_basis, n_eigen, n_ops, n_res = 26, 9, 11, 12
     s = spectrum_from_formula(m.energy, n_basis)
-    psis = [m.psi1(n, grid) for n in range(n_eigen)]
+    base = [m.extras["base_eigenfunction"](n, grid) for n in range(n_eigen)]
+    inv_dual = d.inverse_dual_values(grid)
+
+    def duals(*levels):  # psi_n as psi1 forms them, one at a time into one buffer
+        out = np.empty(grid.n_points, np.complex128)
+        return (GridFunction(grid, np.multiply(inv_dual, base[a].values, out=out)) for a in levels)
+
     w = sample(d.w, grid).values
     pairing, worst, eigen, inter, algebra = 0.0, [0.0] * 4, [], [], []
 
@@ -308,19 +316,20 @@ def _deformed_harmonic_sections(m, pair, grid, own_in_l2):
         for lv in _ladder_walk(pair, m.energy, lambda n: m.phi1(n, grid), n_ops, h2=True):
             n, phi = lv.n, lv.phi
             yield phi
-            if n < n_eigen:
-                pairing = max(pairing, pairing_defect(psis, n, phi))
-                eigen = deformed_eigencheck(worst, d, pair, w, m.energy(n), phi, lv.h1, psis[n],
-                                            base(n, grid) if n else None)
             inter.append(_intertwine_result(lv.rec))
             if n > 0:
                 algebra.append(superalgebra_check(pair, n, phi, lv.down, lv.a, lv.h1, lv.b_down,
                                                   lv.h2_down, lv.rec.alpha, lv.rec.beta))
+            lv.a = lv.b_down = lv.h2_down = None
+            if n < n_eigen:
+                pairing = max(pairing, pairing_defect(duals(*range(n_eigen)), n, phi))
+                eigen = deformed_eigencheck(worst, d, pair, w, m.energy(n), phi, lv.h1,
+                                            next(duals(n)), base[n] if n else None)
         yield from (m.phi1(n, grid) for n in range(n_ops, n_basis))
 
     phi, psi, _, phi_norms, psi_norms, rep = state_pair(
-        s, phi_levels(), chain(psis, (m.psi1(n, grid) for n in range(n_eigen, n_basis))),
-        1.0, 0.4, 1e-8, n_res)
+        s, phi_levels(), (next(duals(n)) if n < n_eigen else m.psi1(n, grid)
+                          for n in range(n_basis)), 1.0, 0.4, 1e-8, n_res)
     two_step, one_step = evolve(evolve(phi, 0.3), 0.4), evolve(phi, 0.7)
     errs = [p.abs_error for p in rep.gamma_trace]
     worsened = sum(1 for a, b in zip(errs, errs[1:]) if b > a)

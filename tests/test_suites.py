@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 import susyq.suites as suites_module
@@ -108,13 +109,15 @@ def test_deformed_harmonic_runs_to_verdicts_on_a_coarse_grid():
 
 
 def _count_families(monkeypatch):
-    """Count the calls to the four family generators of each record the
-    suites build, wrapping them as they leave ``get_model``."""
+    """Record each call, as (generator, level), to the four family
+    generators of each record the suites build and to the base
+    eigenfunctions a deformed record's families are formed from, wrapping
+    them as they leave ``get_model``."""
     calls = []
 
-    def counted(fn):
+    def counted(attr, fn):
         def gen(n, grid):
-            calls.append(n)
+            calls.append((attr, n))
             return fn(n, grid)
         return gen
 
@@ -124,7 +127,9 @@ def _count_families(monkeypatch):
         m = build(name, **params)
         for attr in ("phi1", "psi1", "phi2", "psi2"):
             if getattr(m, attr) is not None:
-                setattr(m, attr, counted(getattr(m, attr)))
+                setattr(m, attr, counted(attr, getattr(m, attr)))
+        if "base_eigenfunction" in m.extras:
+            m.extras["base_eigenfunction"] = counted("base", m.extras["base_eigenfunction"])
         return m
 
     monkeypatch.setattr(suites_module, "get_model", get_model)
@@ -136,23 +141,47 @@ def _count_families(monkeypatch):
 def test_suite_builds_each_family_level_once(grid, monkeypatch, name, n_calls):
     calls = _count_families(monkeypatch)
     assert verify_model(name, grid=grid).all_pass()
-    assert len(calls) == n_calls
+    # no level's recurrence runs twice
+    assert len(calls) == len(set(calls)) == n_calls
+    if name == "deformed-harmonic":
+        # duals 0-8 are formed from e_0..e_8, which the eigen-residuals read too
+        assert sorted(calls) == sorted([("base", n) for n in range(9)]
+                                       + [("phi1", n) for n in range(26)]
+                                       + [("psi1", n) for n in range(9, 26)])
+
+
+@pytest.mark.parametrize("n_points", [4097, 65537])
+def test_deformed_duals_are_the_inverse_dual_times_the_base_levels(n_points):
+    # the suite forms duals 0-8 from the base levels, into a buffer of its
+    # own; both routes must keep the bits of the record's own generator
+    grid = Grid(12.0, n_points)
+    m = models.get_model("deformed-harmonic")
+    inverse_dual = m.extras["deformation"].inverse_dual_values(grid)
+    buffer = np.empty(n_points, dtype=np.complex128)
+    for n in range(9):
+        want = m.psi1(n, grid).values
+        e_n = m.extras["base_eigenfunction"](n, grid).values
+        assert (inverse_dual * e_n).tobytes() == want.tobytes()
+        assert np.multiply(inverse_dual, e_n, out=buffer).tobytes() == want.tobytes()
 
 
 # The deformed-harmonic level walk at its widest, in complex N-point arrays:
 #    9  pair samples (w_a, w_b, their slopes, q1, v1, v2 and both duals)
 #    2  deformation multipliers e^q and e^{-conj q}
-#    9  duals psi_0..psi_8, which the pairing matrix pairs with every level
+#  4.5  the real factors e_0..e_8 of duals 0-8, which the pairing matrix pairs
+#       with every level; the duals are formed one at a time after the
+#       superalgebra vector, in a buffer dropped with the level
 #    2  the phi state sum and phi_0, which the psi walk's overlaps read
-#    2  phi_n and the samples of the base superpotential, which lowers e_n
-#    7  A, H1, B and H2 of phi_n; phi_{n-1} with its B and H2 images
-#    3  real arrays at half size: x, Simpson weights, the Hermite ladder's two
-#       levels and its envelope
-#    7  one superalgebra vector's own work: its four second-level images,
-#       A H1 phi_n, and the norm rows and pass buffers
-#   -- 41 arrays (40.6 measured), and 48 leaves 18% of headroom.  Holding
-#   levels 0-10 of both families through every section needs 72.
-@pytest.mark.parametrize("name, limit", [("deformed-harmonic", 48), ("pseudo-bosonic", 50)])
+#    2  phi_n and phi_{n-1}
+#    6  A, H1, B and H2 of phi_n; B and H2 of phi_{n-1}
+#    3  real arrays at half size: x, Simpson weights, the samples of the base
+#       superpotential, the Hermite ladder's two levels and its envelope
+#  4.5  one superalgebra vector's own work: two of its second-level images at
+#       a time, and the norm rows and pass buffers
+#   -- 33.5 arrays (33.7 measured), and 40 leaves 19% of headroom.  Holding
+#   duals 0-8 whole and every superalgebra image at once measured 40.6;
+#   holding levels 0-10 of both families through every section needs 72.
+@pytest.mark.parametrize("name, limit", [("deformed-harmonic", 40), ("pseudo-bosonic", 50)])
 def test_suite_peak_memory_in_grid_arrays(name, limit):
     grid = Grid(12.0, 16385)
     verify_model(name, grid=Grid(12.0, 1025))  # one-time set-up stays out of the count

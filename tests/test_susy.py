@@ -555,6 +555,58 @@ def test_superalgebra_shares_the_charge_images_bit_for_bit():
     assert np.array_equal(residuals[0].view(np.uint64), residuals[1].view(np.uint64))
 
 
+def _superalgebra_all_images_first(p, n, f, g, af, h1f, bg, h2g, alpha, beta):
+    """``superalgebra_check`` with all six second-level images formed before
+    any norm is taken: the oracle for the check that drops each image once
+    its norm is taken."""
+    from susyq.numerics import relative_residual
+    from susyq.reporting import CheckResult
+
+    tol, ex, tag = 1e-5, list(p.singular_points), f"vector {n - 1}"
+
+    def two_sector_norm(a, b):
+        return float(np.hypot(interior_norm(a, exclude=ex), interior_norm(b, exclude=ex)))
+
+    scale = max(two_sector_norm(h1f, h2g), two_sector_norm(f, g), 1e-300)
+    b_af, h2_af = apply_ops(p, af, ["B", "H2"])
+    a_bg, h1_bg = apply_ops(p, bg, ["A", "H1"])
+    vector = [
+        CheckResult.from_residual(f"nilpotency Q_A^2 = Q_B^2 = 0 ({tag})", 0.0, 1e-300),
+        CheckResult.from_residual(f"anticommutator {{Q_A,Q_B}} = H ({tag})",
+                                  two_sector_norm((b_af, h1f), (a_bg, h2g)) / scale, tol),
+        CheckResult.from_residual(f"commutator [H,Q_A] = 0 ({tag})",
+                                  interior_norm((h2_af, apply_A(p, h1f)), exclude=ex) / scale, tol),
+        CheckResult.from_residual(f"commutator [H,Q_B] = 0 ({tag})",
+                                  interior_norm((h1_bg, apply_B(p, h2g)), exclude=ex) / scale, tol),
+    ]
+    doublet = []
+    for image, c, want, label in ((af, alpha, g, "sector 1 -> 2 with alpha"),
+                                  (bg, beta, f, "sector 2 -> 1 with beta")):
+        r = relative_residual((image, c, want), image, exclude=ex) if norm(image) > 0 else 0.0
+        doublet.append(CheckResult.from_residual(f"charge maps {label} (n={n})", r, tol))
+    doublet.append(CheckResult.from_residual(f"charges annihilate opposite doublets (n={n})", 0.0, 1e-300))
+    return vector, doublet
+
+
+@pytest.mark.parametrize("name", ["harmonic", "deformed-harmonic"])
+def test_superalgebra_keeps_the_residual_bits_of_holding_every_image(name):
+    from susyq.models import get_model
+
+    g = default_grid()
+    m = get_model(name)
+    phis = [m.phi1(n, g) for n in range(5)]
+    for n in range(1, 5):
+        f, h = phis[n], phis[n - 1]
+        af, h1f = apply_ops(m.pair, f, ["A", "H1"])
+        bg, h2g = apply_ops(m.pair, h, ["B", "H2"])
+        rec = intertwine_check(n, m.energy(n), f, h, af, bg, m.pair.singular_points)
+        args = (m.pair, n, f, h, af, h1f, bg, h2g, rec.alpha, rec.beta)
+        got, want = superalgebra_check(*args), _superalgebra_all_images_first(*args)
+        # repr keeps every bit of a float, the sign of a zero included
+        assert repr(got) == repr(want)
+        assert all(c.passed for part in got for c in part)
+
+
 def test_superalgebra_applies_each_charge_once_per_vector(stencil_passes):
     p, _, doublets = _deformed_superalgebra_input()
     _superalgebra_levels(p, doublets)
